@@ -4,7 +4,8 @@ Subcommands: verify, construct, integrate, reconstruct, detect, riccati.
 Every run writes a deterministic JSON report with the schema
 {tool_version, case, grid, metrics{name -> {max, mean}}, verdicts{...}}.
 Exit codes: 0 success, 1 usage/configuration error, 2 verification
-failure (residuals above tolerance or a failed certificate).
+failure (residuals above tolerance or a failed certificate) or a
+computation that left the finite floating-point range.
 
 The environment variable NORMALFLAT_TOL overrides the default residual
 tolerance of verify/detect.
@@ -229,7 +230,8 @@ def _cmd_integrate(args) -> int:
         export_mesh(field.mesh(), args.export_obj, "obj3d",
                     tuple(int(a) for a in args.obj_axes.split(",")))
     metrics = {k: {"max": v, "mean": v} for k, v in drift.items() if isinstance(v, float)}
-    _report(args.report, case, coeffs.spec, metrics, {"frame0": drift["frame0"]})
+    notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []
+    _report(args.report, case, coeffs.spec, metrics, {"frame0": drift["frame0"], "notes": notes})
     return 0
 
 
@@ -362,7 +364,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # a non-finite intermediate fails the run instead of reaching a report
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
         return 1
@@ -370,6 +374,9 @@ def main(argv=None) -> int:
             KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"normalflat: floating-point failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

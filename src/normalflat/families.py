@@ -29,14 +29,15 @@ from .frames import CoefficientSet
 from .gcr import (
     NonIntegrableError,
     curvature_minus_l0,
-    default_tolerance,
     dependence_minors,
+    gauss_lhs,
     gcr_residuals,
     integrate_gradient,
     normal_flatness_defect,
 )
-from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along
-from .spaceform import CaseSpec
+from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
+                   angle_link_tolerance, family_tolerance, residual_tolerance)
+from .spaceform import CaseSpec, metric_conventions
 
 __all__ = [
     "PhiFamilyInput",
@@ -74,7 +75,7 @@ def _jacobian(fu, fv, gu, gv):
 def certify(coeffs: CoefficientSet, case: CaseSpec, identities: dict | None = None,
             witness: float | None = None) -> dict:
     """Numerical certificate for a constructed coefficient set."""
-    tol = default_tolerance(coeffs.spec, coeffs.max_abs())
+    tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
     res = gcr_residuals(coeffs, case)
     flat = normal_flatness_defect(coeffs).max_abs()
     kml = float(np.max(np.abs(curvature_minus_l0(coeffs, case).values)))
@@ -93,7 +94,7 @@ def certify(coeffs: CoefficientSet, case: CaseSpec, identities: dict | None = No
         cert["identities"] = {k: float(v) for k, v in identities.items()}
         # algebraic identities are machine-exact on closed-form inputs but
         # inherit the h^2 floor when gradients come from finite differences
-        gate = max(1e-10, tol)
+        gate = max(ROUND_OFF_TOL, tol)
         cert["passed"] = cert["passed"] and all(v <= gate for v in identities.values())
     if witness is not None:
         cert["nondependence_witness_min"] = float(witness)
@@ -139,15 +140,6 @@ class PhiFamilyInput:
     xi: object = None  # one-variable callable, or None for xi = 0
 
 
-def _background_residual(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
-    """lambda_uu +- lambda_vv + L0 e^{2 lambda} for the flat-curvature check."""
-    spec = lam.spec
-    l_uu = _diff2_along(lam.values, spec.du, 0)
-    l_vv = _diff2_along(lam.values, spec.dv, 1)
-    sign = -1.0 if case.case_id in ("NT", "LT") else 1.0
-    return l_uu + sign * l_vv + case.l0 * np.exp(2 * lam.values)
-
-
 def phi_equation_residual(phi: FieldGrid, lam: FieldGrid) -> FieldGrid:
     """Residual of the compatibility equation the potential must satisfy:
 
@@ -176,7 +168,8 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     is controlled by xi: gamma + theta = xi(phi) is constant exactly when
     xi o phi is.
     """
-    if case.case_id not in ("R", "NS", "LT"):
+    n1, n2 = metric_conventions(case).n_signs
+    if n1 != n2:  # theta is a trigonometric angle: definite normal bundle only
         raise FamilyInputError("phi family implemented for cases R, NS, LT")
     spec = inp.phi.spec
     theta = inp.theta.values
@@ -185,12 +178,13 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
         raise FamilyInputError("sin(theta) cos(theta) must be bounded away from zero")
 
     scale = 1.0 + inp.lam.max_abs() + inp.phi.max_abs()
-    tol = default_tolerance(spec, scale) * scale
-    bg = float(np.max(np.abs(_background_residual(inp.lam, case))))
-    if bg > tol:
+    tol = family_tolerance(spec, scale)
+    # a second form with K = L0 leaves the Gauss equation with its conformal side only
+    bg = float(np.max(np.abs(gauss_lhs(inp.lam, case))))
+    if not (bg <= tol):
         raise FamilyInputError(f"conformal factor violates its curvature equation ({bg:.3e})")
     phi_res = phi_equation_residual(inp.phi, inp.lam).max_abs()
-    if phi_res > tol:
+    if not (phi_res <= tol):
         raise FamilyInputError(f"phi violates its compatibility equation ({phi_res:.3e})")
 
     pu, pv = _grad(inp.phi.values, spec)
@@ -286,8 +280,8 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
     curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
     defect = float(np.max(np.abs(curl)))
     if tol is None:
-        tol = default_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang)))) * 10
-    if defect > tol:
+        tol = angle_link_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang))))
+    if not (defect <= tol):
         raise NonIntegrableError(
             f"partner gradient is not closed (curl {defect:.3e} > {tol:.3e}); "
             "the angle field is not admissible")
@@ -368,7 +362,7 @@ def _xi_eval(xi_tilde, values):
 def _gamma_from_gradient(spec, gu, gv, gamma0, tol):
     curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
     defect = float(np.max(np.abs(curl)))
-    if defect > tol:
+    if not (defect <= tol):
         raise NonIntegrableError(
             f"gamma gradient is not closed (curl {defect:.3e} > {tol:.3e})")
     return integrate_gradient(spec, gu, gv, gamma0), defect
@@ -411,7 +405,7 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     spec = pot.f_minus.spec
     lam = _lambda_or_zero(pot, spec)
     scale = 1.0 + pot.f_minus.max_abs()
-    tol = default_tolerance(spec, scale) * scale
+    tol = family_tolerance(spec, scale)
 
     f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
     fmu, fmv = _grad(pot.f_minus.values, spec)
@@ -481,7 +475,7 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     lam = _lambda_or_zero(pot, spec)
     eps, delta = case.eps, case.delta
     scale = 1.0 + pot.f_minus.max_abs()
-    tol = default_tolerance(spec, scale) * scale
+    tol = family_tolerance(spec, scale)
 
     f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
     fmu, fmv = _grad(pot.f_minus.values, spec)
@@ -579,7 +573,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     lam = _lambda_or_zero(pot, spec)
     ls = case.case_id == "LS"
     scale = 1.0 + pot.f.max_abs()
-    tol = default_tolerance(spec, scale) * scale
+    tol = family_tolerance(spec, scale)
 
     fv_ = pot.f.values
     fu, fv = _grad(fv_, spec)
@@ -595,7 +589,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         B2c = fu * fu - fv * fv
         C = np.abs(fu) ** 2 + np.abs(fv) ** 2
     reality = float(np.max(np.abs(np.imag(B2c))))
-    if reality > tol:
+    if not (reality <= tol):
         raise FamilyInputError(
             f"f_u^2 {'+' if ls else '-'} f_v^2 is not real-valued (defect {reality:.3e})")
     B = np.real(B2c)
@@ -645,7 +639,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         gcu = gcu - (au2 * lu - A * lv) / Ap
         gcv = gcv - (A * lu - av2 * lv) / Ap
     realness = float(max(np.max(np.abs(np.imag(gcu))), np.max(np.abs(np.imag(gcv)))))
-    if realness > tol:
+    if not (realness <= tol):
         raise NonIntegrableError(
             f"gamma gradient is not real (defect {realness:.3e}): "
             "f, xi_tilde and sigma are jointly inadmissible")

@@ -8,8 +8,8 @@ with 5x5 coefficient matrices S, T built pointwise from the conformal
 factor log lambda, the second-fundamental-form components alpha_k, beta_k
 and the normal-connection components mu_1, mu_2.  The system is solvable
 exactly when S_v - T_u = ST - TS; the Frobenius norm of the mismatch is
-the compatibility defect measured here.  Entry patterns depend on the
-signature case (see :mod:`normalflat.spaceform`).
+the compatibility defect measured here.  Entry signs come from the
+case's sign table (see :mod:`normalflat.spaceform`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FieldGrid, GridShapeError, GridSpec, _diff_along, load_fields, save_fields
-from .spaceform import CaseSpec
+from .spaceform import CaseSpec, metric_conventions
 
 __all__ = ["CoefficientSet", "assemble_connection", "compatibility_defect"]
 
@@ -108,71 +108,29 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec, lam_gradients=No
         lv = _diff_along(lam, spec.dv, 1)
     else:
         lu, lv = lam_gradients
+    *g, n1, n2 = metric_conventions(case).frame_signs
     q = case.l0 * np.exp(2 * lam)  # L0 e^{2 lambda}
-    z = np.zeros(spec.shape)
-    one = np.ones(spec.shape)
-    cid = case.case_id
-
-    if cid == "R":
-        S = [[lu, lv, -a1, -b1, one],
-             [-lv, lu, -a2, -b2, z],
-             [a1, a2, lu, -m1, z],
-             [b1, b2, m1, lu, z],
-             [-q, z, z, z, z]]
-        T = [[lv, -lu, -a2, -b2, z],
-             [lu, lv, -a3, -b3, one],
-             [a2, a3, lv, -m2, z],
-             [b2, b3, m2, lv, z],
-             [z, -q, z, z, z]]
-    elif cid == "NS":
-        S = [[lu, lv, a1, b1, one],
-             [-lv, lu, a2, b2, z],
-             [a1, a2, lu, -m1, z],
-             [b1, b2, m1, lu, z],
-             [-q, z, z, z, z]]
-        T = [[lv, -lu, a2, b2, z],
-             [lu, lv, a3, b3, one],
-             [a2, a3, lv, -m2, z],
-             [b2, b3, m2, lv, z],
-             [z, -q, z, z, z]]
-    elif cid == "NT":
-        S = [[lu, lv, -a1, b1, one],
-             [lv, lu, a2, -b2, z],
-             [a1, a2, lu, m1, z],
-             [b1, b2, m1, lu, z],
-             [-q, z, z, z, z]]
-        T = [[lv, lu, -a2, b2, z],
-             [lu, lv, a3, -b3, one],
-             [a2, a3, lv, m2, z],
-             [b2, b3, m2, lv, z],
-             [z, q, z, z, z]]
-    elif cid == "LS":
-        S = [[lu, lv, -a1, b1, one],
-             [-lv, lu, -a2, b2, z],
-             [a1, a2, lu, m1, z],
-             [b1, b2, m1, lu, z],
-             [-q, z, z, z, z]]
-        T = [[lv, -lu, -a2, b2, z],
-             [lu, lv, -a3, b3, one],
-             [a2, a3, lv, m2, z],
-             [b2, b3, m2, lv, z],
-             [z, -q, z, z, z]]
-    elif cid == "LT":
-        S = [[lu, lv, -a1, -b1, one],
-             [lv, lu, a2, b2, z],
-             [a1, a2, lu, -m1, z],
-             [b1, b2, m1, lu, z],
-             [-q, z, z, z, z]]
-        T = [[lv, lu, -a2, -b2, z],
-             [lu, lv, a3, b3, one],
-             [a2, a3, lv, -m2, z],
-             [b2, b3, m2, lv, z],
-             [z, q, z, z, z]]
-    else:  # pragma: no cover - CaseSpec already validates
-        raise ValueError(f"unknown case {cid}")
-
-    S = np.stack([np.stack(row, axis=-1) for row in S], axis=-2)
-    T = np.stack([np.stack(row, axis=-1) for row in T], axis=-2)
+    S = np.zeros((*spec.shape, 5, 5))
+    T = np.zeros((*spec.shape, 5, 5))
+    # S is the u-matrix (k = 0), T the v-matrix (k = 1): T repeats S with
+    # every alpha/beta/mu index raised by one and the lambda roles swapped
+    for k, M, l_own, l_other in ((0, S, lu, lv), (1, T, lv, lu)):
+        alpha = (a1, a2, a3)[k:k + 2]
+        beta = (b1, b2, b3)[k:k + 2]
+        mu = (m1, m2)[k]
+        for i in range(4):
+            M[..., i, i] = l_own
+        M[..., k, 1 - k] = l_other
+        M[..., 1 - k, k] = -g[0] * g[1] * l_other
+        for i in range(2):
+            M[..., i, 2] = -g[i] * n1 * alpha[i]
+            M[..., i, 3] = -g[i] * n2 * beta[i]
+            M[..., 2, i] = alpha[i]
+            M[..., 3, i] = beta[i]
+        M[..., 2, 3] = -n1 * n2 * mu
+        M[..., 3, 2] = mu
+        M[..., k, 4] = 1.0
+        M[..., 4, k] = -g[k] * q
     return S, T
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import CoefficientSet
-from .grid import FieldGrid, _diff2_along, _diff_along
+from .grid import FieldGrid, _diff2_along, _diff_along, quadratic_tolerance, residual_tolerance
 from .spaceform import CaseSpec, metric_conventions
 
 __all__ = [
@@ -39,23 +39,7 @@ class NonIntegrableError(ValueError):
     """A candidate gradient field failed its curl test."""
 
 
-def default_tolerance(spec, scale: float) -> float:
-    """Residual pass level: 10 h^2 (1 + coefficient magnitude)."""
-    return 10.0 * spec.hmax**2 * (1.0 + scale)
-
-
-def _grads(coeffs: CoefficientSet):
-    spec = coeffs.spec
-    out = {}
-    for name, f in coeffs.fields().items():
-        out[name + "_u"] = _diff_along(f.values, spec.du, 0)
-        out[name + "_v"] = _diff_along(f.values, spec.dv, 1)
-    return out
-
-
-def _wave_case(case: CaseSpec) -> bool:
-    """True when the induced metric is Lorentzian (du^2 - dv^2 gauge)."""
-    return case.case_id in ("NT", "LT")
+default_tolerance = residual_tolerance  # public name of the residual pass level
 
 
 def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
@@ -64,58 +48,37 @@ def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
     Vanishing of this form is exactly K = L0 once the equation holds.
     """
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    cid = case.case_id
-    if cid == "R":
-        return -a1 * a3 - b1 * b3 + a2**2 + b2**2
-    if cid == "NS":
-        return a1 * a3 + b1 * b3 - a2**2 - b2**2
-    if cid == "NT":
-        return a1 * a3 - b1 * b3 - a2**2 + b2**2
-    if cid == "LS":
-        return -a1 * a3 + b1 * b3 + a2**2 - b2**2
-    return a1 * a3 + b1 * b3 - a2**2 - b2**2  # LT
+    g1, g2, n1, n2 = metric_conventions(case).frame_signs
+    s = -g1 * g2
+    return s * n1 * (a1 * a3) + s * n2 * (b1 * b3) - s * n1 * a2**2 - s * n2 * b2**2
+
+
+def gauss_lhs(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
+    """Conformal side of the Gauss equation, lambda_uu + g1 g2 lambda_vv + L0 e^{2 lambda}."""
+    g1, g2 = metric_conventions(case).g_signs
+    spec = lam.spec
+    l_uu = _diff2_along(lam.values, spec.du, 0)
+    l_vv = _diff2_along(lam.values, spec.dv, 1)
+    return l_uu + g1 * g2 * l_vv + case.l0 * np.exp(2 * lam.values)
 
 
 def gauss_residual(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    spec = coeffs.spec
-    lam = coeffs.lam.values
-    l_uu = _diff2_along(lam, spec.du, 0)
-    l_vv = _diff2_along(lam, spec.dv, 1)
-    lhs = l_uu + (-l_vv if _wave_case(case) else l_vv) + case.l0 * np.exp(2 * lam)
-    return FieldGrid(spec, lhs - gauss_quadratic(coeffs, case))
+    return FieldGrid(coeffs.spec, gauss_lhs(coeffs.lam, case) - gauss_quadratic(coeffs, case))
 
 
 def codazzi_residual(coeffs: CoefficientSet, case: CaseSpec) -> list[FieldGrid]:
     """The four Codazzi residuals of the active case."""
     lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
-    g = _grads(coeffs)
-    lu, lv = g["lambda_u"], g["lambda_v"]
-    cid = case.case_id
-    if cid in ("R", "NS"):
-        rhs = [a2 * lu + a3 * lv - b2 * m1 + b1 * m2,
-               -a1 * lu - a2 * lv - b3 * m1 + b2 * m2,
-               b2 * lu + b3 * lv + a2 * m1 - a1 * m2,
-               -b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    elif cid == "NT":
-        rhs = [a2 * lu - a3 * lv + b2 * m1 - b1 * m2,
-               a1 * lu - a2 * lv + b3 * m1 - b2 * m2,
-               b2 * lu - b3 * lv + a2 * m1 - a1 * m2,
-               b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    elif cid == "LS":
-        rhs = [a2 * lu + a3 * lv + b2 * m1 - b1 * m2,
-               -a1 * lu - a2 * lv + b3 * m1 - b2 * m2,
-               b2 * lu + b3 * lv + a2 * m1 - a1 * m2,
-               -b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    else:  # LT
-        rhs = [a2 * lu - a3 * lv - b2 * m1 + b1 * m2,
-               a1 * lu - a2 * lv - b3 * m1 + b2 * m2,
-               b2 * lu - b3 * lv + a2 * m1 - a1 * m2,
-               b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    lhs = [g["alpha1_v"] - g["alpha2_u"],
-           g["alpha2_v"] - g["alpha3_u"],
-           g["beta1_v"] - g["beta2_u"],
-           g["beta2_v"] - g["beta3_u"]]
     spec = coeffs.spec
+    lu, lv = _diff_along(lam, spec.du, 0), _diff_along(lam, spec.dv, 1)
+    g1, g2, n1, n2 = metric_conventions(case).frame_signs
+    k, p = g1 * g2, n1 * n2
+    rhs = [a2 * lu + k * a3 * lv - p * b2 * m1 + p * b1 * m2,
+           -k * a1 * lu - a2 * lv - p * b3 * m1 + p * b2 * m2,
+           b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2,
+           -k * b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
+    lhs = [_diff_along(x, spec.dv, 1) - _diff_along(y, spec.du, 0)
+           for x, y in ((a1, a2), (a2, a3), (b1, b2), (b2, b3))]
     return [FieldGrid(spec, L - R) for L, R in zip(lhs, rhs)]
 
 
@@ -123,17 +86,13 @@ def ricci_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
     m13 = a1 * b2 - a2 * b1
     m23 = a2 * b3 - a3 * b2
-    cid = case.case_id
-    if cid in ("R", "LS"):
-        return m13 + m23
-    if cid == "NS":
-        return -m13 - m23
-    return m13 - m23  # NT, LT
+    g1, g2, n1, _ = metric_conventions(case).frame_signs
+    return n1 * (m13 + g1 * g2 * m23)
 
 
 def ricci_residual(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    g = _grads(coeffs)
-    return FieldGrid(coeffs.spec, g["mu1_v"] - g["mu2_u"] - ricci_quadratic(coeffs, case))
+    flat = normal_flatness_defect(coeffs).values
+    return FieldGrid(coeffs.spec, flat - ricci_quadratic(coeffs, case))
 
 
 @dataclass
@@ -197,8 +156,8 @@ def gamma_potential(coeffs: CoefficientSet, tol: float | None = None) -> FieldGr
     spec = coeffs.spec
     defect = normal_flatness_defect(coeffs)
     if tol is None:
-        tol = default_tolerance(spec, coeffs.max_abs())
-    if defect.max_abs() > tol:
+        tol = residual_tolerance(spec, coeffs.max_abs())
+    if not (defect.max_abs() <= tol):
         raise NonIntegrableError(
             f"normal connection is not flat: defect {defect.max_abs():.3e} > tol {tol:.3e}")
     return FieldGrid(spec, integrate_gradient(spec, coeffs.mu1.values, coeffs.mu2.values))
@@ -246,14 +205,6 @@ def _unwrap_angle_mod_pi(theta: np.ndarray) -> np.ndarray:
     return 0.5 * two
 
 
-def _variant_for(case: CaseSpec, variant: str) -> str:
-    if variant != "auto":
-        return variant
-    if case.case_id in ("R", "NS", "LT"):
-        return "generic"
-    return "auto"  # NT / LS decided from the data
-
-
 def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "auto",
                       tol: float | None = None) -> DependenceReport:
     """Test the linearly dependent condition and recover the angle field.
@@ -267,7 +218,7 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     scale = max(coeffs.alpha1.max_abs(), coeffs.alpha2.max_abs(), coeffs.alpha3.max_abs(),
                 coeffs.beta1.max_abs(), coeffs.beta2.max_abs(), coeffs.beta3.max_abs())
     if tol is None:
-        tol = default_tolerance(spec, scale) * (1.0 + scale)
+        tol = quadratic_tolerance(spec, scale)
 
     defect = dependence_minors(coeffs)
     anorm2 = a1 * a1 + a2 * a2 + a3 * a3
@@ -284,15 +235,18 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     aj = np.take_along_axis(comps_a, j[..., None], axis=-1)[..., 0]
     bj = np.take_along_axis(comps_b, j[..., None], axis=-1)[..., 0]
 
-    req = _variant_for(case, variant)
-    if req == "auto":
+    n1, n2 = metric_conventions(case).n_signs
+    # a definite normal bundle rotates by a trigonometric angle; a Lorentzian
+    # one (NT, LS) is classified from the data
+    req = "generic" if variant == "auto" and n1 == n2 else variant
+    if req == "auto" and np.all(both_zero):
+        req = "space"  # no ratio to classify; the report is degenerate anyway
+    elif req == "auto":
         # NT / LS: classify by the proportionality ratio beta = c * alpha
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(np.abs(aj) > 0, bj / np.where(aj == 0, 1.0, aj), np.inf)
         med = np.nanmedian(np.abs(np.where(both_zero, np.nan, ratio)))
-        if not np.isfinite(med):
-            req = "space"
-        elif abs(med - 1.0) <= 0.05:
+        if abs(med - 1.0) <= 0.05:
             req = "light"
         elif med > 1.0:
             req = "space"
@@ -306,18 +260,12 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
         theta = np.arctan2(-aj, bj)
         theta = np.where(both_zero, 0.0, theta)
         angle = FieldGrid(spec, _unwrap_angle_mod_pi(np.mod(theta, np.pi)))
-    elif req == "space":
-        # cosh(t+) alpha_j + sinh(t+) beta_j = 0  =>  tanh(t+) = -alpha_j/beta_j
+    elif req in ("space", "time"):
+        # space: cosh(t+) alpha_j + sinh(t+) beta_j = 0  =>  tanh(t+) = -alpha_j/beta_j
+        # time:  sinh(t-) alpha_j + cosh(t-) beta_j = 0  =>  tanh(t-) = -beta_j/alpha_j
+        num, den = (aj, bj) if req == "space" else (bj, aj)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(np.abs(bj) > 0, -aj / np.where(bj == 0, 1.0, bj), 0.0)
-        solvable = np.abs(r) < 1.0
-        satisfied = satisfied and bool(np.all(solvable | both_zero))
-        r = np.clip(r, -1 + 1e-15, 1 - 1e-15)
-        angle = FieldGrid(spec, np.arctanh(np.where(both_zero, 0.0, r)))
-    elif req == "time":
-        # sinh(t-) alpha_j + cosh(t-) beta_j = 0  =>  tanh(t-) = -beta_j/alpha_j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(np.abs(aj) > 0, -bj / np.where(aj == 0, 1.0, aj), 0.0)
+            r = np.where(np.abs(den) > 0, -num / np.where(den == 0, 1.0, den), 0.0)
         solvable = np.abs(r) < 1.0
         satisfied = satisfied and bool(np.all(solvable | both_zero))
         r = np.clip(r, -1 + 1e-15, 1 - 1e-15)
@@ -418,11 +366,11 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
     spec = coeffs.spec
     scale = coeffs.max_abs()
     if tol is None:
-        tol = default_tolerance(spec, scale) * (1.0 + scale)
+        tol = quadratic_tolerance(spec, scale)
 
     notes = []
     flat = normal_flatness_defect(coeffs)
-    if flat.max_abs() > tol:
+    if not (flat.max_abs() <= tol):
         notes.append(f"normal connection not flat (defect {flat.max_abs():.3e})")
 
     ld = dependence_report(coeffs, case, variant, tol)
@@ -447,7 +395,6 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
             else gamma.values - ld.angle.values
         combo_defect = float(np.max(combo) - np.min(combo))
 
-    kind = {"generic": "generic", "space": "space", "time": "time", "light": "light"}[ld.variant]
     if regime == "mixed":
         return ParallelNormalReport("indeterminate", ld, gamma, combo_defect, k_defect, regime,
                                     notes=notes + ["K - L0 changes sign on the grid"])
@@ -464,5 +411,5 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
     else:  # K = L0 identically
         verdict = "parallel-exists" if (ld.satisfied and combo_defect <= tol) else "none"
     return ParallelNormalReport(verdict, ld, gamma, combo_defect, k_defect, regime,
-                                field_kind=kind if verdict == "parallel-exists" else "",
+                                field_kind=ld.variant if verdict == "parallel-exists" else "",
                                 notes=notes)

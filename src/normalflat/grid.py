@@ -157,6 +157,40 @@ def _diff2_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+# ---------------------------------------------------------------------------
+# tolerance policy: every pass level of the package; gates compare
+# NaN-strictly, ``not (x <= tol)``
+# ---------------------------------------------------------------------------
+
+# round-off floor of quantities that are exact on closed-form inputs
+ROUND_OFF_TOL = 1e-10
+
+
+def residual_tolerance(spec: GridSpec, scale: float) -> float:
+    """10 h^2 (1 + scale): residuals linear in coefficients of magnitude scale."""
+    return 10.0 * spec.hmax**2 * (1.0 + scale)
+
+
+def quadratic_tolerance(spec: GridSpec, scale: float) -> float:
+    """10 h^2 (1 + scale)^2: quantities quadratic in the coefficients."""
+    return residual_tolerance(spec, scale) * (1.0 + scale)
+
+
+def family_tolerance(spec: GridSpec, scale: float) -> float:
+    """10 h^2 (1 + scale) scale: constructor inputs, scale already 1 + magnitude."""
+    return residual_tolerance(spec, scale) * scale
+
+
+def angle_link_tolerance(spec: GridSpec, scale: float) -> float:
+    """100 h^2 (1 + scale): curl of a rotated gradient, two stencils deep."""
+    return residual_tolerance(spec, scale) * 10
+
+
+def isothermality_tolerance(spec: GridSpec, scale: float) -> float:
+    """50 h^2 (1 + scale): first differences of a sampled mesh of magnitude scale."""
+    return 50.0 * spec.hmax**2 * (1.0 + scale)
+
+
 def diff_u(field: FieldGrid) -> FieldGrid:
     """d/du by central differences, one-sided at the u-boundaries."""
     return FieldGrid(field.spec, _diff_along(field.values, field.spec.du, 0))

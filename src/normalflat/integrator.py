@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import CoefficientSet, assemble_connection
-from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along, _diff_along4
+from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along, _diff_along4,
+                   isothermality_tolerance, residual_tolerance)
 from .spaceform import CaseSpec, ambient_signature, metric_conventions
 
 __all__ = [
@@ -73,15 +74,11 @@ class FrameField:
         mixed-F deviations are absolute.
         """
         sig = ambient_signature(self.case)
-        mc = metric_conventions(self.case)
         e2l = np.exp(2 * lam.values)
         signs = sig.array()
         gram = np.einsum("ijak,a,ijal->ijkl", self.values, signs, self.values)
-        target = np.zeros_like(gram)
-        diag = (*mc.g_signs, *mc.n_signs)
-        for k in range(4):
-            target[..., k, k] = diag[k] * e2l
-        frame_dev = np.max(np.abs(gram[..., :4, :4] - target[..., :4, :4]) / e2l[..., None, None])
+        target = np.diag(metric_conventions(self.case).frame_signs) * e2l[..., None, None]
+        frame_dev = np.max(np.abs(gram[..., :4, :4] - target) / e2l[..., None, None])
         out = {"gram_max": float(frame_dev)}
         if self.case.l0 != 0:
             out["quadric_max"] = float(np.max(np.abs(gram[..., 4, 4] - 1.0 / self.case.l0)))
@@ -97,8 +94,7 @@ def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
     remaining axis carries the base position on the quadric.
     """
     sig = ambient_signature(case)
-    mc = metric_conventions(case)
-    need = [*mc.g_signs, *mc.n_signs]
+    need = metric_conventions(case).frame_signs
     signs = list(sig.signs)
     used = [False] * sig.dim
     frame = np.zeros((sig.dim, 5))
@@ -123,17 +119,12 @@ def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
 def _frame0_gram_defect(frame0: np.ndarray, case: CaseSpec, lam0: float) -> float:
     """Max deviation of an initial frame from its required Gram matrix."""
     sig = ambient_signature(case)
-    mc = metric_conventions(case)
     e2l = np.exp(2 * lam0)
     gram = np.einsum("ak,a,al->kl", frame0, sig.array(), frame0)
-    target = np.zeros((5, 5))
-    for k, s in enumerate((*mc.g_signs, *mc.n_signs)):
-        target[k, k] = s * e2l
-    if case.l0 != 0:
-        target[4, 4] = 1.0 / case.l0
-        dev = np.max(np.abs(gram - target))
-    else:
-        dev = np.max(np.abs(gram[:4, :4] - target[:4, :4]))
+    target = np.diag([*(s * e2l for s in metric_conventions(case).frame_signs),
+                      1.0 / case.l0 if case.l0 != 0 else 0.0])
+    n = 5 if case.l0 != 0 else 4  # the flat model leaves the position unconstrained
+    dev = np.max(np.abs(gram[:n, :n] - target[:n, :n]))
     return float(dev / max(e2l, 1.0))
 
 
@@ -202,7 +193,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     if frame0.shape != (sig.dim, 5):
         raise ValueError(f"frame0 must have shape ({sig.dim}, 5)")
     gram_err = _frame0_gram_defect(frame0, case, float(coeffs.lam.values[0, 0]))
-    if gram_err > 1e-10:
+    if not (gram_err <= ROUND_OFF_TOL):
         raise ValueError(
             f"frame0 violates the Gram conditions at the base point ({gram_err:.3e})")
 
@@ -236,8 +227,8 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     from .frames import compatibility_defect
     compat = compatibility_defect(coeffs, case).max_abs()
     report["compatibility_defect"] = compat
-    tol = 10.0 * spec.hmax**2 * (1.0 + coeffs.max_abs())
-    if compat > tol:
+    tol = residual_tolerance(spec, coeffs.max_abs())
+    if not (compat <= tol):
         # incompatible data is integrated anyway; the drift is the signal
         report["compatibility_warning"] = (
             f"input coefficients violate integrability ({compat:.3e} > {tol:.3e}); "
@@ -256,7 +247,6 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     Returns (CoefficientSet, gauge report).
     """
     sig = ambient_signature(case)
-    mc = metric_conventions(case)
     if mesh.dim != sig.dim:
         raise ValueError(f"mesh dimension {mesh.dim} does not match case ({sig.dim})")
     spec = mesh.spec
@@ -268,8 +258,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
 
     T1 = _diff_along(F, spec.du, 0)
     T2 = _diff_along(F, spec.dv, 1)
-    g1, g2 = mc.g_signs
-    n1s, n2s = mc.n_signs
+    g1, g2, n1s, n2s = metric_conventions(case).frame_signs
     q11 = g1 * inner(T1, T1)
     q22 = g2 * inner(T2, T2)
     if np.any(q11 <= 0) or np.any(q22 <= 0):
@@ -280,8 +269,8 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
               float(np.max(np.abs(inner(T1, T2)) / e2l)))
     # first differences are O(h^2) accurate, so isothermality can only be
     # checked to that order
-    iso_tol = max(tol, 50.0 * spec.hmax**2 * (1.0 + float(np.max(np.abs(F)))))
-    if iso > iso_tol:
+    iso_tol = max(tol, isothermality_tolerance(spec, float(np.max(np.abs(F)))))
+    if not (iso <= iso_tol):
         raise NotConformalError(f"isothermality defect {iso:.3e} exceeds {iso_tol:.3e}")
 
     # gauge: canonical seed at the base corner, then continuous propagation

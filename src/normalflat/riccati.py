@@ -5,9 +5,11 @@ single scalar equation of this shape, with 1-form coefficients built from
 one input potential and a one-variable function.  Solvability of the full
 two-dimensional system is governed by the obstruction 2-forms
 
-    O0 = d w0 + w0 ^ w1,   O1 = d w1 + 2 w0 ^ w2,   O2 = d w2 + 2 w1 ^ w2,
+    O0 = d w0 + w0 ^ w1,   O1 = d w1 + 2 w0 ^ w2,   O2 = d w2 + w1 ^ w2,
 
-through O0 + t O1 + t^2 O2 = 0.  The solver integrates the ODE restriction
+through O0 + t O1 + t^2 O2 = 0: the t-expansion of d(dt) = 0 once dt is
+substituted (the t^2 term collects w2 ^ w1 from dt ^ w1 and 2 w1 ^ w2
+from 2t dt ^ w2).  The solver integrates the ODE restriction
 along the base row and then down every column (classic 4th-order stepping,
 four substeps per cell, linear interpolation of the coefficients) and
 reports the row/column path-order swap defect as its integrability
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along
+from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along, quadratic_tolerance
 from .spaceform import CaseSpec
 
 __all__ = [
@@ -96,7 +98,7 @@ def forms_from_vectors(spec: GridSpec, vec0, vec1, vec2) -> RiccatiForms:
     w2 = OneForm(spec, *vec2)
     O0 = FieldGrid(spec, w0.exterior_derivative() + w0.wedge(w1))
     O1 = FieldGrid(spec, w1.exterior_derivative() + 2 * w0.wedge(w2))
-    O2 = FieldGrid(spec, w2.exterior_derivative() + 2 * w1.wedge(w2))
+    O2 = FieldGrid(spec, w2.exterior_derivative() + w1.wedge(w2))
     return RiccatiForms(w0, w1, w2, O0, O1, O2)
 
 
@@ -247,7 +249,7 @@ def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
 def obstruction_verdict(forms: RiccatiForms, tol: float | None = None):
     """('identically-zero' | 'nontrivial', max norms of the three 2-forms)."""
     if tol is None:
-        tol = 10.0 * forms.spec.hmax**2 * (1.0 + forms.omega_scale()) ** 2
+        tol = quadratic_tolerance(forms.spec, forms.omega_scale())
     norms = {
         "Omega0": forms.Omega0.max_abs(),
         "Omega1": forms.Omega1.max_abs(),

@@ -12,6 +12,22 @@ LS    Lorentzian                space-like      <N1,N1> = -<N2,N2> = +e^{2L}
 LT    Lorentzian                time-like       <N1,N1> = <N2,N2> = +e^{2L}
 ====  ========================  ==============  =====================
 
+The sign table ``_METRIC`` is the single source of every per-case sign:
+(g1, g2) are the signs of <T_i, T_i>, (n1, n2) those of <N_i, N_i>.  With
+k = g1 g2, p = n1 n2, q = L0 e^{2 lambda}, l = lambda, a = alpha, b = beta:
+
+* S (frames): S02 = -g1 n1 a1, S03 = -g1 n2 b1, S12 = -g2 n1 a2, S13 = -g2 n2 b2,
+  S10 = -k l_v, S23 = -p mu1, S40 = -g1 q; T the same with the a, b, mu
+  indices raised by one, T01 = -k l_u, T41 = -g2 q;
+* Gauss (gcr): l_uu + k l_vv + q = -k n1 (a1 a3 - a2^2) - k n2 (b1 b3 - b2^2);
+* Codazzi: a1_v - a2_u = a2 l_u + k a3 l_v - p b2 mu1 + p b1 mu2,
+  a2_v - a3_u = -k a1 l_u - a2 l_v - p b3 mu1 + p b2 mu2,
+  b1_v - b2_u = b2 l_u + k b3 l_v + a2 mu1 - a1 mu2,
+  b2_v - b3_u = -k b1 l_u - b2 l_v + a3 mu1 - a2 mu2;
+* Ricci: mu1_v - mu2_u = n1 (a1 b2 - a2 b1 + k (a2 b3 - a3 b2));
+* frame Gram target diag(g1, g2, n1, n2) e^{2 lambda}; the flat model has
+  one minus sign per -1 among (g1, g2, n1, n2).
+
 For curvature L0 = 0 the model is the flat 4-space of the matching
 signature; for L0 != 0 it is the quadric <x, x> = 1/L0 inside a flat
 5-space.  Flat-space sign patterns are (+,...,+,-,...,-) with the minus
@@ -36,9 +52,6 @@ __all__ = [
 ]
 
 CASES = ("R", "NS", "NT", "LS", "LT")
-
-# number of minus signs of the flat 4-dimensional model per case
-_FLAT_MINUS = {"R": 0, "NS": 2, "NT": 2, "LS": 1, "LT": 1}
 
 _METRIC = {
     #        g-signs    n-signs
@@ -96,6 +109,11 @@ class MetricConventions:
     g_signs: tuple
     n_signs: tuple
 
+    @property
+    def frame_signs(self) -> tuple:
+        """Signs of the Gram diagonal of (T1, T2, N1, N2)."""
+        return (*self.g_signs, *self.n_signs)
+
 
 def metric_conventions(case: CaseSpec | str) -> MetricConventions:
     cid = case if isinstance(case, str) else case.case_id
@@ -105,7 +123,7 @@ def metric_conventions(case: CaseSpec | str) -> MetricConventions:
 
 def ambient_signature(case: CaseSpec) -> AmbientSignature:
     """Model space of the case: dimension and metric sign pattern."""
-    k = _FLAT_MINUS[case.case_id]
+    k = metric_conventions(case).frame_signs.count(-1)
     if case.l0 == 0:
         dim = 4
     else:

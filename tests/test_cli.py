@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,12 +124,35 @@ def test_integrate_reconstruct_cli(torus_file, tmp_path):
     assert rc == 0
     drift = json.loads((tmp_path / "int.json").read_text())
     assert drift["metrics"]["gram_max"]["max"] <= 1e-8
+    assert drift["verdicts"]["notes"] == []
 
     out = tmp_path / "rec.json"
     rc = main(["reconstruct", "--mesh", str(mesh), "--case", "R", "--out", str(out)])
     assert rc == 0
     rec = CoefficientSet.load(out)
     assert np.max(np.abs(rec.lam.values)) <= 1e-3
+
+
+def test_integrate_cli_keeps_compatibility_warning(violation_file, tmp_path):
+    report = tmp_path / "int.json"
+    rc = main(["integrate", "--coeffs", str(violation_file), "--case", "R",
+               "--out", str(tmp_path / "mesh.json"), "--report", str(report)])
+    assert rc == 0
+    notes = json.loads(report.read_text())["verdicts"]["notes"]
+    assert len(notes) == 1 and "violate integrability" in notes[0]
+
+
+def test_integrate_overflow_exit_code(tmp_path, capsys):
+    # e^{2 lambda} overflows: the Gram check must fail cleanly, not warn or trace
+    spec = GridSpec.over_box((0, 1), (0, 1), 9, 9)
+    path = tmp_path / "big.json"
+    CoefficientSet.from_arrays(spec, lam=400.0).save(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["integrate", "--coeffs", str(path), "--case", "R",
+                   "--out", str(tmp_path / "mesh.json")])
+    assert rc in (1, 2)
+    assert "normalflat:" in capsys.readouterr().err
 
 
 def test_riccati_cli(tmp_path):

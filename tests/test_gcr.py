@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,8 +213,13 @@ def test_detect_flat_torus(flat_torus, case_r):
 
 
 def test_detect_degenerate(unit_spec, case_r):
-    rep = detect_parallel_normal(CoefficientSet.from_arrays(unit_spec), case_r)
-    assert rep.verdict == "degenerate"
+    zero = CoefficientSet.from_arrays(unit_spec)
+    # NT and LS classify the dependence variant from the data, which has none
+    for case in (case_r, CaseSpec("NT", 0.0), CaseSpec("LS", 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = detect_parallel_normal(zero, case)
+        assert rep.verdict == "degenerate"
 
 
 def test_detect_mixed_curvature_indeterminate(unit_spec, case_r):

@@ -52,15 +52,16 @@ def _sym_case_r_forms():
          (2 * (-fv * q1 + fu * q2) + fu * p1 + fv * p2) / B]
     c = [2 * (fv * q1 - fu * q2) / B, 2 * (fu * q1 + fv * q2) / B]
 
-    def d(w):
-        return sp.diff(w[1], u) - sp.diff(w[0], v)
-
-    def wedge(w1, w2):
-        return w1[0] * w2[1] - w1[1] * w2[0]
-
-    O0 = sp.simplify(d(a) + wedge(a, b))
-    O1 = sp.simplify(d(b) + 2 * wedge(a, c))
-    O2 = sp.simplify(d(c) + 2 * wedge(b, c))
+    # obstruction forms read off d(dt) = 0: with dt = P du + Q dv,
+    # P = a0 + t b0 + t^2 c0 and Q likewise, the du^dv coefficient of d(dt)
+    # is Q_u + Q_t t_u - P_v - P_t t_v, and t_u = P, t_v = Q
+    t = sp.Symbol("t")
+    P = a[0] + t * b[0] + t**2 * c[0]
+    Q = a[1] + t * b[1] + t**2 * c[1]
+    ddt = sp.Poly(sp.expand(sp.diff(Q, u) + sp.diff(Q, t) * P
+                            - sp.diff(P, v) - sp.diff(P, t) * Q), t)
+    assert ddt.coeff_monomial(t**3) == 0
+    O0, O1, O2 = (sp.simplify(ddt.coeff_monomial(t**k)) for k in range(3))
     lam = sp.lambdify((u, v), [a[0], a[1], b[0], b[1], c[0], c[1], O0, O1, O2], "numpy")
     return lam
 
@@ -84,6 +85,27 @@ def test_forms_match_symbolic_oracle():
         assert abs(forms.Omega0.values[i, j] - O0) <= 50 * h2
         assert abs(forms.Omega1.values[i, j] - O1) <= 50 * h2
         assert abs(forms.Omega2.values[i, j] - O2) <= 50 * h2
+
+
+def test_integrable_forms_obstruction_converges():
+    """w0 = e^u dv, w1 = du, w2 = e^{-u} dv is integrable for every t0
+    (t = e^u tan(v + arctan t0)), so all three obstruction forms vanish
+    up to the O(h^2) truncation of the stencils."""
+    omega2 = []
+    for n in (33, 65, 129):
+        spec = GridSpec.over_box((0, 1), (0, 1), n, n)
+        U, V = spec.mesh()
+        z = np.zeros(spec.shape)
+        forms = forms_from_vectors(spec, (z, np.exp(U)), (np.ones(spec.shape), z),
+                                   (z, np.exp(-U)))
+        verdict, norms = obstruction_verdict(forms)
+        assert verdict == "identically-zero", norms
+        omega2.append(norms["Omega2"])
+    assert omega2[0] <= 1e-3
+    assert omega2[0] / omega2[1] >= 3.5 and omega2[1] / omega2[2] >= 3.5
+    sol = solve_riccati(forms, 0.2)
+    exact = np.exp(U) * np.tan(V + np.arctan(0.2))
+    assert np.max(np.abs(sol.t.values - exact)) <= 1e-6
 
 
 def test_linear_potential_constant_xi_obstruction():
