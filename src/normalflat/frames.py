@@ -1,4 +1,4 @@
-"""Connection matrices of the moving frame and their integrability defect.
+"""Linear connections: the moving frame's S, T and the shared RK4 kernel.
 
 The frame (T1 T2 N1 N2 F) satisfies a linear system
 
@@ -6,10 +6,18 @@ The frame (T1 T2 N1 N2 F) satisfies a linear system
 
 with 5x5 coefficient matrices S, T built pointwise from the conformal
 factor log lambda, the second-fundamental-form components alpha_k, beta_k
-and the normal-connection components mu_1, mu_2.  The system is solvable
-exactly when S_v - T_u = ST - TS; the Frobenius norm of the mismatch is
-the compatibility defect measured here.  Entry signs come from the
-case's sign table (see :mod:`normalflat.spaceform`).
+and the normal-connection components mu_1, mu_2.  Entry signs come from
+the case's sign table (see :mod:`normalflat.spaceform`).
+
+The kernel serves any connection dY = Y (S du + T dv).  States are rows:
+Y is (r, d) and the d x d matrices act from the right, so each row (an
+ambient coordinate of the frame, or the single row [p q] of the angle
+system) moves on its own.  ``curvature`` is S_v - T_u - (ST - TS); it
+vanishes exactly when every path from the base corner carries Y to the
+same value, and its Frobenius norm is the compatibility defect.
+``sweep`` steps the base row along u, then every column along v, with
+classic RK4: four substeps per cell, matrices interpolated by cubics on
+the nearest 4-point stencil.
 """
 
 from __future__ import annotations
@@ -135,11 +143,72 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec, lam_gradients=No
 
 
 def compatibility_defect(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    """Frobenius norm per grid point of S_v - T_u - (ST - TS)."""
+    """Frobenius norm per grid point of the frame connection's curvature."""
     S, T = assemble_connection(coeffs, case)
-    spec = coeffs.spec
-    Sv = _diff_along(S, spec.dv, 1)
-    Tu = _diff_along(T, spec.du, 0)
-    bracket = S @ T - T @ S
-    err = Sv - Tu - bracket
-    return FieldGrid(spec, np.sqrt(np.sum(err * err, axis=(-2, -1))))
+    K = curvature(S, T, coeffs.spec)
+    return FieldGrid(coeffs.spec, np.sqrt(np.sum(K * K, axis=(-2, -1))))
+
+
+# ---------------------------------------------------------------------------
+# the linear-connection kernel
+# ---------------------------------------------------------------------------
+
+def curvature(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """S_v - T_u - (ST - TS) per grid point, for (nu, nv, d, d) matrices."""
+    return _diff_along(S, spec.dv, 1) - _diff_along(T, spec.du, 0) - (S @ T - T @ S)
+
+
+_SUBSTEPS = 4
+
+
+# cubic Lagrange weights on stencil nodes 0..3 at the 2 * _SUBSTEPS + 1
+# sub-nodes of a cell (substep ends and midpoints), for a cell that is the
+# first, middle or last interval of its stencil: shape (3, 9, 4)
+_SUBNODES = np.arange(3.0)[:, None] + np.arange(2 * _SUBSTEPS + 1) / (2 * _SUBSTEPS)
+_SUBNODE_WEIGHTS = np.stack(
+    [np.prod([(_SUBNODES - b) / (a - b) for b in range(4) if b != a], axis=0) for a in range(4)],
+    axis=-1)
+
+
+def _advance(state: np.ndarray, h: float, mats: np.ndarray, k: int) -> np.ndarray:
+    """One cell of dY/ds = Y M(s), RK4 with four substeps.
+
+    state: (..., r, d); mats: matrices along the line, line index first
+    (leading axes of mats must broadcast against state's leading axes).
+    """
+    k0 = min(max(k - 1, 0), mats.shape[0] - 4)
+    # all 9 sub-node matrices at once; einsum, unlike a matmul, calls no
+    # BLAS, so the sums do not depend on the BLAS build
+    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[k - k0], mats[k0:k0 + 4])
+    hs = h / _SUBSTEPS
+    for m in range(_SUBSTEPS):
+        M0, Mm, M1 = sub[2 * m:2 * m + 3]
+        k1 = state @ M0
+        k2 = (state + 0.5 * hs * k1) @ Mm
+        k3 = (state + 0.5 * hs * k2) @ Mm
+        k4 = (state + hs * k3) @ M1
+        state = state + hs / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(state)):
+        raise OverflowError(f"linear propagation left the finite range near cell {k}")
+    return state
+
+
+def sweep(S: np.ndarray, T: np.ndarray, state0: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Y over the grid from Y(u0, v0) = state0, base row first, then every column.
+
+    S, T: (nu, nv, d, d); state0: (r, d).  Returns (nu, nv, r, d).
+    """
+    nu, nv = spec.shape
+    out = np.empty((nu, nv, *state0.shape))
+    out[0, 0] = state0
+    row = S[:, 0]  # (nu, d, d) along the base row
+    for i in range(nu - 1):
+        out[i + 1, 0] = _advance(out[i, 0], spec.du, row, i)
+    # columns, all u-indices at once: line index first, and contiguous so
+    # that each cell's 4-point stencil is one block for the contraction
+    cols = np.ascontiguousarray(np.moveaxis(T, 1, 0))  # (nv, nu, d, d)
+    state = out[:, 0]
+    for j in range(nv - 1):
+        state = _advance(state, spec.dv, cols, j)
+        out[:, j + 1] = state
+    return out

@@ -1,11 +1,10 @@
 """Frame integration and its inverse.
 
 ``integrate_frame`` propagates the 5-column moving frame (T1 T2 N1 N2 F)
-through the linear system of :mod:`normalflat.frames` with classic
-4th-order stepping (four substeps per cell, cubic interpolation of the
-connection matrices along the integration line), base row first and then
-every column.  No re-orthonormalization is applied; Gram and quadric
-drift are the accuracy diagnostics.  ``reconstruct_coefficients`` inverts
+through the linear system of :mod:`normalflat.frames` with that module's
+4th-order ``sweep``, base row first and then every column.  No
+re-orthonormalization is applied; Gram and quadric drift are the
+accuracy diagnostics.  ``reconstruct_coefficients`` inverts
 the frame definitions on a sampled conformal immersion.
 
 For L0 = 0 the ambient model is 4-dimensional and the fifth frame column
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoefficientSet, assemble_connection
+from .frames import CoefficientSet, assemble_connection, sweep
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along, _diff_along4,
                    isothermality_tolerance, residual_tolerance)
 from .spaceform import CaseSpec, ambient_signature, metric_conventions
@@ -128,55 +127,6 @@ def _frame0_gram_defect(frame0: np.ndarray, case: CaseSpec, lam0: float) -> floa
     return float(dev / max(e2l, 1.0))
 
 
-def _lagrange_weights(x: float) -> np.ndarray:
-    """Cubic Lagrange weights on integer nodes 0..3 evaluated at x."""
-    nodes = (0.0, 1.0, 2.0, 3.0)
-    w = np.empty(4)
-    for i, ni in enumerate(nodes):
-        p = 1.0
-        for j, nj in enumerate(nodes):
-            if i != j:
-                p *= (x - nj) / (ni - nj)
-        w[i] = p
-    return w
-
-
-def _interp_line(mats: np.ndarray, k: int, frac: float) -> np.ndarray:
-    """Cubic interpolation of a line of matrices at position k + frac.
-
-    mats has the line index first; boundary cells reuse the nearest
-    interior 4-point stencil.
-    """
-    n = mats.shape[0]
-    k0 = min(max(k - 1, 0), n - 4)
-    w = _lagrange_weights(k + frac - k0)
-    return np.einsum("s,s...->...", w, mats[k0:k0 + 4])
-
-
-_SUBSTEPS = 4
-
-
-def _advance(state: np.ndarray, h: float, mats: np.ndarray, k: int) -> np.ndarray:
-    """One cell of d(frame)/ds = frame @ M(s), RK4 with 4 substeps.
-
-    state: (..., dim, 5); mats: matrices along the line, line index first
-    (leading axes of mats must broadcast against state's leading axes).
-    """
-    hs = h / _SUBSTEPS
-    for m in range(_SUBSTEPS):
-        M0 = _interp_line(mats, k, m / _SUBSTEPS)
-        Mm = _interp_line(mats, k, (m + 0.5) / _SUBSTEPS)
-        M1 = _interp_line(mats, k, (m + 1.0) / _SUBSTEPS)
-        k1 = state @ M0
-        k2 = (state + 0.5 * hs * k1) @ Mm
-        k3 = (state + 0.5 * hs * k2) @ Mm
-        k4 = (state + hs * k3) @ M1
-        state = state + hs / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(state)):
-        raise OverflowError(f"frame propagation left the finite range near cell {k}")
-    return state
-
-
 def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
                     project_quadric: bool = False):
     """Propagate the moving frame over the grid; returns (FrameField, report).
@@ -202,20 +152,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     lam_grad = (_diff_along4(coeffs.lam.values, spec.du, 0),
                 _diff_along4(coeffs.lam.values, spec.dv, 1))
     S, T = assemble_connection(coeffs, case, lam_gradients=lam_grad)
-    nu, nv = spec.shape
-    out = np.empty((nu, nv, sig.dim, 5))
-    out[0, 0] = frame0
-    row = S[:, 0]  # (nu, 5, 5) along the base row
-    for i in range(nu - 1):
-        out[i + 1, 0] = _advance(out[i, 0], spec.du, row, i)
-    # columns, all u-indices at once: line index must be first for _interp_line
-    cols = np.moveaxis(T, 1, 0)  # (nv, nu, 5, 5)
-    state = out[:, 0]
-    for j in range(nv - 1):
-        state = _advance(state, spec.dv, cols, j)
-        out[:, j + 1] = state
-
-    field = FrameField(case, spec, out)
+    field = FrameField(case, spec, sweep(S, T, frame0, spec))
     if project_quadric and case.l0 != 0:
         F = field.values[..., 4]
         norm = np.einsum("ija,a,ija->ij", F, sig.array(), F)

@@ -2,18 +2,18 @@
 
 The angle variable of the not-linearly-dependent construction satisfies a
 single scalar equation of this shape, with 1-form coefficients built from
-one input potential and a one-variable function.  Solvability of the full
+one input potential and a one-variable function.  With t = p/q it is the
+linear connection d[p q] = [p q] A^T, A = [[w1/2, w0], [-w2, -w1/2]], so
+the solver is the frame's 4th-order kernel (:mod:`normalflat.frames`):
+base row first, then every column, from [t0 1].  t escapes to infinity
+where q changes sign, which is located to the cell.  Solvability of the
 two-dimensional system is governed by the obstruction 2-forms
 
     O0 = d w0 + w0 ^ w1,   O1 = d w1 + 2 w0 ^ w2,   O2 = d w2 + w1 ^ w2,
 
-through O0 + t O1 + t^2 O2 = 0: the t-expansion of d(dt) = 0 once dt is
-substituted (the t^2 term collects w2 ^ w1 from dt ^ w1 and 2 w1 ^ w2
-from 2t dt ^ w2).  The solver integrates the ODE restriction
-along the base row and then down every column (classic 4th-order stepping,
-four substeps per cell, linear interpolation of the coefficients) and
-reports the row/column path-order swap defect as its integrability
-diagnostic.
+through O0 + t O1 + t^2 O2 = 0, the t-expansion of d(dt) = 0; they are
+the entries [[-O1/2, O2], [-O0, O1/2]] of the connection's curvature.
+The row/column path-order swap defect is the solver's diagnostic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import curvature, sweep
 from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along, quadratic_tolerance
 from .spaceform import CaseSpec
 
@@ -59,10 +60,6 @@ class OneForm:
     cu: np.ndarray
     cv: np.ndarray
 
-    def exterior_derivative(self) -> np.ndarray:
-        """du^dv coefficient of d(P du + Q dv) = (Q_u - P_v) du^dv."""
-        return _diff_along(self.cv, self.spec.du, 0) - _diff_along(self.cu, self.spec.dv, 1)
-
     def wedge(self, other: "OneForm") -> np.ndarray:
         """du^dv coefficient of the wedge product."""
         return self.cu * other.cv - self.cv * other.cu
@@ -91,15 +88,20 @@ class RiccatiForms:
         return max(self.Omega0.max_abs(), self.Omega1.max_abs(), self.Omega2.max_abs())
 
 
+def _connection(w0: OneForm, w1: OneForm, w2: OneForm):
+    """S, T of d[p q] = [p q] (S du + T dv): A^T along du and along dv."""
+    return [np.moveaxis(np.array([[0.5 * c1, -c2], [c0, -0.5 * c1]]), (0, 1), (-2, -1))
+            for c0, c1, c2 in ((w0.cu, w1.cu, w2.cu), (w0.cv, w1.cv, w2.cv))]
+
+
 def forms_from_vectors(spec: GridSpec, vec0, vec1, vec2) -> RiccatiForms:
     """Assemble RiccatiForms from three (coeff_u, coeff_v) pairs."""
     w0 = OneForm(spec, *vec0)
     w1 = OneForm(spec, *vec1)
     w2 = OneForm(spec, *vec2)
-    O0 = FieldGrid(spec, w0.exterior_derivative() + w0.wedge(w1))
-    O1 = FieldGrid(spec, w1.exterior_derivative() + 2 * w0.wedge(w2))
-    O2 = FieldGrid(spec, w2.exterior_derivative() + w1.wedge(w2))
-    return RiccatiForms(w0, w1, w2, O0, O1, O2)
+    K = curvature(*_connection(w0, w1, w2), spec)  # [[-O1/2, O2], [-O0, O1/2]]
+    return RiccatiForms(w0, w1, w2, FieldGrid(spec, -K[..., 1, 0]),
+                        FieldGrid(spec, -2 * K[..., 0, 0]), FieldGrid(spec, K[..., 0, 1]))
 
 
 def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
@@ -162,62 +164,37 @@ class RiccatiSolution:
     obstruction_max: float
 
 
-_SUBSTEPS = 4
+def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
+    """(u, v) of the first cell, in sweep order, whose end node is flagged:
+    (u_i, v0) for cell i of the base row, (None, v_j) for step j of the
+    columns; a transposed sweep reports in the original (u, v)."""
+    row, col = np.flatnonzero(bad[1:, 0]), np.flatnonzero(np.any(bad[:, 1:], axis=0))
+    if not (row.size or col.size):
+        return None
+    loc = (float(spec.u_axis()[row[0]]), float(spec.v0)) if row.size \
+        else (None, float(spec.v_axis()[col[0]]))
+    return loc[::-1] if transposed else loc
 
 
-def _rhs(t, A, B, C):
-    return A + t * (B + t * C)
-
-
-def _step_cell(t, h, coef0, coef1, bound, interval, margin, loc):
-    """Advance across one grid cell (four RK4 substeps, linear coefficient
-    interpolation).  t may be a scalar cell state or a batch of states."""
-    hs = h / _SUBSTEPS
-    for m in range(_SUBSTEPS):
-        f0 = m / _SUBSTEPS
-        fm = (m + 0.5) / _SUBSTEPS
-        f1 = (m + 1.0) / _SUBSTEPS
-        c0 = [(1 - f0) * a + f0 * b for a, b in zip(coef0, coef1)]
-        cm = [(1 - fm) * a + fm * b for a, b in zip(coef0, coef1)]
-        c1 = [(1 - f1) * a + f1 * b for a, b in zip(coef0, coef1)]
-        k1 = _rhs(t, *c0)
-        k2 = _rhs(t + 0.5 * hs * k1, *cm)
-        k3 = _rhs(t + 0.5 * hs * k2, *cm)
-        k4 = _rhs(t + hs * k3, *c1)
-        t = t + hs / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(~np.isfinite(t)) or np.any(np.abs(t) > bound):
-            raise RiccatiBlowUpError(
-                f"solution escaped |t| <= {bound:g} near {loc}", *loc)
-        if interval is not None:
-            lo, hi = interval
-            if np.any(t <= lo + margin) or np.any(t >= hi - margin) \
-                    or np.any(np.abs(t) < margin):
-                raise RangeConstraintError(
-                    f"solution left the admissible range {interval} \\ {{0}} near {loc}")
-    return t
-
-
-def _sweep(spec, w0u, w0v, w1u, w1v, w2u, w2v, t0, bound, interval, margin):
-    """Row-then-column integration over the whole grid."""
-    nu, nv = spec.shape
-    t = np.empty((nu, nv))
-    t[0, 0] = t0
-    uax, vax = spec.u_axis(), spec.v_axis()
-    # base row: along u at j = 0
-    for i in range(nu - 1):
-        t[i + 1, 0] = _step_cell(
-            t[i, 0], spec.du,
-            (w0u[i, 0], w1u[i, 0], w2u[i, 0]),
-            (w0u[i + 1, 0], w1u[i + 1, 0], w2u[i + 1, 0]),
-            bound, interval, margin, (uax[i], vax[0]))
-    # all columns at once: along v
-    for j in range(nv - 1):
-        t[:, j + 1] = _step_cell(
-            t[:, j], spec.dv,
-            (w0v[:, j], w1v[:, j], w2v[:, j]),
-            (w0v[:, j + 1], w1v[:, j + 1], w2v[:, j + 1]),
-            bound, interval, margin, (None, vax[j]))
-    return t
+def _solve_one_order(S, T, spec, t0, bound, interval, margin, transposed):
+    """t = p/q from one sweep of [p q] = [t0 1], checked once it is done."""
+    Y = sweep(S, T, np.array([[t0, 1.0]]), spec)
+    p, q = Y[..., 0, 0], Y[..., 0, 1]
+    if interval is not None:
+        lo, hi = interval
+        # lo + margin < p/q < hi - margin and |p/q| >= margin; all fail unless q > 0
+        left = ~((lo + margin) * q < p) | ~(p < (hi - margin) * q) | ~(np.abs(p) >= margin * q)
+        loc = _first_cell(left, spec, transposed)
+        if loc is not None:
+            raise RangeConstraintError(f"solution left the admissible range {interval} "
+                                       f"\\ {{0}} in the cell at (u, v) = {loc}")
+    # q changes sign where t passes through infinity
+    escaped = ~(q > 0) | ~(np.abs(p) <= bound * q)
+    loc = _first_cell(escaped, spec, transposed)
+    if loc is not None:
+        raise RiccatiBlowUpError(
+            f"solution escaped |t| <= {bound:g} in the cell at (u, v) = {loc}", *loc)
+    return p / q
 
 
 def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
@@ -227,21 +204,21 @@ def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
     Integrates along the base row, then down every column; the defect is
     the max difference against the transposed (column-first) order.  For
     case NT the solution is constrained to (-1, 1) minus zero.  Riccati
-    solutions can escape to infinity in finite time; crossing ``bound``
-    raises :class:`RiccatiBlowUpError` with the grid location.
+    solutions can escape to infinity in finite time; a sign change of q
+    or |t| > ``bound`` raises :class:`RiccatiBlowUpError` with the first
+    such cell in sweep order (``location``, None standing for a whole
+    line swept at once).
     """
     interval = (-1.0, 1.0) if (case is not None and case.case_id == "NT") else None
     if interval is not None and (abs(t0) >= 1 - margin or abs(t0) < margin):
         raise RangeConstraintError(f"initial value t0={t0} outside {interval} \\ {{0}}")
     spec = forms.spec
-    w0, w1, w2 = forms.omega0, forms.omega1, forms.omega2
-    t_rc = _sweep(spec, w0.cu, w0.cv, w1.cu, w1.cv, w2.cu, w2.cv,
-                  t0, bound, interval, margin)
+    S, T = _connection(forms.omega0, forms.omega1, forms.omega2)
+    t_rc = _solve_one_order(S, T, spec, t0, bound, interval, margin, False)
     # transposed order: v first, then u; realized by swapping axes/roles
     swapped = GridSpec(spec.v0, spec.u0, spec.dv, spec.du, spec.nv, spec.nu)
-    t_cr = _sweep(swapped,
-                  w0.cv.T, w0.cu.T, w1.cv.T, w1.cu.T, w2.cv.T, w2.cu.T,
-                  t0, bound, interval, margin).T
+    t_cr = _solve_one_order(T.swapaxes(0, 1), S.swapaxes(0, 1), swapped,
+                            t0, bound, interval, margin, True).T
     defect = float(np.max(np.abs(t_rc - t_cr)))
     return RiccatiSolution(FieldGrid(spec, t_rc), defect, forms.obstruction_max())
 
@@ -263,6 +240,7 @@ def riccati_residual(forms: RiccatiForms, t: FieldGrid):
     """Components of d t - (w0 + t w1 + t^2 w2) by finite differences."""
     spec = forms.spec
     tv = t.values
-    ru = _diff_along(tv, spec.du, 0) - _rhs(tv, forms.omega0.cu, forms.omega1.cu, forms.omega2.cu)
-    rv = _diff_along(tv, spec.dv, 1) - _rhs(tv, forms.omega0.cv, forms.omega1.cv, forms.omega2.cv)
+    w0, w1, w2 = forms.omega0, forms.omega1, forms.omega2
+    ru = _diff_along(tv, spec.du, 0) - (w0.cu + tv * (w1.cu + tv * w2.cu))
+    rv = _diff_along(tv, spec.dv, 1) - (w0.cv + tv * (w1.cv + tv * w2.cv))
     return FieldGrid(spec, ru), FieldGrid(spec, rv)

@@ -186,6 +186,26 @@ def test_integrable_system_path_defect():
     assert np.max(np.abs(sol.t.values - exact)) <= 1e-8
 
 
+def test_varying_coefficients_fourth_order():
+    """dt = (1 + t^2) dpsi with psi = sin u + cos v: the coefficients vary
+    along every line, so the stepping is 4th order only if their
+    interpolation is; t = tan(psi - psi0 + arctan t0)."""
+    t0 = 0.2
+    errors = []
+    for n in (33, 65, 129):
+        spec = GridSpec.over_box((0, 1), (0, 1), n, n)
+        U, V = spec.mesh()
+        psi = np.sin(U) + np.cos(V)
+        dpsi = (np.cos(U), -np.sin(V))
+        z = np.zeros(spec.shape)
+        sol = solve_riccati(forms_from_vectors(spec, dpsi, (z, z), dpsi), t0)
+        assert sol.path_defect <= 1e-12
+        exact = np.tan(psi - psi[0, 0] + np.arctan(t0))
+        errors.append(np.max(np.abs(sol.t.values - exact)))
+    assert errors[0] / errors[1] >= 12 and errors[1] / errors[2] >= 12, errors
+    assert errors[2] <= 1e-8
+
+
 def test_integrable_system_residuals():
     spec = GridSpec.over_box((0, 1), (0, 1), 65, 65)
     forms, _ = _integrable_forms(spec)
@@ -201,15 +221,18 @@ def test_integrable_system_residuals():
 
 
 def test_blow_up_detection():
-    # dt = (1 + t^2) du: tangent solution escapes at u = pi/2 - arctan(t0)
-    spec = GridSpec.over_box((0, 2), (0, 1), 65, 17)
-    one = np.ones(spec.shape)
-    z = np.zeros(spec.shape)
-    forms = forms_from_vectors(spec, (one, z), (z, z), (one, z))
-    with pytest.raises(RiccatiBlowUpError) as err:
-        solve_riccati(forms, 0.2, bound=1e6)
-    u_loc = err.value.location[0]
-    assert abs(u_loc - (np.pi / 2 - np.arctan(0.2))) < 0.1
+    # dt = (1 + t^2) du: tangent solution escapes at u = pi/2 - arctan(t0);
+    # with bound = 1e12 only the sign change of q can fire
+    for n in (9, 17, 65):
+        for bound in (1e6, 1e12):
+            spec = GridSpec.over_box((0, 2), (0, 1), n, 17)
+            one = np.ones(spec.shape)
+            z = np.zeros(spec.shape)
+            forms = forms_from_vectors(spec, (one, z), (z, z), (one, z))
+            with pytest.raises(RiccatiBlowUpError) as err:
+                solve_riccati(forms, 0.2, bound=bound)
+            u_loc = err.value.location[0]
+            assert abs(u_loc - (np.pi / 2 - np.arctan(0.2))) <= spec.du, (n, bound)
 
 
 def test_nt_range_constraint():
