@@ -33,6 +33,7 @@ from .families import (
 )
 from .frames import CoefficientSet, compatibility_defect
 from .gcr import (
+    VARIANTS,
     NonIntegrableError,
     default_tolerance,
     detect_parallel_normal,
@@ -55,7 +56,7 @@ from .riccati import (
     riccati_residual,
     solve_riccati,
 )
-from .spaceform import CaseSpec
+from .spaceform import CASES, CaseSpec
 
 
 class UsageError(Exception):
@@ -295,7 +296,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_case(sp, with_l0=True):
-        sp.add_argument("--case", required=True, choices=["R", "NS", "NT", "LS", "LT"])
+        sp.add_argument("--case", required=True, choices=CASES)
         if with_l0:
             sp.add_argument("--l0", type=float, default=0.0)
         sp.add_argument("--eps", type=int, default=1, choices=[1, -1])
@@ -310,7 +311,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("construct", help="build a coefficient family")
     sp.add_argument("--family", choices=["product", "phi", "notld", "light"])
-    sp.add_argument("--case", choices=["R", "NS", "NT", "LS", "LT"])
+    sp.add_argument("--case", choices=CASES)
     sp.add_argument("--l0", type=float)
     sp.add_argument("--eps", type=int, default=1, choices=[1, -1])
     sp.add_argument("--delta", type=int, default=1, choices=[1, -1])
@@ -341,8 +342,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("detect", help="parallel normal vector field detector")
     sp.add_argument("--coeffs", required=True)
     add_case(sp)
-    sp.add_argument("--variant", default="auto",
-                    choices=["auto", "generic", "space", "time", "light"])
+    sp.add_argument("--variant", default="auto", choices=("auto", *VARIANTS))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--out", help="JSON report path")
     sp.set_defaults(fn=_cmd_detect)

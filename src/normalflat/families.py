@@ -10,9 +10,11 @@ and the algebraic identities the derivation promises):
   equal to the ambient one, with or without a parallel normal field
   depending on the chosen one-variable reparametrization xi,
 * the not-linearly-dependent pipelines driven by one potential and a
-  rotation angle (trigonometric for the definite normal bundle,
-  hyperbolic for the neutral time-like case, a complex gauge circle for
-  the Lorentzian-ambient cases).
+  rotation angle.  The case's signs pick the pipeline: the parity
+  g1 g2 n1 n2 = -1 (Lorentzian ambient space, LS/LT) takes a complex
+  potential with k on a gauge circle; otherwise kappa = g1 g2 picks the
+  trigonometric rotation (+1: R/NS) or the hyperbolic one (-1: NT).
+  Inside the Lorentzian pipeline kappa signs the remaining differences.
 
 Certification is deliberate: the assembly involves dozens of signed
 terms, so every constructor re-checks its output against the scalar
@@ -257,16 +259,17 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
     rotation relation).
     """
     spec = f.spec
-    if case.case_id in ("LS", "LT"):
+    conv = metric_conventions(case)
+    if conv.parity < 0:
         return rotation_angle(f, case)
     if angle is None:
         raise ValueError("real cases need the angle field")
     fu, fv = _grad(f.values, spec)
     ang = angle.values
-    if case.case_id in ("R", "NS"):
+    if conv.kappa > 0:
         gu = -np.sin(ang) * fu + np.cos(ang) * fv
         gv = np.cos(ang) * fu + np.sin(ang) * fv
-    elif case.case_id == "NT":
+    else:
         ch, sh = np.cosh(ang), np.sinh(ang)
         d = case.delta
         if case.eps == 1:
@@ -275,8 +278,6 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
         else:
             gu = sh * fu - d * ch * fv
             gv = d * ch * fu - sh * fv
-    else:
-        raise ValueError(f"no angle link for case {case.case_id}")
     curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
     defect = float(np.max(np.abs(curl)))
     if tol is None:
@@ -292,37 +293,35 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
 def rotation_angle(f: FieldGrid, case: CaseSpec):
     """Angle field linking grad(conj f) to the swapped gradient of f.
 
-    LS: (conj f)_u + i (conj f)_v = e^{i psi} (f_v + i f_u); recovered
-    from cos psi = A/B, sin psi = -C/B.  Returns (psi, max relation
-    residual).  For LT the hyperbolic analog with delta is used.
+    With kappa = g1 g2, A = 2 Re(f_u conj f_v), B = Re(f_u^2 + kappa f_v^2)
+    and C = |f_u|^2 - kappa |f_v|^2.  LS (kappa = 1): (conj f)_u + i
+    (conj f)_v = e^{i psi} (f_v + i f_u), recovered from cos psi = A/B,
+    sin psi = -C/B.  LT (kappa = -1): the hyperbolic analog with delta,
+    A = -delta B cosh(psi), C = -B sinh(psi).  Returns (psi, max relation
+    residual).
     """
+    conv = metric_conventions(case)
+    if conv.parity > 0:
+        raise ValueError("rotation_angle serves the complex cases only")
+    kappa = conv.kappa
     spec = f.spec
     fu, fv = _grad(f.values, spec)
-    cross = fu * np.conj(fv)
-    A = 2 * np.real(cross)
-    if case.case_id == "LS":
-        B = np.real(fu * fu + fv * fv)
-        C = np.abs(fu) ** 2 - np.abs(fv) ** 2
-        cpsi, spsi = A / B, -C / B
-        psi = np.arctan2(spsi, cpsi)
-        r1 = np.conj(fu) - (cpsi * fv - spsi * fu)
-        r2 = np.conj(fv) - (spsi * fv + cpsi * fu)
-    elif case.case_id == "LT":
-        B = np.real(fu * fu - fv * fv)
-        C = np.abs(fu) ** 2 + np.abs(fv) ** 2
-        if np.min(np.abs(B)) < 1e-12:
-            raise FamilyInputError("B vanishes: rotation angle undefined")
-        # A = -delta B cosh(rho), C = -B sinh(rho)
-        d = case.delta
-        rho = np.arcsinh(-C / B)
-        ch, sh = np.cosh(rho), np.sinh(rho)
-        if np.max(np.abs(A + d * B * ch)) > 1e-6 * np.max(np.abs(A)):
-            raise FamilyInputError("delta inconsistent with the input potential")
-        psi = rho
-        r1 = np.conj(fu) - (d * ch * fv - sh * fu)
-        r2 = np.conj(fv) - (sh * fv - d * ch * fu)
+    A = 2 * np.real(fu * np.conj(fv))
+    B = np.real(fu * fu) + kappa * np.real(fv * fv)
+    C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
+    if not (np.min(np.abs(B)) >= 1e-12):
+        raise FamilyInputError("B vanishes: rotation angle undefined")
+    s = -C / B
+    if kappa > 0:
+        c = A / B
+        psi = np.arctan2(s, c)
     else:
-        raise ValueError("rotation_angle serves the complex cases only")
+        psi = np.arcsinh(s)
+        c, s = case.delta * np.cosh(psi), np.sinh(psi)
+        if np.max(np.abs(A + c * B)) > 1e-6 * np.max(np.abs(A)):
+            raise FamilyInputError("delta inconsistent with the input potential")
+    r1 = np.conj(fu) - (c * fv - s * fu)
+    r2 = np.conj(fv) - (s * fv + kappa * c * fu)
     resid = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     return FieldGrid(spec, psi), resid
 
@@ -359,13 +358,34 @@ def _xi_eval(xi_tilde, values):
     return float(xi_tilde) * np.ones_like(np.real(values))
 
 
-def _gamma_from_gradient(spec, gu, gv, gamma0, tol):
+def _lambda_terms(lam: FieldGrid, case: CaseSpec, A, Ap, P, Q):
+    """(1/A') M grad lambda, M = [[P, kappa A], [A, kappa Q]]: the lambda
+    correction of every not-linearly-dependent gamma gradient."""
+    kappa = metric_conventions(case).kappa
+    lu, lv = _grad(lam.values, lam.spec)
+    return (P * lu + kappa * A * lv) / Ap, (A * lu + kappa * Q * lv) / Ap
+
+
+def _signed(kappa: int, z: np.ndarray) -> np.ndarray:
+    """kappa z with an exact negation: (-1) * z on a complex array can flip
+    the sign of zero parts, -z never does."""
+    return z if kappa > 0 else -z
+
+
+def _gamma_tail(case, gamma0, lam, tol, gu, gv, form, identities, witness, checks, extras):
+    """Integrate gamma from its gradient, assemble with mu = grad gamma and
+    the second form ``form``, certify; ``checks`` join the certificate."""
+    spec = lam.spec
     curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
-    defect = float(np.max(np.abs(curl)))
-    if not (defect <= tol):
+    gcurl = float(np.max(np.abs(curl)))
+    if not (gcurl <= tol):
         raise NonIntegrableError(
-            f"gamma gradient is not closed (curl {defect:.3e} > {tol:.3e})")
-    return integrate_gradient(spec, gu, gv, gamma0), defect
+            f"gamma gradient is not closed (curl {gcurl:.3e} > {tol:.3e})")
+    gamma = integrate_gradient(spec, gu, gv, gamma0)
+    coeffs = CoefficientSet.from_arrays(spec, lam=lam.values, **form, mu1=gu, mu2=gv)
+    cert = certify(coeffs, case, identities, witness)
+    cert.update(checks, gamma_curl=gcurl)
+    return FamilyResult(coeffs, cert, {**extras, "gamma": FieldGrid(spec, gamma)})
 
 
 def _sqrt_tracked(w2: np.ndarray) -> np.ndarray:
@@ -385,13 +405,12 @@ def _sqrt_tracked(w2: np.ndarray) -> np.ndarray:
 
 
 def build_notld_family(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    if case.case_id in ("R", "NS"):
-        return _notld_real_definite(pot, case)
-    if case.case_id == "NT":
-        return _notld_neutral_timelike(pot, case)
-    if case.case_id in ("LS", "LT"):
+    conv = metric_conventions(case)
+    if conv.parity < 0:
         return _notld_lorentzian(pot, case)
-    raise FamilyInputError(f"unknown case {case.case_id}")
+    if conv.kappa < 0:
+        return _notld_neutral_timelike(pot, case)
+    return _notld_real_definite(pot, case)
 
 
 def _lambda_or_zero(pot, spec):
@@ -445,12 +464,10 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     J_den = _jacobian(fpu, fpv, fmu, fmv)
     J = J_num / J_den
     thu, thv = _grad(th, spec)
-    lu, lv = _grad(lam.values, spec)
-    gu = -thu + J * fmu - (2 * fpu * fmu * lu + A * lv) / Ap
-    gv = -thv + J * fmv - (A * lu + 2 * fpv * fmv * lv) / Ap
-    gamma, gcurl = _gamma_from_gradient(spec, gu, gv, pot.gamma0, tol)
+    lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
+    gu = -thu + J * fmu - lgu
+    gv = -thv + J * fmv - lgv
 
-    coeffs = _assemble_real(spec, lam, wp, wm, xp, xm, yp, ym, zp, zm, gu, gv)
     identities = {
         "mobius_1_plus_k2": float(np.max(np.abs(1 + kp**2 - B * B * (1 + km**2) / den**2))),
         "pythagoras_A2_C2_B2": float(np.max(np.abs(A * A + C * C - B * B))),
@@ -459,12 +476,9 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         "sum_Y": float(np.max(np.abs(yp + ym - zp - zm))),
     }
     witness = float(np.min(np.abs(xp**2 * ym**2 - xm**2 * yp**2)))
-    cert = certify(coeffs, case, identities, witness)
-    cert["angle_link_curl"] = curl
-    cert["gamma_curl"] = gcurl
-    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km),
-              "k_plus": FieldGrid(spec, kp), "gamma": FieldGrid(spec, gamma)}
-    return FamilyResult(coeffs, cert, extras)
+    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
+    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, _half_sums(wp, wm, xp, xm, yp, ym, zp, zm),
+                       identities, witness, {"angle_link_curl": curl}, extras)
 
 
 def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
@@ -529,12 +543,10 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     J_den = _jacobian(fpu, fpv, fmu, fmv)
     J = J_num / J_den
     tmu, tmv = _grad(tm, spec)
-    lu, lv = _grad(lam.values, spec)
-    gu = tmu - delta * J * fmu - (2 * fpu * fmu * lu - A * lv) / Ap
-    gv = tmv - delta * J * fmv - (A * lu - 2 * fpv * fmv * lv) / Ap
-    gamma, gcurl = _gamma_from_gradient(spec, gu, gv, pot.gamma0, tol)
+    lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
+    gu = tmu - delta * J * fmu - lgu
+    gv = tmv - delta * J * fmv - lgv
 
-    coeffs = _assemble_real(spec, lam, wp, wm, xp, xm, yp, ym, zp, zm, gu, gv)
     identities = {
         "mobius_k2_minus_1": float(np.max(np.abs(
             kp**2 - 1 - eps * B * B * (km**2 - 1) / den**2))),
@@ -546,32 +558,33 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
         "sum_Y": float(np.max(np.abs(yp + ym - zp - zm))),
     }
     witness = float(np.min(np.abs(xp**2 * ym**2 - xm**2 * yp**2)))
-    cert = certify(coeffs, case, identities, witness)
-    cert["angle_link_curl"] = curl
-    cert["gamma_curl"] = gcurl
-    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km),
-              "k_plus": FieldGrid(spec, kp), "gamma": FieldGrid(spec, gamma)}
-    return FamilyResult(coeffs, cert, extras)
+    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
+    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, _half_sums(wp, wm, xp, xm, yp, ym, zp, zm),
+                       identities, witness, {"angle_link_curl": curl}, extras)
 
 
-def _assemble_real(spec, lam, wp, wm, xp, xm, yp, ym, zp, zm, gu, gv) -> CoefficientSet:
+def _half_sums(wp, wm, xp, xm, yp, ym, zp, zm) -> dict:
     """Second-form components from the half-sum/half-difference relations."""
-    return CoefficientSet.from_arrays(
-        spec, lam=lam.values,
-        alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
-        beta1=0.5 * (wp - wm), beta2=0.5 * (yp + ym), beta3=0.5 * (xp - xm),
-        mu1=gu, mu2=gv)
+    return dict(alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
+                beta1=0.5 * (wp - wm), beta2=0.5 * (yp + ym), beta3=0.5 * (xp - xm))
 
 
 def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Cases LS and LT: complex potential f, k on its gauge circle."""
+    """Cases LS and LT: complex potential f, k on its gauge circle.
+
+    kappa = g1 g2 (+1 for LS, -1 for LT) signs every difference of the two
+    cases: B = f_u^2 + kappa f_v^2, C = |f_u|^2 - kappa |f_v|^2,
+    w^2 = k^2 - kappa (k^2 = kappa excluded), W = kappa k Y,
+    alpha3 = kappa Im Z, beta1 = -kappa Im W; delta enters only for
+    kappa = -1.
+    """
     if pot.f is None or pot.sigma is None:
         raise FamilyInputError("need the complex potential f and the gauge angle sigma")
     spec = pot.f.spec
     if pot.f.kind != "complex":
         raise FamilyInputError("f must be complex-valued")
     lam = _lambda_or_zero(pot, spec)
-    ls = case.case_id == "LS"
+    kappa = metric_conventions(case).kappa
     scale = 1.0 + pot.f.max_abs()
     tol = family_tolerance(spec, scale)
 
@@ -582,80 +595,45 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     Ap = 2 * np.imag(cross)
     if np.min(np.abs(A)) < 1e-12 or np.min(np.abs(Ap)) < 1e-12:
         raise FamilyInputError("degenerate potential: Re/Im of f_u conj(f_v) vanish")
-    if ls:
-        B2c = fu * fu + fv * fv
-        C = np.abs(fu) ** 2 - np.abs(fv) ** 2
-    else:
-        B2c = fu * fu - fv * fv
-        C = np.abs(fu) ** 2 + np.abs(fv) ** 2
+    B2c = fu * fu + _signed(kappa, fv * fv)
+    C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
     reality = float(np.max(np.abs(np.imag(B2c))))
     if not (reality <= tol):
-        raise FamilyInputError(
-            f"f_u^2 {'+' if ls else '-'} f_v^2 is not real-valued (defect {reality:.3e})")
+        raise FamilyInputError(f"f_u^2 {'+' if kappa > 0 else '-'} f_v^2 is not "
+                               f"real-valued (defect {reality:.3e})")
     B = np.real(B2c)
     if np.min(np.abs(B)) < 1e-12:
         raise FamilyInputError("B vanishes somewhere")
 
     k = (-1j * C + B * np.exp(1j * pot.sigma.values)) / A
-    if ls:
-        excl = min(float(np.min(np.abs(k - 1))), float(np.min(np.abs(k + 1))))
-        if excl < 1e-9:
-            raise FamilyInputError("k hits an excluded value (+-1)")
-        w2 = k * k - 1
-        mobius = float(np.max(np.abs(np.conj(k) * (A * k + 1j * C) - (1j * C * k + A))))
-        pyth = float(np.max(np.abs(A * A + C * C - B * B)))
-    else:
-        excl = min(float(np.min(np.abs(k - 1j))), float(np.min(np.abs(k + 1j))))
-        if excl < 1e-9:
-            raise FamilyInputError("k hits an excluded value (+-i)")
-        w2 = k * k + 1
-        mobius = float(np.max(np.abs(np.conj(k) * (A * k + 1j * C) - (1j * C * k - A))))
-        pyth = float(np.max(np.abs(C * C - A * A - B * B)))
+    root, name = (1, "1") if kappa > 0 else (1j, "i")
+    excl = min(float(np.min(np.abs(k - root))), float(np.min(np.abs(k + root))))
+    if excl < 1e-9:
+        raise FamilyInputError(f"k hits an excluded value (+-{name})")
+    w2 = k * k - kappa
+    mobius = float(np.max(np.abs(np.conj(k) * (A * k + 1j * C) - (1j * C * k + kappa * A))))
+    pyth = float(np.max(np.abs(kappa * A * A + C * C - B * B)))
 
     w = _sqrt_tracked(w2)
     X = 1j * fv / w
     Y = fu / w
-    if ls:
-        W, Z = k * Y, k * X
-    else:
-        W, Z = -k * Y, k * X
+    W, Z = _signed(kappa, k) * Y, k * X
 
     xi = _xi_eval(pot.xi_tilde, fv_)
     ku = _diff_along(k, spec.du, 0)
     kv = _diff_along(k, spec.dv, 1)
-    if ls:
-        gcu = ku / w2 - 1j * xi * fu
-        gcv = kv / w2 - 1j * xi * fv
-    else:
-        gcu = -ku / w2 - 1j * case.delta * xi * fu
-        gcv = -kv / w2 - 1j * case.delta * xi * fv
-    lu, lv = _grad(lam.values, spec)
-    au2 = 2 * np.abs(fu) ** 2
-    av2 = 2 * np.abs(fv) ** 2
-    if ls:
-        gcu = gcu - (au2 * lu + A * lv) / Ap
-        gcv = gcv - (A * lu + av2 * lv) / Ap
-    else:
-        gcu = gcu - (au2 * lu - A * lv) / Ap
-        gcv = gcv - (A * lu - av2 * lv) / Ap
+    d = case.delta if kappa < 0 else 1
+    lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * np.abs(fu) ** 2, 2 * np.abs(fv) ** 2)
+    gcu = _signed(kappa, ku) / w2 - 1j * d * xi * fu - lgu
+    gcv = _signed(kappa, kv) / w2 - 1j * d * xi * fv - lgv
     realness = float(max(np.max(np.abs(np.imag(gcu))), np.max(np.abs(np.imag(gcv)))))
     if not (realness <= tol):
         raise NonIntegrableError(
             f"gamma gradient is not real (defect {realness:.3e}): "
             "f, xi_tilde and sigma are jointly inadmissible")
-    gu, gv = np.real(gcu), np.real(gcv)
-    gamma, gcurl = _gamma_from_gradient(spec, gu, gv, pot.gamma0, tol)
 
-    if ls:
-        a1, a2, a3 = -np.imag(Y), np.real(X), np.imag(Z)
-        b1, b2, b3 = -np.imag(W), np.real(Y), np.imag(X)
-    else:
-        a1, a2, a3 = -np.imag(Y), np.real(X), -np.imag(Z)
-        b1, b2, b3 = np.imag(W), np.real(Y), np.imag(X)
-    coeffs = CoefficientSet.from_arrays(
-        spec, lam=lam.values, alpha1=a1, alpha2=a2, alpha3=a3,
-        beta1=b1, beta2=b2, beta3=b3, mu1=gu, mu2=gv)
-
+    form = dict(alpha1=-np.imag(Y), alpha2=np.real(X), alpha3=kappa * np.imag(Z),
+                beta1=-kappa * np.imag(W), beta2=np.real(Y), beta3=np.imag(X))
     identities = {
         "mobius_conj_k": mobius,
         "pythagoras": pyth,
@@ -664,8 +642,6 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         "B_reality": reality,
     }
     witness = float(np.min(np.abs(X**2 * np.conj(Y) ** 2 - np.conj(X) ** 2 * Y**2)))
-    cert = certify(coeffs, case, identities, witness)
-    cert["gamma_curl"] = gcurl
-    cert["gamma_realness"] = realness
-    extras = {"k": FieldGrid(spec, k), "gamma": FieldGrid(spec, gamma)}
-    return FamilyResult(coeffs, cert, extras)
+    return _gamma_tail(case, pot.gamma0, lam, tol, np.real(gcu), np.real(gcv), form, identities,
+                       witness, {"gamma_realness": realness}, {"k": FieldGrid(spec, k)})
+

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldGrid, GridShapeError, GridSpec, _diff_along, load_fields, save_fields
+from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along, _diff_along4, load_fields,
+                   save_fields)
 from .spaceform import CaseSpec, metric_conventions
 
 __all__ = ["CoefficientSet", "assemble_connection", "compatibility_defect"]
@@ -103,19 +104,17 @@ class CoefficientSet:
         return cls(*(fields[n] for n in COEFF_NAMES))
 
 
-def assemble_connection(coeffs: CoefficientSet, case: CaseSpec, lam_gradients=None):
+def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
     """Pointwise connection matrices S, T as arrays of shape (nu, nv, 5, 5).
 
-    lam_gradients optionally supplies (lambda_u, lambda_v) arrays; by
-    default they come from the second-order grid calculus.
+    The lambda gradients are fourth order: the RK4 sweep would otherwise be
+    throttled by their truncation, and the curvature, which differentiates
+    them once more, keeps its O(h^2) up to the grid edges.
     """
     lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
     spec = coeffs.spec
-    if lam_gradients is None:
-        lu = _diff_along(lam, spec.du, 0)
-        lv = _diff_along(lam, spec.dv, 1)
-    else:
-        lu, lv = lam_gradients
+    lu = _diff_along4(lam, spec.du, 0)
+    lv = _diff_along4(lam, spec.dv, 1)
     *g, n1, n2 = metric_conventions(case).frame_signs
     q = case.l0 * np.exp(2 * lam)  # L0 e^{2 lambda}
     S = np.zeros((*spec.shape, 5, 5))

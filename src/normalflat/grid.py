@@ -127,8 +127,8 @@ def _diff_along4(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Fourth-order first derivative (five-point stencils); needs n >= 5.
 
     The grid module's public calculus is second order; this higher-order
-    variant serves the frame integrator, whose stepping is fourth order
-    and would otherwise be throttled by the gradient truncation.
+    variant gives the frame connection its lambda gradients, whose
+    truncation would otherwise throttle the fourth-order stepping.
     """
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import CoefficientSet, assemble_connection, sweep
-from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along, _diff_along4,
+from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
                    isothermality_tolerance, residual_tolerance)
 from .spaceform import CaseSpec, ambient_signature, metric_conventions
 
@@ -147,11 +147,8 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
         raise ValueError(
             f"frame0 violates the Gram conditions at the base point ({gram_err:.3e})")
 
-    # fourth-order conformal-factor gradients keep the stepping order honest
     spec = coeffs.spec
-    lam_grad = (_diff_along4(coeffs.lam.values, spec.du, 0),
-                _diff_along4(coeffs.lam.values, spec.dv, 1))
-    S, T = assemble_connection(coeffs, case, lam_gradients=lam_grad)
+    S, T = assemble_connection(coeffs, case)
     field = FrameField(case, spec, sweep(S, T, frame0, spec))
     if project_quadric and case.l0 != 0:
         F = field.values[..., 4]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .frames import curvature, sweep
 from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along, quadratic_tolerance
-from .spaceform import CaseSpec
+from .spaceform import CaseSpec, metric_conventions
 
 __all__ = [
     "OneForm",
@@ -107,11 +107,15 @@ def forms_from_vectors(spec: GridSpec, vec0, vec1, vec2) -> RiccatiForms:
 def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
     """Coefficient 1-forms of the angle equation from the input potential.
 
-    Case R (and NS, which shares the pipeline): t = tan(psi), requires
-    grad(f)^2 = fu^2 + fv^2 nonzero.  Case NT: t = tanh(rho), requires
-    fu^2 - fv^2 nonzero; the eps = -1 branch swaps the roles of the
-    cos^2/sin^2 coefficient vectors, and delta enters the rotation.
+    kappa = g1 g2 = +1 (cases R and NS): t = tan(psi), requires
+    grad(f)^2 = fu^2 + fv^2 nonzero.  kappa = -1 (case NT): t = tanh(rho),
+    requires fu^2 - fv^2 nonzero; the eps = -1 branch swaps the roles of
+    the cos^2/sin^2 coefficient vectors, and delta enters the rotation.
+    The Lorentzian-ambient cases (LS, LT) have no real angle system.
     """
+    conv = metric_conventions(case)
+    if conv.parity < 0:
+        raise ValueError(f"no Riccati angle system for case {case.case_id}")
     spec = f_minus.spec
     f = f_minus.values
     fu = _diff_along(f, spec.du, 0)
@@ -120,9 +124,8 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
     fvv = _diff2_along(f, spec.dv, 1)
     fuv = _diff_along(fu, spec.dv, 1)
     xi = xi_tilde(f) if callable(xi_tilde) else float(xi_tilde) * np.ones(spec.shape)
-    cid = case.case_id
 
-    if cid in ("R", "NS"):
+    if conv.kappa > 0:
         B = fu * fu + fv * fv
         if np.min(np.abs(B)) < 1e-14:
             raise DegenerateFormsError("grad(f)^2 vanishes somewhere (case R/NS)")
@@ -136,25 +139,22 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
         c = (2 * (fv * q1 - fu * q2) / B, 2 * (fu * q1 + fv * q2) / B)
         return forms_from_vectors(spec, a, b, c)
 
-    if cid == "NT":
-        delta = case.delta
-        B = case.eps * (fu * fu - fv * fv)
-        if np.min(np.abs(B)) < 1e-14:
-            raise DegenerateFormsError("fu^2 - fv^2 vanishes somewhere (case NT)")
-        r1 = fuv
-        r2 = -xi * fu * fv
-        s1 = -(fuu + fvv)
-        s2 = xi * (fu * fu + fv * fv)
-        a = (2 * (delta * fu * r1 + fv * r2) / B,
-             2 * (-delta * fv * r1 - fu * r2) / B)
-        b = ((fu * s1 + delta * fv * s2 + 2 * (-fv * r1 - delta * fu * r2)) / B,
-             (-fv * s1 - delta * fu * s2 + 2 * (fu * r1 + delta * fv * r2)) / B)
-        c = ((-delta * fv * s1 - fu * s2) / B, (delta * fu * s1 + fv * s2) / B)
-        if case.eps == 1:
-            return forms_from_vectors(spec, a, b, c)
-        return forms_from_vectors(spec, c, b, a)
-
-    raise ValueError(f"no Riccati angle system for case {cid}")
+    delta = case.delta
+    B = case.eps * (fu * fu - fv * fv)
+    if np.min(np.abs(B)) < 1e-14:
+        raise DegenerateFormsError("fu^2 - fv^2 vanishes somewhere (case NT)")
+    r1 = fuv
+    r2 = -xi * fu * fv
+    s1 = -(fuu + fvv)
+    s2 = xi * (fu * fu + fv * fv)
+    a = (2 * (delta * fu * r1 + fv * r2) / B,
+         2 * (-delta * fv * r1 - fu * r2) / B)
+    b = ((fu * s1 + delta * fv * s2 + 2 * (-fv * r1 - delta * fu * r2)) / B,
+         (-fv * s1 - delta * fu * s2 + 2 * (fu * r1 + delta * fv * r2)) / B)
+    c = ((-delta * fv * s1 - fu * s2) / B, (delta * fu * s1 + fv * s2) / B)
+    if case.eps == 1:
+        return forms_from_vectors(spec, a, b, c)
+    return forms_from_vectors(spec, c, b, a)
 
 
 @dataclass

@@ -26,7 +26,9 @@ k = g1 g2, p = n1 n2, q = L0 e^{2 lambda}, l = lambda, a = alpha, b = beta:
   b2_v - b3_u = -k b1 l_u - b2 l_v + a3 mu1 - a2 mu2;
 * Ricci: mu1_v - mu2_u = n1 (a1 b2 - a2 b1 + k (a2 b3 - a3 b2));
 * frame Gram target diag(g1, g2, n1, n2) e^{2 lambda}; the flat model has
-  one minus sign per -1 among (g1, g2, n1, n2).
+  one minus sign per -1 among (g1, g2, n1, n2);
+* angle pipelines (families, riccati): k picks the trigonometric (+1) or
+  hyperbolic (-1) rotation, the parity k p = -1 the complex potential.
 
 For curvature L0 = 0 the model is the flat 4-space of the matching
 signature; for L0 != 0 it is the quadric <x, x> = 1/L0 inside a flat
@@ -113,6 +115,16 @@ class MetricConventions:
     def frame_signs(self) -> tuple:
         """Signs of the Gram diagonal of (T1, T2, N1, N2)."""
         return (*self.g_signs, *self.n_signs)
+
+    @property
+    def kappa(self) -> int:
+        """g1 g2: -1 exactly for a Lorentzian tangent plane (NT, LT)."""
+        return self.g_signs[0] * self.g_signs[1]
+
+    @property
+    def parity(self) -> int:
+        """g1 g2 n1 n2: -1 exactly for a Lorentzian ambient space (LS, LT)."""
+        return self.kappa * self.n_signs[0] * self.n_signs[1]
 
 
 def metric_conventions(case: CaseSpec | str) -> MetricConventions:

@@ -221,6 +221,13 @@ def test_rotation_angle_complex(spec):
     assert np.allclose(np.sin(psi.values), 0.5 / 1.5)
 
 
+def test_rotation_angle_ls_rejects_vanishing_b(spec):
+    # f = (1 + i)(u + v): B = Re(f_u^2 + f_v^2) = Re(4i) = 0 everywhere
+    U, V = spec.mesh()
+    with pytest.raises(FamilyInputError, match="B vanishes"):
+        rotation_angle(FieldGrid(spec, (1 + 1j) * (U + V)), CaseSpec("LS", 0.0))
+
+
 # --------------------------------------------------------------------------
 # not-linearly-dependent pipelines
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from normalflat import CaseSpec, CoefficientSet, GridSpec, assemble_connection, compatibility_defect
+from normalflat import (CaseSpec, CoefficientSet, GridSpec, assemble_connection,
+                        compatibility_defect, integrate_frame)
 from normalflat.frames import COEFF_NAMES
 
 from conftest import random_coefficients
@@ -136,14 +137,14 @@ def test_assemble_matches_symbolic_tables(case_id):
     S_num, T_num = assemble_connection(coeffs, case)
 
     S_sym, T_sym = _sym_matrices(case_id)
-    from normalflat.grid import _diff_along
+    from normalflat.grid import _diff_along4
     lam = coeffs.lam.values
     env = dict(zip([_a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2],
                    [coeffs.alpha1.values, coeffs.alpha2.values, coeffs.alpha3.values,
                     coeffs.beta1.values, coeffs.beta2.values, coeffs.beta3.values,
                     coeffs.mu1.values, coeffs.mu2.values]))
-    env[_lu] = _diff_along(lam, spec.du, 0)
-    env[_lv] = _diff_along(lam, spec.dv, 1)
+    env[_lu] = _diff_along4(lam, spec.du, 0)
+    env[_lv] = _diff_along4(lam, spec.dv, 1)
     env[_E] = np.exp(2 * lam)
     env[_L0] = 0.7
     for i in range(5):
@@ -192,6 +193,23 @@ def test_curved_ambient_position_row(unit_spec):
     coeffs = CoefficientSet.from_arrays(unit_spec)
     S, _ = assemble_connection(coeffs, case)
     assert np.allclose(S[..., 4, 0], -1.0)
+
+
+def test_sphere_defect_second_order_to_the_edges():
+    """The conformal sphere in the quadric model is exactly compatible, so
+    its defect is pure truncation and must shrink like h^2 everywhere,
+    corners included; integrating it raises no compatibility warning."""
+    case = CaseSpec("R", 1.0)
+    defects = []
+    for n in (33, 65, 129):
+        spec = GridSpec.over_box((-0.5, 0.5), (-0.5, 0.5), n, n)
+        U, V = spec.mesh()
+        coeffs = CoefficientSet.from_arrays(spec, lam=np.log(2.0 / (1.0 + U**2 + V**2)))
+        defects.append(compatibility_defect(coeffs, case).max_abs())
+        if n == 65:
+            _, report = integrate_frame(coeffs, case)
+            assert "compatibility_warning" not in report, report["compatibility_warning"]
+    assert defects[0] / defects[1] >= 3.5 and defects[1] / defects[2] >= 3.5, defects
 
 
 def test_violation_bounded_away_from_zero():

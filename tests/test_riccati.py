@@ -37,54 +37,81 @@ def test_wedge_antisymmetry():
         assert np.max(np.abs(w.wedge(w))) == 0.0
 
 
-def _sym_case_r_forms():
-    """Independent symbolic expansion for f = u + v^2/2, xi(s) = s."""
-    u, v = sp.symbols("u v")
-    f = u + v**2 / 2
-    fu, fv = sp.diff(f, u), sp.diff(f, v)
-    fuu, fuv, fvv = sp.diff(f, u, 2), sp.diff(f, u, v), sp.diff(f, v, 2)
-    xi = f
-    B = fu**2 + fv**2
-    p1, p2 = xi * (fu**2 - fv**2), -fuu + fvv
-    q1, q2 = xi * fu * fv, -fuv
-    a = [(fu * p1 + fv * p2) / B, (-fv * p1 + fu * p2) / B]
-    b = [(2 * (fu * q1 + fv * q2) + fv * p1 - fu * p2) / B,
-         (2 * (-fv * q1 + fu * q2) + fu * p1 + fv * p2) / B]
-    c = [2 * (fv * q1 - fu * q2) / B, 2 * (fu * q1 + fv * q2) / B]
+_FU, _FV, _FUU, _FUV, _FVV, _XI, _T, _PU, _PV = sp.symbols("fu fv fuu fuv fvv xi t p_u p_v")
 
-    # obstruction forms read off d(dt) = 0: with dt = P du + Q dv,
-    # P = a0 + t b0 + t^2 c0 and Q likewise, the du^dv coefficient of d(dt)
-    # is Q_u + Q_t t_u - P_v - P_t t_v, and t_u = P, t_v = Q
-    t = sp.Symbol("t")
-    P = a[0] + t * b[0] + t**2 * c[0]
-    Q = a[1] + t * b[1] + t**2 * c[1]
-    ddt = sp.Poly(sp.expand(sp.diff(Q, u) + sp.diff(Q, t) * P
-                            - sp.diff(P, v) - sp.diff(P, t) * Q), t)
-    assert ddt.coeff_monomial(t**3) == 0
-    O0, O1, O2 = (sp.simplify(ddt.coeff_monomial(t**k)) for k in range(3))
-    lam = sp.lambdify((u, v), [a[0], a[1], b[0], b[1], c[0], c[1], O0, O1, O2], "numpy")
-    return lam
+
+def _derived_forms(kappa, rotation):
+    """(w0, w1, w2) of dt = w0 + t w1 + t^2 w2 as (du, dv) coefficient pairs
+    in fu, fv, fuu, fuv, fvv, xi, derived without the assembled formulas.
+
+    The angle a has c = cos a, s = sin a (kappa = 1) or c = cosh a,
+    s = sinh a (kappa = -1), so dc = -kappa s da, ds = c da and
+    t = s/c obeys dt = (1 + kappa t^2) da.  ``rotation(c, s)`` is the
+    gradient (g_u, g_v) of the partner potential.  The angle gradient
+    (p_u, p_v) solves (a) g is closed and (b) J(g, a) = xi J(g, f), J the
+    du^dv coefficient; both are homogeneous of degree one in (c, s), so
+    c = 1, s = t.
+    """
+    c, s = sp.Symbol("c"), sp.Symbol("s")
+    g_u, g_v = rotation(c, s)
+    moves = {"u": (_PU, _FUU, _FUV), "v": (_PV, _FUV, _FVV)}
+
+    def d(expr, which):
+        p, dfu, dfv = moves[which]
+        return (sp.diff(expr, c) * (-kappa * s * p) + sp.diff(expr, s) * (c * p)
+                + sp.diff(expr, _FU) * dfu + sp.diff(expr, _FV) * dfv)
+
+    closed = d(g_u, "v") - d(g_v, "u")
+    jacobian = (g_u * _PV - g_v * _PU) - _XI * (g_u * _FV - g_v * _FU)
+    sol = sp.solve([e.subs({c: 1, s: _T}) for e in (closed, jacobian)], [_PU, _PV], dict=True)[0]
+    coeffs = []
+    for p in (_PU, _PV):
+        poly = sp.Poly(sp.cancel((1 + kappa * _T**2) * sol[p]), _T)
+        assert poly.degree() <= 2
+        coeffs.append([poly.coeff_monomial(_T**k) for k in range(3)])
+    return [(coeffs[0][k], coeffs[1][k]) for k in range(3)]
 
 
 def test_forms_match_symbolic_oracle():
-    spec = GridSpec.over_box((0.1, 1.1), (0.1, 1.1), 65, 65)
+    """build_forms against forms derived from angle_link's rotations, for
+    R, NS and NT in both eps and delta branches.  f is quadratic, so the
+    grid stencils are exact and the comparison is at round-off."""
+    spec = GridSpec.over_box((0.1, 1.1), (0.1, 1.1), 33, 33)
     U, V = spec.mesh()
-    forms = build_forms(FieldGrid(spec, U + V**2 / 2), lambda s: s, CaseSpec("R", 0.0))
-    oracle = _sym_case_r_forms()
-    rng = np.random.default_rng(1)
-    idx = rng.integers(2, 62, size=(5, 2))
-    h2 = spec.hmax**2
-    for i, j in idx:
-        a0, a1, b0, b1, c0, c1, O0, O1, O2 = oracle(U[i, j], V[i, j])
-        assert abs(forms.omega0.cu[i, j] - a0) <= 20 * h2
-        assert abs(forms.omega0.cv[i, j] - a1) <= 20 * h2
-        assert abs(forms.omega1.cu[i, j] - b0) <= 20 * h2
-        assert abs(forms.omega1.cv[i, j] - b1) <= 20 * h2
-        assert abs(forms.omega2.cu[i, j] - c0) <= 20 * h2
-        assert abs(forms.omega2.cv[i, j] - c1) <= 20 * h2
-        assert abs(forms.Omega0.values[i, j] - O0) <= 50 * h2
-        assert abs(forms.Omega1.values[i, j] - O1) <= 50 * h2
-        assert abs(forms.Omega2.values[i, j] - O2) <= 50 * h2
+    f = 1.5 * U + 0.4 * V + 0.3 * U**2 + 0.2 * U * V - 0.25 * V**2
+    xi = lambda s: 0.5 * s - 0.2 * s**2  # noqa: E731
+    env = (1.5 + 0.6 * U + 0.2 * V, 0.4 + 0.2 * U - 0.5 * V, 0.6, 0.2, -0.5, xi(f))
+    trig = lambda c, s: (-s * _FU + c * _FV, c * _FU + s * _FV)  # noqa: E731
+    runs = [(CaseSpec("R", 0.0), 1, trig), (CaseSpec("NS", 0.0), 1, trig)]
+    for eps, delta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        if eps == 1:
+            rot = lambda c, s, d=delta: (d * c * _FU - s * _FV, s * _FU - d * c * _FV)  # noqa: E731
+        else:
+            rot = lambda c, s, d=delta: (s * _FU - d * c * _FV, d * c * _FU - s * _FV)  # noqa: E731
+        runs.append((CaseSpec("NT", 0.0, eps=eps, delta=delta), -1, rot))
+    for case, kappa, rotation in runs:
+        forms = build_forms(FieldGrid(spec, f), xi, case)
+        derived = _derived_forms(kappa, rotation)
+        for w, pair in zip((forms.omega0, forms.omega1, forms.omega2), derived):
+            for got, expr in zip((w.cu, w.cv), pair):
+                want = sp.lambdify((_FU, _FV, _FUU, _FUV, _FVV, _XI), expr, "numpy")(*env)
+                assert np.allclose(got, want, rtol=0, atol=1e-11), (case, expr)
+
+    # obstruction forms of case R: the t-coefficients of d(dt) = dQ/du - dP/dv
+    # with t_u = P, t_v = Q; d(dt) has no t^3 term, so t = 0, +-1 read them off
+    forms = build_forms(FieldGrid(spec, f), xi, runs[0][0])
+    u, v = sp.symbols("u v")
+    f_uv = {_FU: 1.5 + 0.6 * u + 0.2 * v, _FV: 0.4 + 0.2 * u - 0.5 * v,
+            _FUU: 0.6, _FUV: 0.2, _FVV: -0.5,
+            _XI: xi(1.5 * u + 0.4 * v + 0.3 * u**2 + 0.2 * u * v - 0.25 * v**2)}
+    derived = _derived_forms(1, trig)
+    P, Q = (sum(_T**k * pair[i].subs(f_uv) for k, pair in enumerate(derived)) for i in range(2))
+    ddt = sp.lambdify((u, v, _T), sp.diff(Q, u) + sp.diff(Q, _T) * P
+                      - sp.diff(P, v) - sp.diff(P, _T) * Q, "numpy")
+    d0, dp, dm = (ddt(U, V, t) for t in (0.0, 1.0, -1.0))
+    for got, want in ((forms.Omega0, d0), (forms.Omega1, (dp - dm) / 2),
+                      (forms.Omega2, (dp + dm) / 2 - d0)):
+        assert np.max(np.abs(got.values - want)) <= 10 * spec.hmax**2
 
 
 def test_integrable_forms_obstruction_converges():

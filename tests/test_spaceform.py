@@ -43,6 +43,9 @@ def test_metric_conventions_table():
     assert mc["NT"].g_signs == (1, -1) and mc["NT"].n_signs == (1, -1)
     assert mc["LS"].g_signs == (1, 1) and mc["LS"].n_signs == (1, -1)
     assert mc["LT"].g_signs == (1, -1) and mc["LT"].n_signs == (1, 1)
+    # the angle pipelines' selectors: Lorentzian tangent plane, Lorentzian ambient
+    assert [c for c in mc if mc[c].kappa == -1] == ["NT", "LT"]
+    assert [c for c in mc if mc[c].parity == -1] == ["LS", "LT"]
 
 
 def test_ambient_inner_examples():
