@@ -176,7 +176,7 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     spec = inp.phi.spec
     theta = inp.theta.values
     st, ct = np.sin(theta), np.cos(theta)
-    if np.min(np.abs(st * ct)) < 1e-9:
+    if not (np.min(np.abs(st * ct)) >= 1e-9):
         raise FamilyInputError("sin(theta) cos(theta) must be bounded away from zero")
 
     scale = 1.0 + inp.lam.max_abs() + inp.phi.max_abs()
@@ -191,7 +191,7 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
 
     pu, pv = _grad(inp.phi.values, spec)
     g2 = pu * pu + pv * pv
-    if np.min(g2) <= 0:
+    if not (np.min(g2) > 0):
         raise FamilyInputError("grad phi must be nonvanishing")
     amp = st / np.sqrt(g2)
     a1, a2, a3 = amp * pu * pu, amp * pu * pv, amp * pv * pv
@@ -225,7 +225,7 @@ def build_nt_light_family(spec: GridSpec, gamma: FieldGrid, profile,
     eps = case.eps
     U, _ = spec.mesh()
     prof = profile(U) if callable(profile) else np.asarray(profile.values)
-    if np.min(np.abs(prof)) < 1e-12:
+    if not (np.min(np.abs(prof)) >= 1e-12):
         raise FamilyInputError("amplitude profile must be nonvanishing")
     amp = prof * np.exp(eps * gamma.values)
     m1, m2 = _grad(gamma.values, spec)
@@ -318,7 +318,7 @@ def rotation_angle(f: FieldGrid, case: CaseSpec):
     else:
         psi = np.arcsinh(s)
         c, s = case.delta * np.cosh(psi), np.sinh(psi)
-        if np.max(np.abs(A + c * B)) > 1e-6 * np.max(np.abs(A)):
+        if not (np.max(np.abs(A + c * B)) <= 1e-6 * np.max(np.abs(A))):
             raise FamilyInputError("delta inconsistent with the input potential")
     r1 = np.conj(fu) - (c * fv - s * fu)
     r2 = np.conj(fv) - (s * fv + kappa * c * fu)
@@ -435,20 +435,20 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     B = fpu * fpu + fpv * fpv
     C = fpu * fmu - fpv * fmv
     Ap = fpv * fmu - fmv * fpu
-    if np.min(np.abs(A)) < 1e-12 or np.min(np.abs(Ap)) < 1e-12:
+    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
         raise FamilyInputError("degenerate potentials: A or A' vanishes")
-    if np.min(B) <= 0:
+    if not (np.min(B) > 0):
         raise FamilyInputError("gradient of f_plus vanishes")
 
     rot_id = max(float(np.max(np.abs(A - B * np.cos(psi)))),
                  float(np.max(np.abs(C + B * np.sin(psi)))))
 
     th = pot.theta_minus.values
-    if np.min(np.abs(np.sin(th))) < 1e-9 or np.min(np.abs(np.cos(th))) < 1e-9:
+    if not (np.min(np.abs(np.sin(th))) >= 1e-9 and np.min(np.abs(np.cos(th))) >= 1e-9):
         raise FamilyInputError("theta_minus too close to 0 or pi/2: k- leaves (0, inf)")
     km = np.tan(th)
     den = A * km + C
-    if np.max(den) >= 0:
+    if not (np.max(den) < 0):
         raise FamilyInputError("branch condition A k- + C < 0 violated")
     kp = (C * km - A) / den
 
@@ -495,16 +495,16 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     fmu, fmv = _grad(pot.f_minus.values, spec)
     fpu, fpv = _grad(f_plus.values, spec)
     rho = pot.angle.values
-    if eps == 1 and np.min(np.abs(rho)) < 1e-9:
+    if eps == 1 and not (np.min(np.abs(rho)) >= 1e-9):
         raise FamilyInputError("rho must be nonvanishing on the eps=+1 branch")
 
     A = fpv * fmu + fmv * fpu
     B = fpu * fpu - fpv * fpv
     C = fpu * fmu + fpv * fmv
     Ap = fpv * fmu - fmv * fpu
-    if np.min(np.abs(A)) < 1e-12 or np.min(np.abs(Ap)) < 1e-12:
+    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
         raise FamilyInputError("degenerate potentials: A or A' vanishes")
-    if np.min(np.abs(B)) < 1e-12:
+    if not (np.min(np.abs(B)) >= 1e-12):
         raise FamilyInputError("B vanishes: input gradient is light-like somewhere")
     grad_id = float(np.max(np.abs(B - eps * (fmu * fmu - fmv * fmv))))
 
@@ -517,19 +517,19 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
                      float(np.max(np.abs(C + B * sh))))
 
     tm = pot.t_minus.values
-    if np.min(np.abs(tm)) < 1e-9:
+    if not (np.min(np.abs(tm)) >= 1e-9):
         raise FamilyInputError("t_minus must be nonvanishing")
     ep = pot.eps_prime
     e2t = np.exp(2 * tm)
     km = (1 + ep * e2t) / (1 - ep * e2t)
     t_minus_id = float(np.max(np.abs(tm - 0.5 * np.log(np.abs((km - 1) / (km + 1))))))
-    if np.min(np.abs(np.abs(km) - 1)) < 1e-9 or np.min(np.abs(km)) < 1e-9:
+    if not (np.min(np.abs(np.abs(km) - 1)) >= 1e-9 and np.min(np.abs(km)) >= 1e-9):
         raise FamilyInputError("k- hits an excluded value (0 or +-1)")
     den = A * km + C
-    if np.max(den * B) >= 0:
+    if not (np.max(den * B) < 0):
         raise FamilyInputError("branch condition (A k- + C) B < 0 violated")
     kp = (C * km + A) / den
-    if np.min(np.abs(np.abs(kp) - 1)) < 1e-9 or np.min(np.abs(kp)) < 1e-9:
+    if not (np.min(np.abs(np.abs(kp) - 1)) >= 1e-9 and np.min(np.abs(kp)) >= 1e-9):
         raise FamilyInputError("k+ hits an excluded value (0 or +-1)")
 
     sp = np.sqrt(np.abs(kp * kp - 1))
@@ -593,7 +593,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     cross = fu * np.conj(fv)
     A = 2 * np.real(cross)
     Ap = 2 * np.imag(cross)
-    if np.min(np.abs(A)) < 1e-12 or np.min(np.abs(Ap)) < 1e-12:
+    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
         raise FamilyInputError("degenerate potential: Re/Im of f_u conj(f_v) vanish")
     B2c = fu * fu + _signed(kappa, fv * fv)
     C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
@@ -602,13 +602,13 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         raise FamilyInputError(f"f_u^2 {'+' if kappa > 0 else '-'} f_v^2 is not "
                                f"real-valued (defect {reality:.3e})")
     B = np.real(B2c)
-    if np.min(np.abs(B)) < 1e-12:
+    if not (np.min(np.abs(B)) >= 1e-12):
         raise FamilyInputError("B vanishes somewhere")
 
     k = (-1j * C + B * np.exp(1j * pot.sigma.values)) / A
     root, name = (1, "1") if kappa > 0 else (1j, "i")
     excl = min(float(np.min(np.abs(k - root))), float(np.min(np.abs(k + root))))
-    if excl < 1e-9:
+    if not (excl >= 1e-9):
         raise FamilyInputError(f"k hits an excluded value (+-{name})")
     w2 = k * k - kappa
     mobius = float(np.max(np.abs(np.conj(k) * (A * k + 1j * C) - (1j * C * k + kappa * A))))

@@ -117,35 +117,42 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
     lv = _diff_along4(lam, spec.dv, 1)
     *g, n1, n2 = metric_conventions(case).frame_signs
     q = case.l0 * np.exp(2 * lam)  # L0 e^{2 lambda}
-    S = np.zeros((*spec.shape, 5, 5))
-    T = np.zeros((*spec.shape, 5, 5))
     # S is the u-matrix (k = 0), T the v-matrix (k = 1): T repeats S with
-    # every alpha/beta/mu index raised by one and the lambda roles swapped
-    for k, M, l_own, l_other in ((0, S, lu, lv), (1, T, lv, lu)):
+    # every alpha/beta/mu index raised by one and the lambda roles swapped.
+    # Each is filled entry-major, so that every entry is one contiguous
+    # write, then copied once to the (nu, nv, 5, 5) layout the sweep reads
+    out = []
+    for k, l_own, l_other in ((0, lu, lv), (1, lv, lu)):
         alpha = (a1, a2, a3)[k:k + 2]
         beta = (b1, b2, b3)[k:k + 2]
         mu = (m1, m2)[k]
+        M = np.zeros((5, 5, *spec.shape))
         for i in range(4):
-            M[..., i, i] = l_own
-        M[..., k, 1 - k] = l_other
-        M[..., 1 - k, k] = -g[0] * g[1] * l_other
+            M[i, i] = l_own
+        M[k, 1 - k] = l_other
+        M[1 - k, k] = -g[0] * g[1] * l_other
         for i in range(2):
-            M[..., i, 2] = -g[i] * n1 * alpha[i]
-            M[..., i, 3] = -g[i] * n2 * beta[i]
-            M[..., 2, i] = alpha[i]
-            M[..., 3, i] = beta[i]
-        M[..., 2, 3] = -n1 * n2 * mu
-        M[..., 3, 2] = mu
-        M[..., k, 4] = 1.0
-        M[..., 4, k] = -g[k] * q
-    return S, T
+            M[i, 2] = -g[i] * n1 * alpha[i]
+            M[i, 3] = -g[i] * n2 * beta[i]
+            M[2, i] = alpha[i]
+            M[3, i] = beta[i]
+        M[2, 3] = -n1 * n2 * mu
+        M[3, 2] = mu
+        M[k, 4] = 1.0
+        M[4, k] = -g[k] * q
+        out.append(np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1))))
+    return tuple(out)
 
 
 def compatibility_defect(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
     """Frobenius norm per grid point of the frame connection's curvature."""
-    S, T = assemble_connection(coeffs, case)
-    K = curvature(S, T, coeffs.spec)
-    return FieldGrid(coeffs.spec, np.sqrt(np.sum(K * K, axis=(-2, -1))))
+    return _curvature_norm(*assemble_connection(coeffs, case), coeffs.spec)
+
+
+def _curvature_norm(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> FieldGrid:
+    """Frobenius norm per grid point of an assembled connection's curvature."""
+    K = curvature(S, T, spec)
+    return FieldGrid(spec, np.sqrt(np.sum(K * K, axis=(-2, -1))))
 
 
 # ---------------------------------------------------------------------------

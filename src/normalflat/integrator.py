@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoefficientSet, assemble_connection, sweep
+from .frames import CoefficientSet, _curvature_norm, assemble_connection, sweep
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
                    isothermality_tolerance, residual_tolerance)
 from .spaceform import CaseSpec, ambient_signature, metric_conventions
@@ -75,7 +75,7 @@ class FrameField:
         sig = ambient_signature(self.case)
         e2l = np.exp(2 * lam.values)
         signs = sig.array()
-        gram = np.einsum("ijak,a,ijal->ijkl", self.values, signs, self.values)
+        gram = np.swapaxes(self.values * signs[:, None], -1, -2) @ self.values
         target = np.diag(metric_conventions(self.case).frame_signs) * e2l[..., None, None]
         frame_dev = np.max(np.abs(gram[..., :4, :4] - target) / e2l[..., None, None])
         out = {"gram_max": float(frame_dev)}
@@ -158,8 +158,8 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
 
     report = field.gram_drift(coeffs.lam)
     report["frame0"] = frame0.tolist()
-    from .frames import compatibility_defect
-    compat = compatibility_defect(coeffs, case).max_abs()
+    # the defect of the connection just swept: compatibility_defect(coeffs, case)
+    compat = _curvature_norm(S, T, spec).max_abs()
     report["compatibility_defect"] = compat
     tol = residual_tolerance(spec, coeffs.max_abs())
     if not (compat <= tol):
@@ -178,7 +178,9 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     the canonical ambient axes, and the coefficients from second
     differences.  The normal gauge is only fixed up to the case's
     residual freedom, so compare gauge invariants, not raw fields.
-    Returns (CoefficientSet, gauge report).
+    Returns (CoefficientSet, gauge report).  Raises SignatureError when a
+    tangent or normal has the wrong causal type (a NaN counts as wrong) and
+    NotConformalError when the isothermality defect exceeds its tolerance.
     """
     sig = ambient_signature(case)
     if mesh.dim != sig.dim:
@@ -195,7 +197,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     g1, g2, n1s, n2s = metric_conventions(case).frame_signs
     q11 = g1 * inner(T1, T1)
     q22 = g2 * inner(T2, T2)
-    if np.any(q11 <= 0) or np.any(q22 <= 0):
+    if not (np.all(q11 > 0) and np.all(q22 > 0)):
         raise SignatureError("tangent causal type does not match the case")
     e2l = q11
     lam = 0.5 * np.log(q11)
@@ -209,53 +211,62 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
 
     # gauge: canonical seed at the base corner, then continuous propagation
     # (each point re-projects its neighbor's normal into its own normal
-    # space), which keeps the causal type stable across the grid
+    # space), which keeps the causal type stable across the grid.  Fields
+    # are stored as (nv, dim, nu) blocks, so that a column step reads
+    # contiguous memory; the dot products sum the components in order, as
+    # a per-point sum does, so the normals do not depend on the layout.
     seed = canonical_frame0(case, 0.0)
+    sg = signs[:, None]
 
-    def inner1(x, y):
-        return np.sum(signs * x * y, axis=-1)
+    def dot(x, y):  # (..., dim, m) -> (..., 1, m)
+        return np.sum(x * y, axis=-2, keepdims=True)
 
-    def project_point(cand, idx, others):
-        for b in (T1[idx], T2[idx], *([F[idx]] if case.l0 != 0 else []), *others):
-            cand = cand - (inner1(cand, b) / inner1(b, b))[..., None] * b
+    def blocks(x):  # (nu, nv, ...) -> (nv, ..., nu)
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+    def projector(b):
+        return b, sg * b, dot(sg * b, b)
+
+    projectors = [projector(blocks(b)) for b in (T1, T2, *([F] if case.l0 != 0 else []))]
+    el = blocks(np.exp(lam)[..., None])
+    base = (0, slice(None), slice(0, 1))
+
+    def project_point(cand, idx, extra):
+        for b, sb, bb in (*projectors, *extra):
+            cand = cand - dot(cand, sb[idx]) / bb[idx] * b[idx]
         return cand
 
     def normalize(cand, idx, want_sign, prev):
-        sq = inner1(cand, cand)
-        if np.any(want_sign * sq <= 0):
+        sq = dot(sg * cand, cand)
+        if not np.all(want_sign * sq > 0):
             raise SignatureError("normal candidate has the wrong causal type")
-        cand = cand * (np.exp(lam[idx]) / np.sqrt(np.abs(sq)))[..., None]
+        cand = cand * (el[idx] / np.sqrt(np.abs(sq)))
         if prev is not None:
-            flip = np.sum(cand * prev, axis=-1) < 0
-            cand = np.where(flip[..., None], -cand, cand)
+            cand = np.where(dot(cand, prev) < 0, -cand, cand)
         return cand
 
-    def base_candidate(preferred, want_sign, others):
+    def base_candidate(preferred, want_sign, extra):
         # fall back to any ambient axis whose projection has the right type
         # and is not numerically degenerate (axis nearly tangent)
-        trials = [preferred] + [np.eye(sig.dim)[ax] for ax in range(sig.dim)]
-        for cand in trials:
-            proj = project_point(cand.copy(), (0, 0), others)
-            if want_sign * inner1(proj, proj) > 1e-6:
+        for cand in (preferred, *np.eye(sig.dim)[..., None]):
+            proj = project_point(cand, base, extra)
+            if np.all(want_sign * dot(sg * proj, proj) > 1e-6):
                 return proj
         raise SignatureError("no ambient axis projects to the required normal type")
 
-    def propagate(want_sign, base_seed, others_of):
-        N = np.empty_like(F)
-        N[0, 0] = normalize(base_candidate(base_seed, want_sign, others_of((0, 0))),
-                            (0, 0), want_sign, None)
+    def propagate(want_sign, base_seed, extra):
+        N = np.empty((spec.nv, sig.dim, spec.nu))
+        N[base] = normalize(base_candidate(base_seed, want_sign, extra), base, want_sign, None)
         for i in range(1, spec.nu):
-            idx = (i, 0)
-            N[idx] = normalize(project_point(N[i - 1, 0], idx, others_of(idx)),
-                               idx, want_sign, N[i - 1, 0])
+            idx, prev = (0, slice(None), slice(i, i + 1)), N[0, :, i - 1:i]
+            N[idx] = normalize(project_point(prev, idx, extra), idx, want_sign, prev)
         for j in range(1, spec.nv):
-            idx = (slice(None), j)
-            N[:, j] = normalize(project_point(N[:, j - 1], idx, others_of(idx)),
-                                idx, want_sign, N[:, j - 1])
+            N[j] = normalize(project_point(N[j - 1], j, extra), j, want_sign, N[j - 1])
         return N
 
-    N1 = propagate(n1s, seed[:, 2].copy(), lambda idx: [])
-    N2 = propagate(n2s, seed[:, 3].copy(), lambda idx: [N1[idx]])
+    N1 = propagate(n1s, seed[:, 2:3], [])
+    N2 = propagate(n2s, seed[:, 3:4], [projector(N1)])
+    N1, N2 = (np.ascontiguousarray(np.moveaxis(N, -1, 0)) for N in (N1, N2))
 
     Fuu = _diff2_along(F, spec.du, 0)
     Fuv = _diff_along(T1, spec.dv, 1)

@@ -127,7 +127,7 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
 
     if conv.kappa > 0:
         B = fu * fu + fv * fv
-        if np.min(np.abs(B)) < 1e-14:
+        if not (np.min(np.abs(B)) >= 1e-14):
             raise DegenerateFormsError("grad(f)^2 vanishes somewhere (case R/NS)")
         p1 = xi * (fu * fu - fv * fv)
         p2 = -fuu + fvv
@@ -141,7 +141,7 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
 
     delta = case.delta
     B = case.eps * (fu * fu - fv * fv)
-    if np.min(np.abs(B)) < 1e-14:
+    if not (np.min(np.abs(B)) >= 1e-14):
         raise DegenerateFormsError("fu^2 - fv^2 vanishes somewhere (case NT)")
     r1 = fuv
     r2 = -xi * fu * fv

@@ -15,6 +15,8 @@ from normalflat.families import (
     rotation_angle,
 )
 from normalflat.gcr import NonIntegrableError, detect_parallel_normal
+from normalflat.integrator import SignatureError, SurfaceMesh, reconstruct_coefficients
+from normalflat.riccati import DegenerateFormsError, build_forms
 
 
 @pytest.fixture
@@ -363,3 +365,38 @@ def test_notld_dependence_fails_on_outputs(spec):
     rep = detect_parallel_normal(res.coeffs, case)
     assert rep.verdict == "none"
     assert not rep.ld.satisfied
+
+
+# --------------------------------------------------------------------------
+# NaN-strict gates
+# --------------------------------------------------------------------------
+
+def _with_nan(field):
+    """The field with one NaN sample.  FieldGrid refuses NaN at construction,
+    so this stands for a NaN made later, by an overflow for instance."""
+    field.values[field.spec.nu // 2, field.spec.nv // 2] = np.nan
+    return field
+
+
+def test_gates_reject_nan(spec):
+    U, V = spec.mesh()
+    for case in (CaseSpec("R", 0.0), CaseSpec("NT", 0.0, eps=1)):
+        with pytest.raises(DegenerateFormsError):
+            build_forms(_with_nan(FieldGrid(spec, U + 0.3 * V)), 0.0, case)
+    notld = [
+        (CaseSpec("R", 0.0), _pot_r(spec, _with_nan(FieldGrid(spec, 0.5 + 0.2 * np.sin(U)))),
+         "theta_minus"),
+        (CaseSpec("NT", 0.0, eps=1),
+         _pot_nt(spec, 1, _with_nan(FieldGrid(spec, 0.4 + 0.1 * np.cos(V)))), "t_minus"),
+    ]
+    for case, make in ((CaseSpec("LS", 0.0), _ls_instance), (CaseSpec("LT", 0.0), _lt_instance)):
+        pot = make(spec)
+        _with_nan(pot.f)
+        notld.append((case, pot, "degenerate potential"))
+    for case, pot, match in notld:
+        with pytest.raises(FamilyInputError, match=match):
+            build_notld_family(pot, case)
+    positions = np.stack([np.cos(U), np.sin(U), np.cos(V), np.sin(V)], axis=-1)
+    positions[spec.nu // 2, spec.nv // 2, 0] = np.nan
+    with pytest.raises(SignatureError):
+        reconstruct_coefficients(SurfaceMesh(spec, positions), CaseSpec("R", 0.0))

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec
+from normalflat.families import NotldPotentials, build_notld_family
+from normalflat.frames import compatibility_defect
 from normalflat.gcr import (
     curvature_minus_l0,
     dependence_minors,
     normal_flatness_defect,
     second_form_pseudo_norm,
 )
+from normalflat.grid import _diff2_along, _diff_along
 from normalflat.integrator import (
+    FrameField,
     NotConformalError,
     SignatureError,
     SurfaceMesh,
@@ -20,7 +24,9 @@ from normalflat.integrator import (
     reconstruct_coefficients,
     save_mesh,
 )
-from normalflat.spaceform import ambient_inner, ambient_signature, metric_conventions
+from normalflat.spaceform import CASES, ambient_inner, ambient_signature, metric_conventions
+
+from conftest import random_coefficients
 
 
 def _torus_frame0():
@@ -108,6 +114,150 @@ def test_gram_drift_grows_with_violation():
         drifts.append(drift["gram_max"])
     assert drifts[1] > 1e3 * drifts[0]
     assert drifts[2] >= 2.0 * drifts[1]  # residual scales like s^2
+
+
+def test_report_defect_is_compatibility_defect():
+    # the report reuses the swept connection; it must be the public defect
+    rng = np.random.default_rng(11)
+    spec = GridSpec.over_box((0, 1), (0, 1), 21, 19)
+    for case_id in CASES:
+        for l0 in (0.0, 0.8, -1.1):
+            case = CaseSpec(case_id, l0)
+            coeffs = random_coefficients(rng, spec)
+            _, report = integrate_frame(coeffs, case)
+            want = compatibility_defect(coeffs, case).max_abs()
+            assert report["compatibility_defect"].hex() == want.hex(), (case_id, l0)
+
+
+def test_gram_drift_matches_pointwise_oracle():
+    # Gram entries from ambient_inner one grid point and one column pair at a time
+    rng = np.random.default_rng(12)
+    spec = GridSpec.over_box((0, 1), (0, 1), 17, 17)
+    for case_id in CASES:
+        for l0 in (0.0, 0.8, -1.1):
+            case = CaseSpec(case_id, l0)
+            sig = ambient_signature(case)
+            values = rng.standard_normal((17, 17, sig.dim, 5))
+            lam = 0.3 * rng.standard_normal((17, 17))
+            got = FrameField(case, spec, values).gram_drift(FieldGrid(spec, lam))
+            target = metric_conventions(case).frame_signs
+            want = {"gram_max": 0.0, "quadric_max": 0.0, "position_cross_max": 0.0}
+            for i in range(17):
+                for j in range(17):
+                    e2l = np.exp(2 * lam[i, j])
+                    cols = values[i, j].T
+                    for k in range(4):
+                        for m in range(4):
+                            dev = ambient_inner(cols[k], cols[m], sig) - (
+                                target[k] * e2l if k == m else 0.0)
+                            want["gram_max"] = max(want["gram_max"], abs(dev) / e2l)
+                    if l0 != 0:
+                        want["quadric_max"] = max(
+                            want["quadric_max"],
+                            abs(ambient_inner(cols[4], cols[4], sig) - 1.0 / l0))
+                        for k in range(4):
+                            want["position_cross_max"] = max(
+                                want["position_cross_max"],
+                                abs(ambient_inner(cols[4], cols[k], sig)))
+            assert got.keys() == ({"gram_max"} if l0 == 0 else want.keys())
+            for key in got:
+                assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0), (case_id, l0, key)
+
+
+def _reference_reconstruction(mesh, case):
+    """Normal frame and coefficients by the per-point sequential projection.
+
+    Each candidate loses its component along T1, T2 (and F for L0 != 0),
+    then along the earlier normals, one vector after another; it is then
+    scaled to length e^lambda and its sign follows its neighbor.
+    """
+    sig = ambient_signature(case)
+    signs = sig.array()
+    spec, F = mesh.spec, mesh.positions
+
+    def inner(x, y):
+        return np.sum(signs * x * y, axis=-1)
+
+    T1 = _diff_along(F, spec.du, 0)
+    T2 = _diff_along(F, spec.dv, 1)
+    g1, _, n1s, n2s = metric_conventions(case).frame_signs
+    e2l = g1 * inner(T1, T1)
+    lam = 0.5 * np.log(e2l)
+
+    def project_point(cand, idx, others):
+        for b in (T1[idx], T2[idx], *([F[idx]] if case.l0 != 0 else []), *others):
+            cand = cand - (inner(cand, b) / inner(b, b))[..., None] * b
+        return cand
+
+    def normalize(cand, idx, prev):
+        cand = cand * (np.exp(lam[idx]) / np.sqrt(np.abs(inner(cand, cand))))[..., None]
+        if prev is not None:
+            cand = np.where((np.sum(cand * prev, axis=-1) < 0)[..., None], -cand, cand)
+        return cand
+
+    def propagate(want_sign, seed, others_of):
+        N = np.empty_like(F)
+        for cand in [seed] + list(np.eye(sig.dim)):
+            base = project_point(cand, (0, 0), others_of((0, 0)))
+            if want_sign * inner(base, base) > 1e-6:
+                break
+        N[0, 0] = normalize(base, (0, 0), None)
+        for i in range(1, spec.nu):
+            N[i, 0] = normalize(project_point(N[i - 1, 0], (i, 0), others_of((i, 0))),
+                                (i, 0), N[i - 1, 0])
+        for j in range(1, spec.nv):
+            idx = (slice(None), j)
+            N[:, j] = normalize(project_point(N[:, j - 1], idx, others_of(idx)),
+                                idx, N[:, j - 1])
+        return N
+
+    seed = canonical_frame0(case, 0.0)
+    N1 = propagate(n1s, seed[:, 2], lambda idx: [])
+    N2 = propagate(n2s, seed[:, 3], lambda idx: [N1[idx]])
+    Fuu = _diff2_along(F, spec.du, 0)
+    Fuv = _diff_along(T1, spec.dv, 1)
+    Fvv = _diff2_along(F, spec.dv, 1)
+    fields = {"lambda": lam}
+    for name, N, s in (("alpha", N1, n1s), ("beta", N2, n2s)):
+        for k, D in enumerate((Fuu, Fuv, Fvv)):
+            fields[f"{name}{k + 1}"] = s / e2l * inner(D, N)
+    fields["mu1"] = n2s / e2l * inner(_diff_along(N1, spec.du, 0), N2)
+    fields["mu2"] = n2s / e2l * inner(_diff_along(N1, spec.dv, 1), N2)
+    return N1, N2, fields
+
+
+def test_reconstruct_matches_pointwise_reference():
+    spec = GridSpec.over_box((0, 1), (0, 1), 33, 33)
+    U, V = spec.mesh()
+    s2 = np.sqrt(2.0)
+    pots = [
+        (CaseSpec("R", 0.0), NotldPotentials(
+            f_minus=FieldGrid(spec, U), angle=FieldGrid.constant(spec, 1.2),
+            theta_minus=FieldGrid(spec, 0.5 + 0.2 * np.sin(U)))),
+        (CaseSpec("NT", 0.0, eps=1), NotldPotentials(
+            f_minus=FieldGrid(spec, U), angle=FieldGrid.constant(spec, 0.7),
+            t_minus=FieldGrid(spec, 0.4 + 0.1 * np.cos(V)), eps_prime=1)),
+        (CaseSpec("LS", 0.0), NotldPotentials(
+            f=FieldGrid(spec, (1 + 1j) * U + (s2 - 1j / s2) * V),
+            sigma=FieldGrid.constant(spec, np.pi / 2))),
+        (CaseSpec("LT", 0.0), NotldPotentials(
+            f=FieldGrid(spec, (1 + 1j) * U + (s2 + 1j / s2) * V),
+            sigma=FieldGrid.constant(spec, np.pi / 2))),
+    ]
+    inputs = [(case, build_notld_family(pot, case).coeffs) for case, pot in pots]
+    sphere = GridSpec.over_box((-0.5, 0.5), (-0.5, 0.5), 33, 33)
+    Us, Vs = sphere.mesh()
+    inputs.append((CaseSpec("R", 1.0), CoefficientSet.from_arrays(
+        sphere, lam=np.log(2.0 / (1.0 + Us**2 + Vs**2)))))
+    for case, coeffs in inputs:
+        mesh = integrate_frame(coeffs, case)[0].mesh()
+        rec, report = reconstruct_coefficients(mesh, case)
+        N1, N2, want = _reference_reconstruction(mesh, case)
+        assert np.max(np.abs(np.subtract(report["base_normal1"], N1[0, 0]))) <= 1e-13
+        assert np.max(np.abs(np.subtract(report["base_normal2"], N2[0, 0]))) <= 1e-13
+        for name, got in rec.arrays().items():
+            dev = np.max(np.abs(got - want[name]))
+            assert dev <= 1e-13 * (1 + np.max(np.abs(want[name]))), (case.case_id, name, dev)
 
 
 @pytest.mark.parametrize("case_id,l0", [
