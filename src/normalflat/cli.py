@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 usage/configuration error, 2 verification
 failure (residuals above tolerance or a failed certificate) or a
 computation that left the finite floating-point range.
 
-The environment variable NORMALFLAT_TOL overrides the default residual
-tolerance of verify/detect.
+The environment variable NORMALFLAT_TOL replaces the default tolerance
+of verify (the residual level 10 h^2 (1 + s)) and of detect (the
+quadratic level 10 h^2 (1 + s)^2), s the largest coefficient magnitude.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def _report(path, case: CaseSpec, spec: GridSpec, metrics: dict, verdicts: dict)
 
 
 def _case_from_args(args) -> CaseSpec:
-    return CaseSpec(args.case, getattr(args, "l0", 0.0) or 0.0,
-                    getattr(args, "eps", 1), getattr(args, "delta", 1))
+    return CaseSpec(args.case, args.l0, args.eps, args.delta)
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -162,10 +162,15 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     with open(args.params) as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("params", {}), dict)):
+        raise UsageError("a family descriptor and its params must be JSON objects")
     family = args.family or doc.get("family")
-    case = CaseSpec(args.case or doc.get("case", "R"), float(doc.get("l0", args.l0 or 0.0)),
-                    int(doc.get("eps", args.eps)), int(doc.get("delta", args.delta)))
-    spec = _grid_from_doc(doc)
+    try:  # a null, list or string where the descriptor needs an object or a number
+        case = CaseSpec(args.case or doc.get("case", "R"), float(doc.get("l0", args.l0 or 0.0)),
+                        int(doc.get("eps", args.eps)), int(doc.get("delta", args.delta)))
+        spec = _grid_from_doc(doc)
+    except (TypeError, AttributeError) as exc:
+        raise UsageError(f"bad case or grid in the family descriptor: {exc}") from None
     p = doc.get("params", {})
 
     if family == "product":
@@ -263,6 +268,8 @@ def _cmd_detect(args) -> int:
 
 def _cmd_riccati(args) -> int:
     case = _case_from_args(args)
+    if not np.isfinite(args.t0):
+        raise UsageError(f"--t0 must be finite, got {args.t0}")
     spec = _parse_grid(args.grid)
     fminus = _sample(spec, args.fminus)
     xi = compile_expr(args.xi, ("s",)) if args.xi else None
@@ -295,10 +302,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_case(sp, with_l0=True):
+    def add_case(sp):
         sp.add_argument("--case", required=True, choices=CASES)
-        if with_l0:
-            sp.add_argument("--l0", type=float, default=0.0)
+        sp.add_argument("--l0", type=float, default=0.0)
         sp.add_argument("--eps", type=int, default=1, choices=[1, -1])
         sp.add_argument("--delta", type=int, default=1, choices=[1, -1])
 

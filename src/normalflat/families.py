@@ -30,16 +30,17 @@ import numpy as np
 from .frames import CoefficientSet
 from .gcr import (
     NonIntegrableError,
+    closed_potential,
     curvature_minus_l0,
     dependence_minors,
     gauss_lhs,
     gcr_residuals,
-    integrate_gradient,
     normal_flatness_defect,
 )
-from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
-                   angle_link_tolerance, family_tolerance, residual_tolerance)
-from .spaceform import CaseSpec, metric_conventions
+from .grid import (DEGENERACY_FLOOR, EXCLUSION_MARGIN, ROUND_OFF_TOL, FieldGrid, GridSpec,
+                   _diff2_along, _diff_along, angle_link_tolerance, family_tolerance,
+                   require_nonzero, residual_tolerance)
+from .spaceform import CaseSpec
 
 __all__ = [
     "PhiFamilyInput",
@@ -170,14 +171,14 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     is controlled by xi: gamma + theta = xi(phi) is constant exactly when
     xi o phi is.
     """
-    n1, n2 = metric_conventions(case).n_signs
+    n1, n2 = case.n_signs
     if n1 != n2:  # theta is a trigonometric angle: definite normal bundle only
         raise FamilyInputError("phi family implemented for cases R, NS, LT")
     spec = inp.phi.spec
     theta = inp.theta.values
     st, ct = np.sin(theta), np.cos(theta)
-    if not (np.min(np.abs(st * ct)) >= 1e-9):
-        raise FamilyInputError("sin(theta) cos(theta) must be bounded away from zero")
+    require_nonzero(FamilyInputError, "sin(theta) cos(theta) must be bounded away from zero",
+                    st * ct, floor=EXCLUSION_MARGIN)
 
     scale = 1.0 + inp.lam.max_abs() + inp.phi.max_abs()
     tol = family_tolerance(spec, scale)
@@ -225,8 +226,8 @@ def build_nt_light_family(spec: GridSpec, gamma: FieldGrid, profile,
     eps = case.eps
     U, _ = spec.mesh()
     prof = profile(U) if callable(profile) else np.asarray(profile.values)
-    if not (np.min(np.abs(prof)) >= 1e-12):
-        raise FamilyInputError("amplitude profile must be nonvanishing")
+    require_nonzero(FamilyInputError, "amplitude profile must be nonvanishing", prof,
+                    floor=DEGENERACY_FLOOR)
     amp = prof * np.exp(eps * gamma.values)
     m1, m2 = _grad(gamma.values, spec)
     coeffs = CoefficientSet.from_arrays(
@@ -259,14 +260,13 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
     rotation relation).
     """
     spec = f.spec
-    conv = metric_conventions(case)
-    if conv.parity < 0:
+    if case.parity < 0:
         return rotation_angle(f, case)
     if angle is None:
         raise ValueError("real cases need the angle field")
     fu, fv = _grad(f.values, spec)
     ang = angle.values
-    if conv.kappa > 0:
+    if case.kappa > 0:
         gu = -np.sin(ang) * fu + np.cos(ang) * fv
         gv = np.cos(ang) * fu + np.sin(ang) * fv
     else:
@@ -278,50 +278,46 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
         else:
             gu = sh * fu - d * ch * fv
             gv = d * ch * fu - sh * fv
-    curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
-    defect = float(np.max(np.abs(curl)))
     if tol is None:
         tol = angle_link_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang))))
-    if not (defect <= tol):
-        raise NonIntegrableError(
-            f"partner gradient is not closed (curl {defect:.3e} > {tol:.3e}); "
-            "the angle field is not admissible")
-    partner = integrate_gradient(spec, gu, gv)
+    partner, defect = closed_potential(spec, gu, gv, tol, "partner gradient")
     return FieldGrid(spec, partner), defect
 
 
 def rotation_angle(f: FieldGrid, case: CaseSpec):
-    """Angle field linking grad(conj f) to the swapped gradient of f.
+    """Angle field linking grad(conj f) to the gradient of f.
 
     With kappa = g1 g2, A = 2 Re(f_u conj f_v), B = Re(f_u^2 + kappa f_v^2)
     and C = |f_u|^2 - kappa |f_v|^2.  LS (kappa = 1): (conj f)_u + i
     (conj f)_v = e^{i psi} (f_v + i f_u), recovered from cos psi = A/B,
-    sin psi = -C/B.  LT (kappa = -1): the hyperbolic analog with delta,
-    A = -delta B cosh(psi), C = -B sinh(psi).  Returns (psi, max relation
-    residual).
+    sin psi = -C/B.  LT (kappa = -1): (conj f)_u = c f_u + s f_v and
+    (conj f)_v = -s f_u - c f_v with c = delta cosh(psi), s = sinh(psi),
+    recovered from sinh psi = -A/B and c = C/B, so delta must carry the
+    sign of B (C > 0); both hold, with C^2 = A^2 + B^2, exactly when
+    f_u^2 - f_v^2 is real.  Returns (psi, max relation residual).
     """
-    conv = metric_conventions(case)
-    if conv.parity > 0:
+    if case.parity > 0:
         raise ValueError("rotation_angle serves the complex cases only")
-    kappa = conv.kappa
+    kappa = case.kappa
     spec = f.spec
     fu, fv = _grad(f.values, spec)
     A = 2 * np.real(fu * np.conj(fv))
     B = np.real(fu * fu) + kappa * np.real(fv * fv)
     C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
-    if not (np.min(np.abs(B)) >= 1e-12):
-        raise FamilyInputError("B vanishes: rotation angle undefined")
-    s = -C / B
+    require_nonzero(FamilyInputError, "B vanishes: rotation angle undefined", B,
+                    floor=DEGENERACY_FLOOR)
     if kappa > 0:
-        c = A / B
+        c, s = A / B, -C / B
         psi = np.arctan2(s, c)
+        r1 = np.conj(fu) - (c * fv - s * fu)
+        r2 = np.conj(fv) - (s * fv + c * fu)
     else:
-        psi = np.arcsinh(s)
-        c, s = case.delta * np.cosh(psi), np.sinh(psi)
-        if not (np.max(np.abs(A + c * B)) <= 1e-6 * np.max(np.abs(A))):
+        if not np.all(case.delta * B > 0):
             raise FamilyInputError("delta inconsistent with the input potential")
-    r1 = np.conj(fu) - (c * fv - s * fu)
-    r2 = np.conj(fv) - (s * fv + kappa * c * fu)
+        psi = np.arcsinh(-A / B)
+        c, s = case.delta * np.cosh(psi), np.sinh(psi)
+        r1 = np.conj(fu) - (c * fu + s * fv)
+        r2 = np.conj(fv) + (s * fu + c * fv)
     resid = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     return FieldGrid(spec, psi), resid
 
@@ -361,7 +357,7 @@ def _xi_eval(xi_tilde, values):
 def _lambda_terms(lam: FieldGrid, case: CaseSpec, A, Ap, P, Q):
     """(1/A') M grad lambda, M = [[P, kappa A], [A, kappa Q]]: the lambda
     correction of every not-linearly-dependent gamma gradient."""
-    kappa = metric_conventions(case).kappa
+    kappa = case.kappa
     lu, lv = _grad(lam.values, lam.spec)
     return (P * lu + kappa * A * lv) / Ap, (A * lu + kappa * Q * lv) / Ap
 
@@ -376,12 +372,7 @@ def _gamma_tail(case, gamma0, lam, tol, gu, gv, form, identities, witness, check
     """Integrate gamma from its gradient, assemble with mu = grad gamma and
     the second form ``form``, certify; ``checks`` join the certificate."""
     spec = lam.spec
-    curl = _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
-    gcurl = float(np.max(np.abs(curl)))
-    if not (gcurl <= tol):
-        raise NonIntegrableError(
-            f"gamma gradient is not closed (curl {gcurl:.3e} > {tol:.3e})")
-    gamma = integrate_gradient(spec, gu, gv, gamma0)
+    gamma, gcurl = closed_potential(spec, gu, gv, tol, "gamma gradient", gamma0)
     coeffs = CoefficientSet.from_arrays(spec, lam=lam.values, **form, mu1=gu, mu2=gv)
     cert = certify(coeffs, case, identities, witness)
     cert.update(checks, gamma_curl=gcurl)
@@ -405,10 +396,9 @@ def _sqrt_tracked(w2: np.ndarray) -> np.ndarray:
 
 
 def build_notld_family(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    conv = metric_conventions(case)
-    if conv.parity < 0:
+    if case.parity < 0:
         return _notld_lorentzian(pot, case)
-    if conv.kappa < 0:
+    if case.kappa < 0:
         return _notld_neutral_timelike(pot, case)
     return _notld_real_definite(pot, case)
 
@@ -435,8 +425,8 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     B = fpu * fpu + fpv * fpv
     C = fpu * fmu - fpv * fmv
     Ap = fpv * fmu - fmv * fpu
-    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
-        raise FamilyInputError("degenerate potentials: A or A' vanishes")
+    require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
+                    floor=DEGENERACY_FLOOR)
     if not (np.min(B) > 0):
         raise FamilyInputError("gradient of f_plus vanishes")
 
@@ -444,8 +434,8 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
                  float(np.max(np.abs(C + B * np.sin(psi)))))
 
     th = pot.theta_minus.values
-    if not (np.min(np.abs(np.sin(th))) >= 1e-9 and np.min(np.abs(np.cos(th))) >= 1e-9):
-        raise FamilyInputError("theta_minus too close to 0 or pi/2: k- leaves (0, inf)")
+    require_nonzero(FamilyInputError, "theta_minus too close to 0 or pi/2: k- leaves (0, inf)",
+                    np.sin(th), np.cos(th), floor=EXCLUSION_MARGIN)
     km = np.tan(th)
     den = A * km + C
     if not (np.max(den) < 0):
@@ -495,17 +485,18 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     fmu, fmv = _grad(pot.f_minus.values, spec)
     fpu, fpv = _grad(f_plus.values, spec)
     rho = pot.angle.values
-    if eps == 1 and not (np.min(np.abs(rho)) >= 1e-9):
-        raise FamilyInputError("rho must be nonvanishing on the eps=+1 branch")
+    if eps == 1:
+        require_nonzero(FamilyInputError, "rho must be nonvanishing on the eps=+1 branch", rho,
+                        floor=EXCLUSION_MARGIN)
 
     A = fpv * fmu + fmv * fpu
     B = fpu * fpu - fpv * fpv
     C = fpu * fmu + fpv * fmv
     Ap = fpv * fmu - fmv * fpu
-    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
-        raise FamilyInputError("degenerate potentials: A or A' vanishes")
-    if not (np.min(np.abs(B)) >= 1e-12):
-        raise FamilyInputError("B vanishes: input gradient is light-like somewhere")
+    require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
+                    floor=DEGENERACY_FLOOR)
+    require_nonzero(FamilyInputError, "B vanishes: input gradient is light-like somewhere", B,
+                    floor=DEGENERACY_FLOOR)
     grad_id = float(np.max(np.abs(B - eps * (fmu * fmu - fmv * fmv))))
 
     ch, sh = np.cosh(rho), np.sinh(rho)
@@ -517,20 +508,19 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
                      float(np.max(np.abs(C + B * sh))))
 
     tm = pot.t_minus.values
-    if not (np.min(np.abs(tm)) >= 1e-9):
-        raise FamilyInputError("t_minus must be nonvanishing")
+    require_nonzero(FamilyInputError, "t_minus must be nonvanishing", tm, floor=EXCLUSION_MARGIN)
     ep = pot.eps_prime
     e2t = np.exp(2 * tm)
     km = (1 + ep * e2t) / (1 - ep * e2t)
     t_minus_id = float(np.max(np.abs(tm - 0.5 * np.log(np.abs((km - 1) / (km + 1))))))
-    if not (np.min(np.abs(np.abs(km) - 1)) >= 1e-9 and np.min(np.abs(km)) >= 1e-9):
-        raise FamilyInputError("k- hits an excluded value (0 or +-1)")
+    require_nonzero(FamilyInputError, "k- hits an excluded value (0 or +-1)",
+                    np.abs(km) - 1, km, floor=EXCLUSION_MARGIN)
     den = A * km + C
     if not (np.max(den * B) < 0):
         raise FamilyInputError("branch condition (A k- + C) B < 0 violated")
     kp = (C * km + A) / den
-    if not (np.min(np.abs(np.abs(kp) - 1)) >= 1e-9 and np.min(np.abs(kp)) >= 1e-9):
-        raise FamilyInputError("k+ hits an excluded value (0 or +-1)")
+    require_nonzero(FamilyInputError, "k+ hits an excluded value (0 or +-1)",
+                    np.abs(kp) - 1, kp, floor=EXCLUSION_MARGIN)
 
     sp = np.sqrt(np.abs(kp * kp - 1))
     sm = np.sqrt(np.abs(km * km - 1))
@@ -584,7 +574,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     if pot.f.kind != "complex":
         raise FamilyInputError("f must be complex-valued")
     lam = _lambda_or_zero(pot, spec)
-    kappa = metric_conventions(case).kappa
+    kappa = case.kappa
     scale = 1.0 + pot.f.max_abs()
     tol = family_tolerance(spec, scale)
 
@@ -593,8 +583,8 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     cross = fu * np.conj(fv)
     A = 2 * np.real(cross)
     Ap = 2 * np.imag(cross)
-    if not (np.min(np.abs(A)) >= 1e-12 and np.min(np.abs(Ap)) >= 1e-12):
-        raise FamilyInputError("degenerate potential: Re/Im of f_u conj(f_v) vanish")
+    require_nonzero(FamilyInputError, "degenerate potential: Re/Im of f_u conj(f_v) vanish",
+                    A, Ap, floor=DEGENERACY_FLOOR)
     B2c = fu * fu + _signed(kappa, fv * fv)
     C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
     reality = float(np.max(np.abs(np.imag(B2c))))
@@ -602,14 +592,12 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         raise FamilyInputError(f"f_u^2 {'+' if kappa > 0 else '-'} f_v^2 is not "
                                f"real-valued (defect {reality:.3e})")
     B = np.real(B2c)
-    if not (np.min(np.abs(B)) >= 1e-12):
-        raise FamilyInputError("B vanishes somewhere")
+    require_nonzero(FamilyInputError, "B vanishes somewhere", B, floor=DEGENERACY_FLOOR)
 
     k = (-1j * C + B * np.exp(1j * pot.sigma.values)) / A
     root, name = (1, "1") if kappa > 0 else (1j, "i")
-    excl = min(float(np.min(np.abs(k - root))), float(np.min(np.abs(k + root))))
-    if not (excl >= 1e-9):
-        raise FamilyInputError(f"k hits an excluded value (+-{name})")
+    require_nonzero(FamilyInputError, f"k hits an excluded value (+-{name})", k - root, k + root,
+                    floor=EXCLUSION_MARGIN)
     w2 = k * k - kappa
     mobius = float(np.max(np.abs(np.conj(k) * (A * k + 1j * C) - (1j * C * k + kappa * A))))
     pyth = float(np.max(np.abs(kappa * A * A + C * C - B * B)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along, _diff_along4, load_fields,
                    save_fields)
-from .spaceform import CaseSpec, metric_conventions
+from .spaceform import CaseSpec
 
 __all__ = ["CoefficientSet", "assemble_connection", "compatibility_defect"]
 
@@ -115,7 +115,7 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
     spec = coeffs.spec
     lu = _diff_along4(lam, spec.du, 0)
     lv = _diff_along4(lam, spec.dv, 1)
-    *g, n1, n2 = metric_conventions(case).frame_signs
+    *g, n1, n2 = case.frame_signs
     q = case.l0 * np.exp(2 * lam)  # L0 e^{2 lambda}
     # S is the u-matrix (k = 0), T the v-matrix (k = 1): T repeats S with
     # every alpha/beta/mu index raised by one and the lambda roles swapped.

@@ -14,7 +14,7 @@ import numpy as np
 
 from .frames import CoefficientSet
 from .grid import FieldGrid, _diff2_along, _diff_along, quadratic_tolerance, residual_tolerance
-from .spaceform import CaseSpec, metric_conventions
+from .spaceform import CaseSpec
 
 __all__ = [
     "GcrResiduals",
@@ -48,14 +48,14 @@ def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
     Vanishing of this form is exactly K = L0 once the equation holds.
     """
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    g1, g2, n1, n2 = metric_conventions(case).frame_signs
+    g1, g2, n1, n2 = case.frame_signs
     s = -g1 * g2
     return s * n1 * (a1 * a3) + s * n2 * (b1 * b3) - s * n1 * a2**2 - s * n2 * b2**2
 
 
 def gauss_lhs(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
     """Conformal side of the Gauss equation, lambda_uu + g1 g2 lambda_vv + L0 e^{2 lambda}."""
-    g1, g2 = metric_conventions(case).g_signs
+    g1, g2 = case.g_signs
     spec = lam.spec
     l_uu = _diff2_along(lam.values, spec.du, 0)
     l_vv = _diff2_along(lam.values, spec.dv, 1)
@@ -71,7 +71,7 @@ def codazzi_residual(coeffs: CoefficientSet, case: CaseSpec) -> list[FieldGrid]:
     lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
     spec = coeffs.spec
     lu, lv = _diff_along(lam, spec.du, 0), _diff_along(lam, spec.dv, 1)
-    g1, g2, n1, n2 = metric_conventions(case).frame_signs
+    g1, g2, n1, n2 = case.frame_signs
     k, p = g1 * g2, n1 * n2
     rhs = [a2 * lu + k * a3 * lv - p * b2 * m1 + p * b1 * m2,
            -k * a1 * lu - a2 * lv - p * b3 * m1 + p * b2 * m2,
@@ -86,7 +86,7 @@ def ricci_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
     m13 = a1 * b2 - a2 * b1
     m23 = a2 * b3 - a3 * b2
-    g1, g2, n1, _ = metric_conventions(case).frame_signs
+    g1, g2, n1, _ = case.frame_signs
     return n1 * (m13 + g1 * g2 * m23)
 
 
@@ -148,19 +148,27 @@ def integrate_gradient(spec, gu: np.ndarray, gv: np.ndarray, base_value: float =
     return out
 
 
+def closed_potential(spec, gu: np.ndarray, gv: np.ndarray, tol: float, what: str,
+                     base_value: float = 0.0) -> tuple[np.ndarray, float]:
+    """(Path integral, max |curl|) of gu du + gv dv; a curl above tol, or a
+    NaN, raises :class:`NonIntegrableError` naming ``what``."""
+    curl = float(np.max(np.abs(_diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0))))
+    if not (curl <= tol):
+        raise NonIntegrableError(f"{what} is not closed (curl {curl:.3e} > {tol:.3e})")
+    return integrate_gradient(spec, gu, gv, base_value), curl
+
+
 def gamma_potential(coeffs: CoefficientSet, tol: float | None = None) -> FieldGrid:
     """Potential gamma with gamma_u = mu1, gamma_v = mu2, gamma(u0, v0) = 0.
 
     Requires the flatness defect to sit below tol (default 10 h^2 scale).
     """
     spec = coeffs.spec
-    defect = normal_flatness_defect(coeffs)
     if tol is None:
         tol = residual_tolerance(spec, coeffs.max_abs())
-    if not (defect.max_abs() <= tol):
-        raise NonIntegrableError(
-            f"normal connection is not flat: defect {defect.max_abs():.3e} > tol {tol:.3e}")
-    return FieldGrid(spec, integrate_gradient(spec, coeffs.mu1.values, coeffs.mu2.values))
+    gamma, _ = closed_potential(spec, coeffs.mu1.values, coeffs.mu2.values, tol,
+                                "normal connection form mu1 du + mu2 dv")
+    return FieldGrid(spec, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +243,7 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     aj = np.take_along_axis(comps_a, j[..., None], axis=-1)[..., 0]
     bj = np.take_along_axis(comps_b, j[..., None], axis=-1)[..., 0]
 
-    n1, n2 = metric_conventions(case).n_signs
+    n1, n2 = case.n_signs
     # a definite normal bundle rotates by a trigonometric angle; a Lorentzian
     # one (NT, LS) is classified from the data
     req = "generic" if variant == "auto" and n1 == n2 else variant
@@ -317,7 +325,7 @@ class ParallelNormalReport:
 def second_form_pseudo_norm(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
     """Gauge-invariant n-sign weighted square norm of the second form."""
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    n1, n2 = metric_conventions(case).n_signs
+    n1, n2 = case.n_signs
     return FieldGrid(coeffs.spec,
                      n1 * (a1 * a1 + a2 * a2 + a3 * a3) + n2 * (b1 * b1 + b2 * b2 + b3 * b3))
 

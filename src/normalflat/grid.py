@@ -165,6 +165,18 @@ def _diff2_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 # round-off floor of quantities that are exact on closed-form inputs
 ROUND_OFF_TOL = 1e-10
 
+# floors of the quantities that must stay away from zero (require_nonzero)
+DEGENERACY_FLOOR = 1e-12  # products of potential gradients dividing an assembly
+EXCLUSION_MARGIN = 1e-9  # an angle, slope or Riccati solution off its excluded values
+FORMS_FLOOR = 1e-14  # the gradient square dividing the Riccati forms
+
+
+def require_nonzero(error, message: str, *fields, floor: float) -> None:
+    """Raise error(message) unless min |x| >= floor for every field; a NaN fails."""
+    for x in fields:
+        if not (np.min(np.abs(x)) >= floor):
+            raise error(message)
+
 
 def residual_tolerance(spec: GridSpec, scale: float) -> float:
     """10 h^2 (1 + scale): residuals linear in coefficients of magnitude scale."""

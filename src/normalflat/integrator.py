@@ -21,8 +21,8 @@ import numpy as np
 
 from .frames import CoefficientSet, _curvature_norm, assemble_connection, sweep
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
-                   isothermality_tolerance, residual_tolerance)
-from .spaceform import CaseSpec, ambient_signature, metric_conventions
+                   isothermality_tolerance, load_fields, residual_tolerance, save_fields)
+from .spaceform import CaseSpec, ambient_signature
 
 __all__ = [
     "FrameField",
@@ -76,7 +76,7 @@ class FrameField:
         e2l = np.exp(2 * lam.values)
         signs = sig.array()
         gram = np.swapaxes(self.values * signs[:, None], -1, -2) @ self.values
-        target = np.diag(metric_conventions(self.case).frame_signs) * e2l[..., None, None]
+        target = np.diag(self.case.frame_signs) * e2l[..., None, None]
         frame_dev = np.max(np.abs(gram[..., :4, :4] - target) / e2l[..., None, None])
         out = {"gram_max": float(frame_dev)}
         if self.case.l0 != 0:
@@ -88,30 +88,18 @@ class FrameField:
 def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
     """Initial frame from the ambient axes, scaled by e^{lambda(base)}.
 
-    Axes are assigned greedily so that each column's self inner product
-    has the sign demanded by the case conventions; for L0 != 0 the
-    remaining axis carries the base position on the quadric.
+    Positive columns take the leading ambient axes, negative columns the
+    axes after them; for L0 != 0 the last axis of sign L0 is left over and
+    carries the base position on the quadric.
     """
     sig = ambient_signature(case)
-    need = metric_conventions(case).frame_signs
-    signs = list(sig.signs)
-    used = [False] * sig.dim
     frame = np.zeros((sig.dim, 5))
-    s = float(np.exp(lam0))
-    for col, want in enumerate(need):
-        for ax in range(sig.dim):
-            if not used[ax] and signs[ax] == want:
-                frame[ax, col] = s
-                used[ax] = True
-                break
-        else:  # pragma: no cover - table guarantees feasibility
-            raise ValueError(f"no ambient axis with sign {want} left for case {case.case_id}")
+    axes = list(range(sig.dim))
     if case.l0 != 0:
-        ax = used.index(False)
-        want = 1 if case.l0 > 0 else -1
-        if signs[ax] != want:  # pragma: no cover
-            raise ValueError("leftover axis cannot carry the quadric base point")
-        frame[ax, 4] = 1.0 / np.sqrt(abs(case.l0))
+        point = max(ax for ax in axes if sig.signs[ax] * case.l0 > 0)
+        frame[axes.pop(point), 4] = 1.0 / np.sqrt(abs(case.l0))
+    columns = sorted(range(4), key=lambda col: -case.frame_signs[col])
+    frame[axes, columns] = np.exp(lam0)
     return frame
 
 
@@ -120,7 +108,7 @@ def _frame0_gram_defect(frame0: np.ndarray, case: CaseSpec, lam0: float) -> floa
     sig = ambient_signature(case)
     e2l = np.exp(2 * lam0)
     gram = np.einsum("ak,a,al->kl", frame0, sig.array(), frame0)
-    target = np.diag([*(s * e2l for s in metric_conventions(case).frame_signs),
+    target = np.diag([*(s * e2l for s in case.frame_signs),
                       1.0 / case.l0 if case.l0 != 0 else 0.0])
     n = 5 if case.l0 != 0 else 4  # the flat model leaves the position unconstrained
     dev = np.max(np.abs(gram[:n, :n] - target[:n, :n]))
@@ -194,7 +182,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
 
     T1 = _diff_along(F, spec.du, 0)
     T2 = _diff_along(F, spec.dv, 1)
-    g1, g2, n1s, n2s = metric_conventions(case).frame_signs
+    g1, g2, n1s, n2s = case.frame_signs
     q11 = g1 * inner(T1, T1)
     q22 = g2 * inner(T2, T2)
     if not (np.all(q11 > 0) and np.all(q22 > 0)):
@@ -298,14 +286,12 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
 # ---------------------------------------------------------------------------
 
 def save_mesh(path, mesh: SurfaceMesh) -> None:
-    from .grid import save_fields
     fields = {f"x{k}": FieldGrid(mesh.spec, mesh.positions[..., k])
               for k in range(mesh.dim)}
     save_fields(path, fields)
 
 
 def load_mesh(path) -> SurfaceMesh:
-    from .grid import load_fields
     fields = load_fields(path)
     names = sorted(n for n in fields if n.startswith("x"))
     if not names:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import curvature, sweep
-from .grid import FieldGrid, GridSpec, _diff2_along, _diff_along, quadratic_tolerance
-from .spaceform import CaseSpec, metric_conventions
+from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, _diff2_along, _diff_along,
+                   quadratic_tolerance, require_nonzero)
+from .spaceform import CaseSpec
 
 __all__ = [
     "OneForm",
@@ -113,8 +114,7 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
     the cos^2/sin^2 coefficient vectors, and delta enters the rotation.
     The Lorentzian-ambient cases (LS, LT) have no real angle system.
     """
-    conv = metric_conventions(case)
-    if conv.parity < 0:
+    if case.parity < 0:
         raise ValueError(f"no Riccati angle system for case {case.case_id}")
     spec = f_minus.spec
     f = f_minus.values
@@ -125,10 +125,10 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
     fuv = _diff_along(fu, spec.dv, 1)
     xi = xi_tilde(f) if callable(xi_tilde) else float(xi_tilde) * np.ones(spec.shape)
 
-    if conv.kappa > 0:
+    if case.kappa > 0:
         B = fu * fu + fv * fv
-        if not (np.min(np.abs(B)) >= 1e-14):
-            raise DegenerateFormsError("grad(f)^2 vanishes somewhere (case R/NS)")
+        require_nonzero(DegenerateFormsError, "grad(f)^2 vanishes somewhere (case R/NS)", B,
+                        floor=FORMS_FLOOR)
         p1 = xi * (fu * fu - fv * fv)
         p2 = -fuu + fvv
         q1 = xi * fu * fv
@@ -141,8 +141,8 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
 
     delta = case.delta
     B = case.eps * (fu * fu - fv * fv)
-    if not (np.min(np.abs(B)) >= 1e-14):
-        raise DegenerateFormsError("fu^2 - fv^2 vanishes somewhere (case NT)")
+    require_nonzero(DegenerateFormsError, "fu^2 - fv^2 vanishes somewhere (case NT)", B,
+                    floor=FORMS_FLOOR)
     r1 = fuv
     r2 = -xi * fu * fv
     s1 = -(fuu + fvv)
@@ -198,7 +198,7 @@ def _solve_one_order(S, T, spec, t0, bound, interval, margin, transposed):
 
 
 def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
-                  bound: float = 1e6, margin: float = 1e-9) -> RiccatiSolution:
+                  bound: float = 1e6, margin: float = EXCLUSION_MARGIN) -> RiccatiSolution:
     """Path-ordered solution of dt = w0 + t w1 + t^2 w2 from t(u0, v0) = t0.
 
     Integrates along the base row, then down every column; the defect is

@@ -12,9 +12,11 @@ LS    Lorentzian                space-like      <N1,N1> = -<N2,N2> = +e^{2L}
 LT    Lorentzian                time-like       <N1,N1> = <N2,N2> = +e^{2L}
 ====  ========================  ==============  =====================
 
-The sign table ``_METRIC`` is the single source of every per-case sign:
-(g1, g2) are the signs of <T_i, T_i>, (n1, n2) those of <N_i, N_i>.  With
-k = g1 g2, p = n1 n2, q = L0 e^{2 lambda}, l = lambda, a = alpha, b = beta:
+The sign table ``_METRIC`` is the single source of every per-case sign,
+and :class:`CaseSpec` carries them: ``g_signs`` (g1, g2) are the signs of
+<T_i, T_i>, ``n_signs`` (n1, n2) those of <N_i, N_i>, ``kappa`` is k and
+``parity`` k p.  With k = g1 g2, p = n1 n2, q = L0 e^{2 lambda}, l =
+lambda, a = alpha, b = beta:
 
 * S (frames): S02 = -g1 n1 a1, S03 = -g1 n2 b1, S12 = -g2 n1 a2, S13 = -g2 n2 b2,
   S10 = -k l_v, S23 = -p mu1, S40 = -g1 q; T the same with the a, b, mu
@@ -46,8 +48,6 @@ __all__ = [
     "CASES",
     "CaseSpec",
     "AmbientSignature",
-    "MetricConventions",
-    "metric_conventions",
     "ambient_signature",
     "ambient_inner",
     "quadric_defect",
@@ -94,22 +94,15 @@ class CaseSpec:
         return cls(doc["case"], float(doc.get("l0", 0.0)),
                    int(doc.get("eps", 1)), int(doc.get("delta", 1)))
 
+    @property
+    def g_signs(self) -> tuple:
+        """Signs of <T1, T1> and <T2, T2> relative to e^{2 lambda}."""
+        return _METRIC[self.case_id][0]
 
-@dataclass(frozen=True)
-class AmbientSignature:
-    dim: int
-    signs: tuple
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.signs, dtype=float)
-
-
-@dataclass(frozen=True)
-class MetricConventions:
-    """Signs of <T_i, T_i> and <N_i, N_i> relative to e^{2*lambda}."""
-
-    g_signs: tuple
-    n_signs: tuple
+    @property
+    def n_signs(self) -> tuple:
+        """Signs of <N1, N1> and <N2, N2> relative to e^{2 lambda}."""
+        return _METRIC[self.case_id][1]
 
     @property
     def frame_signs(self) -> tuple:
@@ -127,15 +120,18 @@ class MetricConventions:
         return self.kappa * self.n_signs[0] * self.n_signs[1]
 
 
-def metric_conventions(case: CaseSpec | str) -> MetricConventions:
-    cid = case if isinstance(case, str) else case.case_id
-    g, n = _METRIC[cid]
-    return MetricConventions(g, n)
+@dataclass(frozen=True)
+class AmbientSignature:
+    dim: int
+    signs: tuple
+
+    def array(self) -> np.ndarray:
+        return np.asarray(self.signs, dtype=float)
 
 
 def ambient_signature(case: CaseSpec) -> AmbientSignature:
     """Model space of the case: dimension and metric sign pattern."""
-    k = metric_conventions(case).frame_signs.count(-1)
+    k = case.frame_signs.count(-1)
     if case.l0 == 0:
         dim = 4
     else:

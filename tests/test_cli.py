@@ -177,13 +177,28 @@ def test_riccati_cli_blowup_exit_code(tmp_path):
     assert rc in (1, 2)
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["verify"]) == 1                      # missing required args
     assert main(["frobnicate"]) == 1                  # unknown subcommand
     assert main(["riccati", "--fminus", "u", "--case", "R", "--t0", "0",
                  "--grid", "bad", "--out", str(tmp_path / "x.json")]) == 1
     assert main(["verify", "--coeffs", str(tmp_path / "missing.json"),
                  "--case", "R"]) == 1
+    # malformed descriptors: a null grid size, list-valued params, a top-level list
+    good = {"family": "product", "case": "R",
+            "grid": {"u0": 0, "v0": 0, "du": 0.03, "dv": 0.03, "nu": 34, "nv": 34},
+            "params": {"radius1": 1.0, "radius2": 1.0}}
+    for name, doc in (("null_nu", {**good, "grid": {**good["grid"], "nu": None}}),
+                      ("list_params", {**good, "params": [1, 2]}),
+                      ("list_doc", [good])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["construct", "--params", str(path),
+                     "--out", str(tmp_path / "c.json")]) == 1, name
+    for t0 in ("nan", "inf"):
+        assert main(["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", t0,
+                     "--grid", "0:0:0.05:0.05:21:21", "--out", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err.count("normalflat: ") == 9
 
 
 def test_report_deterministic(torus_file, tmp_path):

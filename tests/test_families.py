@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from normalflat import CaseSpec, FieldGrid, GridSpec
 from normalflat.families import (
@@ -230,6 +231,35 @@ def test_rotation_angle_ls_rejects_vanishing_b(spec):
         rotation_angle(FieldGrid(spec, (1 + 1j) * (U + V)), CaseSpec("LS", 0.0))
 
 
+def test_rotation_angle_lt_matches_derived_relation(spec):
+    # Derive the LT rotation from the conjugate relation alone:
+    # (conj f)_u = c f_u + s f_v and (conj f)_v = -s f_u - c f_v, with
+    # f_u = a + i b and f_v = p + i q.  The u relation fixes (c, s).
+    a, b, p, q, c, s = sp.symbols("a b p q c s", real=True)
+    fu, fv = a + sp.I * b, p + sp.I * q
+    rel_u = sp.conjugate(fu) - (c * fu + s * fv)
+    rel_v = sp.conjugate(fv) + (s * fu + c * fv)
+    sol = sp.solve([sp.re(rel_u), sp.im(rel_u)], [c, s], dict=True)[0]
+    # f_u^2 - f_v^2 real means a b = p q; then the v relation follows and
+    # (c, s) is a hyperbolic pair, c^2 - s^2 = 1
+    real = {q: a * b / p}
+    for expr in (sp.re(rel_v), sp.im(rel_v), c**2 - s**2 - 1):
+        assert sp.simplify(expr.subs(sol).subs(real)) == 0
+
+    # the LT potential of the frame round trip: f_u = 1 + i, f_v = sqrt 2 + i/sqrt 2
+    U, V = spec.mesh()
+    f = FieldGrid(spec, (1 + 1j) * U + (np.sqrt(2) + 1j / np.sqrt(2)) * V)
+    at = {a: 1, b: 1, p: sp.sqrt(2), q: 1 / sp.sqrt(2)}
+    c0, s0 = (float(sol[x].subs(at)) for x in (c, s))
+    delta = int(np.sign(c0))
+    psi, resid = rotation_angle(f, CaseSpec("LT", 0.0, delta=delta))
+    assert resid <= 1e-12
+    assert np.max(np.abs(np.sinh(psi.values) - s0)) <= 1e-12
+    assert np.max(np.abs(delta * np.cosh(psi.values) - c0)) <= 1e-12
+    with pytest.raises(FamilyInputError, match="delta inconsistent"):
+        rotation_angle(f, CaseSpec("LT", 0.0, delta=-delta))
+
+
 # --------------------------------------------------------------------------
 # not-linearly-dependent pipelines
 # --------------------------------------------------------------------------
@@ -396,6 +426,9 @@ def test_gates_reject_nan(spec):
     for case, pot, match in notld:
         with pytest.raises(FamilyInputError, match=match):
             build_notld_family(pot, case)
+    with pytest.raises(NonIntegrableError, match="partner gradient is not closed"):
+        angle_link(FieldGrid(spec, U), _with_nan(FieldGrid.constant(spec, 0.7)),
+                   CaseSpec("R", 0.0))
     positions = np.stack([np.cos(U), np.sin(U), np.cos(V), np.sin(V)], axis=-1)
     positions[spec.nu // 2, spec.nv // 2, 0] = np.nan
     with pytest.raises(SignatureError):

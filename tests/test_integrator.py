@@ -24,7 +24,7 @@ from normalflat.integrator import (
     reconstruct_coefficients,
     save_mesh,
 )
-from normalflat.spaceform import CASES, ambient_inner, ambient_signature, metric_conventions
+from normalflat.spaceform import CASES, ambient_inner, ambient_signature
 
 from conftest import random_coefficients
 
@@ -140,7 +140,7 @@ def test_gram_drift_matches_pointwise_oracle():
             values = rng.standard_normal((17, 17, sig.dim, 5))
             lam = 0.3 * rng.standard_normal((17, 17))
             got = FrameField(case, spec, values).gram_drift(FieldGrid(spec, lam))
-            target = metric_conventions(case).frame_signs
+            target = case.frame_signs
             want = {"gram_max": 0.0, "quadric_max": 0.0, "position_cross_max": 0.0}
             for i in range(17):
                 for j in range(17):
@@ -180,7 +180,7 @@ def _reference_reconstruction(mesh, case):
 
     T1 = _diff_along(F, spec.du, 0)
     T2 = _diff_along(F, spec.dv, 1)
-    g1, _, n1s, n2s = metric_conventions(case).frame_signs
+    g1, _, n1s, n2s = case.frame_signs
     e2l = g1 * inner(T1, T1)
     lam = 0.5 * np.log(e2l)
 
@@ -269,10 +269,9 @@ def test_canonical_frame_gram_exact(case_id, l0):
     case = CaseSpec(case_id, l0)
     frame = canonical_frame0(case, 0.3)
     sig = ambient_signature(case)
-    mc = metric_conventions(case)
     e2l = np.exp(0.6)
     gram = np.einsum("ak,a,al->kl", frame, sig.array(), frame)
-    diag = (*mc.g_signs, *mc.n_signs)
+    diag = (*case.g_signs, *case.n_signs)
     for k in range(4):
         for m in range(4):
             want = diag[k] * e2l if k == m else 0.0

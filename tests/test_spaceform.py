@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normalflat import CaseSpec, ambient_inner, ambient_signature, quadric_defect
-from normalflat.spaceform import metric_conventions
 
 
 def test_case_spec_validation():
@@ -35,17 +34,16 @@ def test_ambient_signature_table(case_id, l0, dim, signs):
     assert sig.signs == signs
 
 
-def test_metric_conventions_table():
-    assert metric_conventions("R") == metric_conventions(CaseSpec("R"))
-    mc = {c: metric_conventions(c) for c in ("R", "NS", "NT", "LS", "LT")}
-    assert mc["R"].g_signs == (1, 1) and mc["R"].n_signs == (1, 1)
-    assert mc["NS"].n_signs == (-1, -1)
-    assert mc["NT"].g_signs == (1, -1) and mc["NT"].n_signs == (1, -1)
-    assert mc["LS"].g_signs == (1, 1) and mc["LS"].n_signs == (1, -1)
-    assert mc["LT"].g_signs == (1, -1) and mc["LT"].n_signs == (1, 1)
+def test_case_sign_table():
+    cases = {c: CaseSpec(c) for c in ("R", "NS", "NT", "LS", "LT")}
+    assert cases["R"].g_signs == (1, 1) and cases["R"].n_signs == (1, 1)
+    assert cases["NS"].n_signs == (-1, -1)
+    assert cases["NT"].g_signs == (1, -1) and cases["NT"].n_signs == (1, -1)
+    assert cases["LS"].g_signs == (1, 1) and cases["LS"].n_signs == (1, -1)
+    assert cases["LT"].g_signs == (1, -1) and cases["LT"].n_signs == (1, 1)
     # the angle pipelines' selectors: Lorentzian tangent plane, Lorentzian ambient
-    assert [c for c in mc if mc[c].kappa == -1] == ["NT", "LT"]
-    assert [c for c in mc if mc[c].parity == -1] == ["LS", "LT"]
+    assert [c for c in cases if cases[c].kappa == -1] == ["NT", "LT"]
+    assert [c for c in cases if cases[c].parity == -1] == ["LS", "LT"]
 
 
 def test_ambient_inner_examples():
