@@ -113,10 +113,14 @@ def _grid_from_doc(doc: dict) -> GridSpec:
 
 
 def _env_tol(args_tol):
-    if args_tol is not None:
-        return args_tol
-    env = os.environ.get("NORMALFLAT_TOL")
-    return float(env) if env else None
+    """--tol, else NORMALFLAT_TOL, else None (the subcommand's default)."""
+    tol = args_tol
+    if tol is None:
+        env = os.environ.get("NORMALFLAT_TOL")
+        tol = float(env) if env else None
+    if tol is not None and not np.isfinite(tol):
+        raise UsageError(f"tolerance must be finite, got {tol}")
+    return tol
 
 
 def _sample(spec: GridSpec, source, variables=("u", "v")):
@@ -172,12 +176,16 @@ def _cmd_construct(args) -> int:
     except (TypeError, AttributeError) as exc:
         raise UsageError(f"bad case or grid in the family descriptor: {exc}") from None
     p = doc.get("params", {})
+    for key, value in p.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"param {key!r} must be a string or a number, "
+                             f"got {json.dumps(value)}")
 
     if family == "product":
         result = build_product_family(float(p.get("radius1", 1.0)),
                                       float(p.get("radius2", 1.0)), case, spec)
     elif family == "phi":
-        xi = compile_expr(p["xi"], ("s",)) if "xi" in p else None
+        xi = compile_expr(str(p["xi"]), ("s",)) if "xi" in p else None
         xi_fn = (lambda x: xi(s=x)) if xi else None
         inp = PhiFamilyInput(
             lam=_sample(spec, p.get("lambda", 0.0)),
@@ -186,12 +194,12 @@ def _cmd_construct(args) -> int:
             xi=xi_fn)
         result = build_phi_family(inp, case)
     elif family == "light":
-        prof = compile_expr(p.get("profile", "1"), ("u",))
+        prof = compile_expr(str(p.get("profile", "1")), ("u",))
         result = build_nt_light_family(
             spec, _sample(spec, p.get("gamma", 0.0)),
             lambda U: np.broadcast_to(prof(u=U), U.shape), case)
     elif family == "notld":
-        xi = compile_expr(p["xi_tilde"], ("s",)) if "xi_tilde" in p else None
+        xi = compile_expr(str(p["xi_tilde"]), ("s",)) if "xi_tilde" in p else None
         pot = NotldPotentials(
             f_minus=_sample(spec, p["f_minus"]) if "f_minus" in p else None,
             angle=_sample(spec, p["angle"]) if "angle" in p else None,

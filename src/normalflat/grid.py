@@ -264,21 +264,17 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         raise GridShapeError("all fields in one file must share a grid")
     spec = next(iter(specs))
     kind = "complex" if any(f.kind == "complex" for f in fields.values()) else "real"
-    doc = {
-        "u0": spec.u0, "v0": spec.v0,
-        "du": spec.du, "dv": spec.dv,
-        "nu": spec.nu, "nv": spec.nv,
-        "kind": kind,
-        "fields": {
-            name: _encode(
-                f.values.astype(np.complex128) if kind == "complex" else f.values, kind
-            )
-            for name, f in sorted(fields.items())
-        },
-    }
+    head = json.dumps({"u0": spec.u0, "v0": spec.v0, "du": spec.du, "dv": spec.dv,
+                       "nu": spec.nu, "nv": spec.nv, "kind": kind})
+    # json.dump's bytes, one field at a time through the C encoder (json.dump
+    # itself runs the pure-Python one): only one field's list and text exist
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "fields": {')
+        for n, (name, f) in enumerate(sorted(fields.items())):
+            values = f.values.astype(np.complex128) if kind == "complex" else f.values
+            fh.write(f"{', ' if n else ''}{json.dumps(name)}: ")
+            fh.write(json.dumps(_encode(values, kind)))
+        fh.write("}}\n")
 
 
 def load_fields(path) -> dict[str, FieldGrid]:

@@ -307,35 +307,40 @@ def export_mesh(mesh, path, fmt: str = "csv", axes=(0, 1, 2)) -> None:
     OBJ export also accepts a bare (nu, nv, dim) position array, with quad
     faces over the grid; CSV needs a SurfaceMesh for its (u, v) columns.
     """
-    positions = mesh.positions if isinstance(mesh, SurfaceMesh) else np.asarray(mesh)
+    positions = np.asarray(mesh.positions if isinstance(mesh, SurfaceMesh) else mesh,
+                           dtype=float)
     nu, nv, dim = positions.shape
     if fmt == "csv":
         if not isinstance(mesh, SurfaceMesh):
             raise ValueError("csv export needs a SurfaceMesh (u, v columns)")
-        U, V = mesh.spec.mesh()
+        table = np.concatenate([np.stack(mesh.spec.mesh(), axis=-1), positions], axis=-1)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "v"] + [f"x{k}" for k in range(dim)])
-            for i in range(nu):
-                for j in range(nv):
-                    w.writerow([repr(float(U[i, j])), repr(float(V[i, j]))]
-                               + [repr(float(c)) for c in positions[i, j]])
+            fh.write(",".join(["u", "v"] + [f"x{k}" for k in range(dim)]) + "\r\n")
+            _write_lines(fh, ",".join(["%r"] * (2 + dim)) + "\r\n",
+                         table.reshape(-1, 2 + dim))
     elif fmt == "obj3d":
         if len(axes) != 3 or max(axes) >= dim:
             raise ValueError("obj export needs three valid projection axes")
+        a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).reshape(-1, 1)
         with open(path, "w") as fh:
-            for i in range(nu):
-                for j in range(nv):
-                    p = positions[i, j]
-                    fh.write(f"v {float(p[axes[0]])!r} {float(p[axes[1]])!r} "
-                             f"{float(p[axes[2]])!r}\n")
-            for i in range(nu - 1):
-                for j in range(nv - 1):
-                    a = i * nv + j + 1
-                    b = (i + 1) * nv + j + 1
-                    fh.write(f"f {a} {b} {b + 1} {a + 1}\n")
+            _write_lines(fh, "v %r %r %r\n", positions[..., list(axes)].reshape(-1, 3))
+            _write_lines(fh, "f %d %d %d %d\n", np.hstack([a, a + nv, a + nv + 1, a + 1]))
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
+
+
+_ROWS_PER_WRITE = 1 << 16  # bounds the Python floats and text alive at once
+
+
+def _write_lines(fh, line: str, table: np.ndarray) -> None:
+    """Write ``line % row`` for every row of a 2-d array, in bulk.
+
+    The values go through ``tolist()``, so ``%r`` prints a float as its
+    shortest repr, exactly as ``repr(float(x))`` would.
+    """
+    for start in range(0, len(table), _ROWS_PER_WRITE):
+        rows = table[start:start + _ROWS_PER_WRITE]
+        fh.write((line * len(rows)) % tuple(rows.reshape(-1).tolist()))
 
 
 def load_mesh_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -102,6 +102,22 @@ def test_construct_phi_and_light(tmp_path):
     assert doc["verdicts"]["field_kind"] == "light"
 
 
+def test_construct_numeric_expression_params(tmp_path):
+    # a number where a one-variable expression is expected reads as that constant
+    grid = {"u0": 0, "v0": 0, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41}
+    for family, case, params, key in (
+            ("phi", "R", {"lambda": 0.0, "phi": "u", "theta": "0.785398163397448"}, "xi"),
+            ("light", "NT", {"gamma": "0.3*u"}, "profile")):
+        outs = []
+        for value in (2, "2"):
+            path = tmp_path / f"{family}.json"
+            path.write_text(json.dumps({"family": family, "case": case, "grid": grid,
+                                        "params": {**params, key: value}}))
+            outs.append(tmp_path / f"{family}_{value!r}.json")
+            assert main(["construct", "--params", str(path), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), family
+
+
 def test_construct_notld_cli(tmp_path):
     params = tmp_path / "notld.json"
     params.write_text(json.dumps({
@@ -177,20 +193,25 @@ def test_riccati_cli_blowup_exit_code(tmp_path):
     assert rc in (1, 2)
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert main(["verify"]) == 1                      # missing required args
     assert main(["frobnicate"]) == 1                  # unknown subcommand
     assert main(["riccati", "--fminus", "u", "--case", "R", "--t0", "0",
                  "--grid", "bad", "--out", str(tmp_path / "x.json")]) == 1
     assert main(["verify", "--coeffs", str(tmp_path / "missing.json"),
                  "--case", "R"]) == 1
-    # malformed descriptors: a null grid size, list-valued params, a top-level list
+    # malformed descriptors: a null grid size, list-valued params, a top-level
+    # list, and params values that are neither strings nor numbers
     good = {"family": "product", "case": "R",
             "grid": {"u0": 0, "v0": 0, "du": 0.03, "dv": 0.03, "nu": 34, "nv": 34},
             "params": {"radius1": 1.0, "radius2": 1.0}}
     for name, doc in (("null_nu", {**good, "grid": {**good["grid"], "nu": None}}),
                       ("list_params", {**good, "params": [1, 2]}),
-                      ("list_doc", [good])):
+                      ("list_doc", [good]),
+                      ("null_radius", {**good, "params": {"radius1": None}}),
+                      ("null_f_minus", {**good, "family": "notld",
+                                        "params": {"f_minus": None, "angle": "1.2"}}),
+                      ("bool_radius", {**good, "params": {"radius2": True}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["construct", "--params", str(path),
@@ -198,7 +219,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for t0 in ("nan", "inf"):
         assert main(["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", t0,
                      "--grid", "0:0:0.05:0.05:21:21", "--out", str(tmp_path / "t.json")]) == 1
-    assert capsys.readouterr().err.count("normalflat: ") == 9
+    # a tolerance that is not finite, from --tol or NORMALFLAT_TOL
+    for tol in ("nan", "inf", "-inf"):
+        for cmd in ("verify", "detect"):
+            argv = [cmd, "--coeffs", str(torus_file), "--case", "R"]
+            assert main(argv + [f"--tol={tol}"]) == 1, (cmd, tol)
+            monkeypatch.setenv("NORMALFLAT_TOL", tol)
+            assert main(argv) == 1, (cmd, tol)
+            monkeypatch.delenv("NORMALFLAT_TOL")
+    err = capsys.readouterr().err
+    assert err.count("normalflat: ") == 24
+    assert err.count("tolerance must be finite") == 12
+    assert "Traceback" not in err
 
 
 def test_report_deterministic(torus_file, tmp_path):

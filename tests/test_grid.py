@@ -129,6 +129,30 @@ def test_field_file_roundtrip_bit_exact(tmp_path, unit_spec):
     assert doc["kind"] == "complex"
 
 
+_SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -5e-324, 1e-300, -1e300]
+
+
+def test_field_file_bytes_pinned_to_json_dump(tmp_path):
+    # the reference is the pure-Python encoder json.dump streams through
+    spec = GridSpec(-0.0, 0.1, 0.1, 1e-3, 5, 7)
+    rng = np.random.default_rng(11)
+    vals = 10.0 ** rng.uniform(-300, 300, (3, 5, 7)) * rng.choice([-1, 1], (3, 5, 7))
+    vals.reshape(3, -1)[:, :len(_SPECIAL)] = _SPECIAL
+    real = {"b": FieldGrid(spec, vals[0]), "a": FieldGrid(spec, vals[1])}
+    both = {**real, "z": FieldGrid(spec, vals[2] - 1j * vals[0])}
+    for kind, fields in (("real", real), ("complex", both)):
+        path = tmp_path / f"{kind}.json"
+        save_fields(path, fields)
+        dtype = complex if kind == "complex" else float
+        # a complex array viewed as doubles interleaves [re, im, ...]
+        doc = {"u0": -0.0, "v0": 0.1, "du": 0.1, "dv": 1e-3, "nu": 5, "nv": 7, "kind": kind,
+               "fields": {name: fields[name].values.astype(dtype).view(float).ravel().tolist()
+                          for name in sorted(fields)}}
+        expected = "".join(json.JSONEncoder().iterencode(doc)) + "\n"
+        assert path.read_bytes() == expected.encode(), kind
+        assert path.read_text().count("-0.0") >= 2  # sign of zero kept
+
+
 def test_field_file_real_kind(tmp_path, unit_spec):
     f = FieldGrid.from_function(unit_spec, lambda U, V: U - V)
     path = tmp_path / "real.json"

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -368,6 +371,52 @@ def test_csv_export_bit_exact(tmp_path):
     export_mesh(mesh, path, "csv")
     _, _, coords = load_mesh_csv(path)
     assert np.array_equal(coords, mesh.positions.reshape(-1, 4))
+
+
+def _reference_csv(mesh) -> bytes:
+    U, V = mesh.spec.mesh()
+    nu, nv, dim = mesh.positions.shape
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["u", "v"] + [f"x{k}" for k in range(dim)])
+    for i in range(nu):
+        for j in range(nv):
+            w.writerow([repr(float(U[i, j])), repr(float(V[i, j]))]
+                       + [repr(float(c)) for c in mesh.positions[i, j]])
+    return out.getvalue().encode()
+
+
+def _reference_obj(positions, axes) -> bytes:
+    nu, nv, _ = positions.shape
+    out = []
+    for i in range(nu):
+        for j in range(nv):
+            p = positions[i, j]
+            out.append(f"v {float(p[axes[0]])!r} {float(p[axes[1]])!r} {float(p[axes[2]])!r}\n")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b = (i + 1) * nv + j + 1
+            out.append(f"f {a} {b} {b + 1} {a + 1}\n")
+    return "".join(out).encode()
+
+
+def test_exports_match_per_vertex_reference(tmp_path):
+    spec = GridSpec(-0.0, 0.25, 0.1, 1e-3, 7, 11)
+    rng = np.random.default_rng(5)
+    pos = 10.0 ** rng.uniform(-300, 300, (7, 11, 5)) * rng.choice([-1, 1], (7, 11, 5))
+    pos.flat[:6] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -5e-324, 0.0]
+    mesh = SurfaceMesh(spec, pos)
+    path = tmp_path / "mesh.csv"
+    export_mesh(mesh, path, "csv")
+    assert path.read_bytes() == _reference_csv(mesh)
+    for axes in ((0, 1, 2), (4, 0, 2), (3, -1, 3)):
+        path = tmp_path / "mesh.obj"
+        export_mesh(mesh, path, "obj3d", axes)
+        assert path.read_bytes() == _reference_obj(pos, axes), axes
+    bare = np.arange(5 * 6 * 3).reshape(5, 6, 3)  # integer positions print as floats
+    export_mesh(bare, path, "obj3d")
+    assert path.read_bytes() == _reference_obj(bare, (0, 1, 2))
 
 
 def test_obj_two_by_two(tmp_path):
