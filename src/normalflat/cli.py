@@ -118,8 +118,8 @@ def _env_tol(args_tol):
     if tol is None:
         env = os.environ.get("NORMALFLAT_TOL")
         tol = float(env) if env else None
-    if tol is not None and not np.isfinite(tol):
-        raise UsageError(f"tolerance must be finite, got {tol}")
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tolerance must be finite and non-negative, got {tol}")
     return tol
 
 

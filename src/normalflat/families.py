@@ -38,8 +38,8 @@ from .gcr import (
     normal_flatness_defect,
 )
 from .grid import (DEGENERACY_FLOOR, EXCLUSION_MARGIN, ROUND_OFF_TOL, FieldGrid, GridSpec,
-                   _diff2_along, _diff_along, angle_link_tolerance, family_tolerance,
-                   require_nonzero, residual_tolerance)
+                   angle_link_tolerance, family_tolerance, grad, hessian, require_nonzero,
+                   residual_tolerance, wedge)
 from .spaceform import CaseSpec
 
 __all__ = [
@@ -64,15 +64,6 @@ class FamilyResult:
     coeffs: CoefficientSet
     certificate: dict
     extras: dict = field(default_factory=dict)
-
-
-def _grad(values: np.ndarray, spec: GridSpec):
-    return _diff_along(values, spec.du, 0), _diff_along(values, spec.dv, 1)
-
-
-def _jacobian(fu, fv, gu, gv):
-    """du^dv coefficient of df ^ dg."""
-    return fu * gv - fv * gu
 
 
 def certify(coeffs: CoefficientSet, case: CaseSpec, identities: dict | None = None,
@@ -150,11 +141,9 @@ def phi_equation_residual(phi: FieldGrid, lam: FieldGrid) -> FieldGrid:
         + (phi_u^2 + phi_v^2)(phi_u lam_u + phi_v lam_v) = 0.
     """
     spec = phi.spec
-    pu, pv = _grad(phi.values, spec)
-    puu = _diff2_along(phi.values, spec.du, 0)
-    pvv = _diff2_along(phi.values, spec.dv, 1)
-    puv = _diff_along(pu, spec.dv, 1)
-    lu, lv = _grad(lam.values, spec)
+    pu, pv = grad(phi.values, spec)
+    puu, puv, pvv = hessian(phi.values, spec)
+    lu, lv = grad(lam.values, spec)
     res = pv * pv * puu - 2 * pu * pv * puv + pu * pu * pvv \
         + (pu * pu + pv * pv) * (pu * lu + pv * lv)
     return FieldGrid(spec, res)
@@ -190,7 +179,7 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     if not (phi_res <= tol):
         raise FamilyInputError(f"phi violates its compatibility equation ({phi_res:.3e})")
 
-    pu, pv = _grad(inp.phi.values, spec)
+    pu, pv = grad(inp.phi.values, spec)
     g2 = pu * pu + pv * pv
     if not (np.min(g2) > 0):
         raise FamilyInputError("grad phi must be nonvanishing")
@@ -198,7 +187,7 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     a1, a2, a3 = amp * pu * pu, amp * pu * pv, amp * pv * pv
     ratio = -ct / st
     gamma = -theta + (inp.xi(inp.phi.values) if callable(inp.xi) else 0.0)
-    m1, m2 = _grad(gamma, spec)
+    m1, m2 = grad(gamma, spec)
 
     coeffs = CoefficientSet.from_arrays(
         spec, lam=inp.lam.values,
@@ -229,7 +218,7 @@ def build_nt_light_family(spec: GridSpec, gamma: FieldGrid, profile,
     require_nonzero(FamilyInputError, "amplitude profile must be nonvanishing", prof,
                     floor=DEGENERACY_FLOOR)
     amp = prof * np.exp(eps * gamma.values)
-    m1, m2 = _grad(gamma.values, spec)
+    m1, m2 = grad(gamma.values, spec)
     coeffs = CoefficientSet.from_arrays(
         spec, alpha1=amp, beta1=-eps * amp, mu1=m1, mu2=m2)
     cert = certify(coeffs, case)
@@ -264,7 +253,7 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
         return rotation_angle(f, case)
     if angle is None:
         raise ValueError("real cases need the angle field")
-    fu, fv = _grad(f.values, spec)
+    fu, fv = grad(f.values, spec)
     ang = angle.values
     if case.kappa > 0:
         gu = -np.sin(ang) * fu + np.cos(ang) * fv
@@ -300,7 +289,7 @@ def rotation_angle(f: FieldGrid, case: CaseSpec):
         raise ValueError("rotation_angle serves the complex cases only")
     kappa = case.kappa
     spec = f.spec
-    fu, fv = _grad(f.values, spec)
+    fu, fv = grad(f.values, spec)
     A = 2 * np.real(fu * np.conj(fv))
     B = np.real(fu * fu) + kappa * np.real(fv * fv)
     C = np.abs(fu) ** 2 - kappa * np.abs(fv) ** 2
@@ -358,7 +347,7 @@ def _lambda_terms(lam: FieldGrid, case: CaseSpec, A, Ap, P, Q):
     """(1/A') M grad lambda, M = [[P, kappa A], [A, kappa Q]]: the lambda
     correction of every not-linearly-dependent gamma gradient."""
     kappa = case.kappa
-    lu, lv = _grad(lam.values, lam.spec)
+    lu, lv = grad(lam.values, lam.spec)
     return (P * lu + kappa * A * lv) / Ap, (A * lu + kappa * Q * lv) / Ap
 
 
@@ -417,8 +406,8 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     tol = family_tolerance(spec, scale)
 
     f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
-    fmu, fmv = _grad(pot.f_minus.values, spec)
-    fpu, fpv = _grad(f_plus.values, spec)
+    fmu, fmv = grad(pot.f_minus.values, spec)
+    fpu, fpv = grad(f_plus.values, spec)
     psi = pot.angle.values
 
     A = fpv * fmu + fmv * fpu
@@ -450,10 +439,8 @@ def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     wm, zm = -kp * yp, kp * xp
 
     # gamma gradient: -grad theta_- + J grad f_- - (1/A') M grad lambda
-    J_num = _jacobian(fpu, fpv, *_grad(psi, spec))
-    J_den = _jacobian(fpu, fpv, fmu, fmv)
-    J = J_num / J_den
-    thu, thv = _grad(th, spec)
+    J = wedge((fpu, fpv), grad(psi, spec)) / wedge((fpu, fpv), (fmu, fmv))
+    thu, thv = grad(th, spec)
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
     gu = -thu + J * fmu - lgu
     gv = -thv + J * fmv - lgv
@@ -482,8 +469,8 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     tol = family_tolerance(spec, scale)
 
     f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
-    fmu, fmv = _grad(pot.f_minus.values, spec)
-    fpu, fpv = _grad(f_plus.values, spec)
+    fmu, fmv = grad(pot.f_minus.values, spec)
+    fpu, fpv = grad(f_plus.values, spec)
     rho = pot.angle.values
     if eps == 1:
         require_nonzero(FamilyInputError, "rho must be nonvanishing on the eps=+1 branch", rho,
@@ -529,10 +516,8 @@ def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResul
     wp, zp = kp * yp, kp * xp
     wm, zm = km * ym, km * xm
 
-    J_num = _jacobian(fpu, fpv, *_grad(rho, spec))
-    J_den = _jacobian(fpu, fpv, fmu, fmv)
-    J = J_num / J_den
-    tmu, tmv = _grad(tm, spec)
+    J = wedge((fpu, fpv), grad(rho, spec)) / wedge((fpu, fpv), (fmu, fmv))
+    tmu, tmv = grad(tm, spec)
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
     gu = tmu - delta * J * fmu - lgu
     gv = tmv - delta * J * fmv - lgv
@@ -579,7 +564,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     tol = family_tolerance(spec, scale)
 
     fv_ = pot.f.values
-    fu, fv = _grad(fv_, spec)
+    fu, fv = grad(fv_, spec)
     cross = fu * np.conj(fv)
     A = 2 * np.real(cross)
     Ap = 2 * np.imag(cross)
@@ -608,8 +593,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     W, Z = _signed(kappa, k) * Y, k * X
 
     xi = _xi_eval(pot.xi_tilde, fv_)
-    ku = _diff_along(k, spec.du, 0)
-    kv = _diff_along(k, spec.dv, 1)
+    ku, kv = grad(k, spec)
     d = case.delta if kappa < 0 else 1
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * np.abs(fu) ** 2, 2 * np.abs(fv) ** 2)
     gcu = _signed(kappa, ku) / w2 - 1j * d * xi * fu - lgu

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along, _diff_along4, load_fields,
+from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along4, curl, load_fields,
                    save_fields)
 from .spaceform import CaseSpec
 
@@ -161,7 +161,7 @@ def _curvature_norm(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> FieldGrid:
 
 def curvature(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> np.ndarray:
     """S_v - T_u - (ST - TS) per grid point, for (nu, nv, d, d) matrices."""
-    return _diff_along(S, spec.dv, 1) - _diff_along(T, spec.du, 0) - (S @ T - T @ S)
+    return curl(S, T, spec) - (S @ T - T @ S)
 
 
 _SUBSTEPS = 4

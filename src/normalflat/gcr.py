@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import CoefficientSet
-from .grid import FieldGrid, _diff2_along, _diff_along, quadratic_tolerance, residual_tolerance
+from .grid import FieldGrid, curl, grad, hessian, quadratic_tolerance, residual_tolerance
 from .spaceform import CaseSpec
 
 __all__ = [
@@ -56,9 +56,7 @@ def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
 def gauss_lhs(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
     """Conformal side of the Gauss equation, lambda_uu + g1 g2 lambda_vv + L0 e^{2 lambda}."""
     g1, g2 = case.g_signs
-    spec = lam.spec
-    l_uu = _diff2_along(lam.values, spec.du, 0)
-    l_vv = _diff2_along(lam.values, spec.dv, 1)
+    l_uu, _, l_vv = hessian(lam.values, lam.spec)
     return l_uu + g1 * g2 * l_vv + case.l0 * np.exp(2 * lam.values)
 
 
@@ -70,15 +68,14 @@ def codazzi_residual(coeffs: CoefficientSet, case: CaseSpec) -> list[FieldGrid]:
     """The four Codazzi residuals of the active case."""
     lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
     spec = coeffs.spec
-    lu, lv = _diff_along(lam, spec.du, 0), _diff_along(lam, spec.dv, 1)
+    lu, lv = grad(lam, spec)
     g1, g2, n1, n2 = case.frame_signs
     k, p = g1 * g2, n1 * n2
     rhs = [a2 * lu + k * a3 * lv - p * b2 * m1 + p * b1 * m2,
            -k * a1 * lu - a2 * lv - p * b3 * m1 + p * b2 * m2,
            b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2,
            -k * b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    lhs = [_diff_along(x, spec.dv, 1) - _diff_along(y, spec.du, 0)
-           for x, y in ((a1, a2), (a2, a3), (b1, b2), (b2, b3))]
+    lhs = [curl(x, y, spec) for x, y in ((a1, a2), (a2, a3), (b1, b2), (b2, b3))]
     return [FieldGrid(spec, L - R) for L, R in zip(lhs, rhs)]
 
 
@@ -124,9 +121,7 @@ def gcr_residuals(coeffs: CoefficientSet, case: CaseSpec) -> GcrResiduals:
 def normal_flatness_defect(coeffs: CoefficientSet) -> FieldGrid:
     """(mu1)_v - (mu2)_u; zero exactly when the normal connection is flat."""
     spec = coeffs.spec
-    m1v = _diff_along(coeffs.mu1.values, spec.dv, 1)
-    m2u = _diff_along(coeffs.mu2.values, spec.du, 0)
-    return FieldGrid(spec, m1v - m2u)
+    return FieldGrid(spec, curl(coeffs.mu1.values, coeffs.mu2.values, spec))
 
 
 def curvature_minus_l0(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
@@ -152,10 +147,10 @@ def closed_potential(spec, gu: np.ndarray, gv: np.ndarray, tol: float, what: str
                      base_value: float = 0.0) -> tuple[np.ndarray, float]:
     """(Path integral, max |curl|) of gu du + gv dv; a curl above tol, or a
     NaN, raises :class:`NonIntegrableError` naming ``what``."""
-    curl = float(np.max(np.abs(_diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0))))
-    if not (curl <= tol):
-        raise NonIntegrableError(f"{what} is not closed (curl {curl:.3e} > {tol:.3e})")
-    return integrate_gradient(spec, gu, gv, base_value), curl
+    defect = float(np.max(np.abs(curl(gu, gv, spec))))
+    if not (defect <= tol):
+        raise NonIntegrableError(f"{what} is not closed (curl {defect:.3e} > {tol:.3e})")
+    return integrate_gradient(spec, gu, gv, base_value), defect
 
 
 def gamma_potential(coeffs: CoefficientSet, tol: float | None = None) -> FieldGrid:

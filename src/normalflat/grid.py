@@ -1,4 +1,5 @@
-"""Uniform rectangular (u, v) grids and sampled scalar/complex fields.
+"""Uniform rectangular (u, v) grids, sampled scalar/complex fields, and
+the calculus of functions and 1-forms on them.
 
 Every quantity in this package lives on a shared :class:`GridSpec`: a
 rectangle sampled at ``nu x nv`` points with spacings ``du, dv``.  Fields
@@ -6,6 +7,12 @@ are stored as 2-d arrays indexed ``[i, j]`` with ``u = u0 + i*du`` and
 ``v = v0 + j*dv``.  Differentiation uses second-order central stencils in
 the interior and second-order one-sided stencils on the boundary, so every
 residual computed downstream carries a uniform O(h^2) truncation budget.
+
+The calculus is ``grad``, ``hessian``, ``curl`` and ``wedge``; a 1-form
+a du + b dv is its coefficient pair (a, b).  Every other module
+differentiates through these four, so this is the one place where a step
+is paired with an axis.  The one exception is the fourth-order lambda
+gradient of ``frames.assemble_connection`` (``_diff_along4``).
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ __all__ = [
     "FieldGrid",
     "diff_u",
     "diff_v",
+    "grad",
+    "hessian",
+    "curl",
+    "wedge",
     "field_map",
     "save_fields",
     "load_fields",
@@ -42,6 +53,9 @@ class GridSpec:
     nv: int
 
     def __post_init__(self):
+        if not all(np.isfinite((self.u0, self.v0, self.du, self.dv))):
+            raise ValueError(f"grid origin and steps must be finite, got u0={self.u0}, "
+                             f"v0={self.v0}, du={self.du}, dv={self.dv}")
         if not (self.du > 0 and self.dv > 0):
             raise ValueError(f"grid steps must be positive, got du={self.du}, dv={self.dv}")
         if self.nu < 5 or self.nv < 5:
@@ -155,6 +169,27 @@ def _diff2_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out[-1] = (-104 * (f[-2] - f[-1]) + 114 * (f[-3] - f[-1])
                - 56 * (f[-4] - f[-1]) + 11 * (f[-5] - f[-1])) / (12 * h * h)
     return np.moveaxis(out, 0, axis)
+
+
+def grad(f: np.ndarray, spec: GridSpec):
+    """(f_u, f_v) of an array whose first two axes are the grid's."""
+    return _diff_along(f, spec.du, 0), _diff_along(f, spec.dv, 1)
+
+
+def hessian(f: np.ndarray, spec: GridSpec):
+    """(f_uu, f_uv, f_vv), with the mixed derivative taken as (f_u)_v."""
+    f_uv = _diff_along(_diff_along(f, spec.du, 0), spec.dv, 1)
+    return _diff2_along(f, spec.du, 0), f_uv, _diff2_along(f, spec.dv, 1)
+
+
+def curl(gu: np.ndarray, gv: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(gu)_v - (gv)_u: the du^dv coefficient of d(gu du + gv dv)."""
+    return _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
+
+
+def wedge(a, b):
+    """du^dv coefficient of a ^ b, for 1-forms given as (du, dv) coefficient pairs."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
 # ---------------------------------------------------------------------------

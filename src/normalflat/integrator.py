@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import CoefficientSet, _curvature_norm, assemble_connection, sweep
-from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, _diff2_along, _diff_along,
-                   isothermality_tolerance, load_fields, residual_tolerance, save_fields)
-from .spaceform import CaseSpec, ambient_signature
+from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
+                   load_fields, residual_tolerance, save_fields)
+from .spaceform import CaseSpec, ambient_inner, ambient_signature
 
 __all__ = [
     "FrameField",
@@ -140,7 +140,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     field = FrameField(case, spec, sweep(S, T, frame0, spec))
     if project_quadric and case.l0 != 0:
         F = field.values[..., 4]
-        norm = np.einsum("ija,a,ija->ij", F, sig.array(), F)
+        norm = ambient_inner(F, F, sig)
         scale = np.sqrt(np.abs(1.0 / case.l0 / norm))
         field.values[..., 4] = F * scale[..., None]
 
@@ -175,22 +175,17 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
         raise ValueError(f"mesh dimension {mesh.dim} does not match case ({sig.dim})")
     spec = mesh.spec
     F = mesh.positions
-    signs = sig.array()
 
-    def inner(x, y):
-        return np.einsum("ija,a,ija->ij", x, signs, y)
-
-    T1 = _diff_along(F, spec.du, 0)
-    T2 = _diff_along(F, spec.dv, 1)
+    T1, T2 = grad(F, spec)
     g1, g2, n1s, n2s = case.frame_signs
-    q11 = g1 * inner(T1, T1)
-    q22 = g2 * inner(T2, T2)
+    q11 = g1 * ambient_inner(T1, T1, sig)
+    q22 = g2 * ambient_inner(T2, T2, sig)
     if not (np.all(q11 > 0) and np.all(q22 > 0)):
         raise SignatureError("tangent causal type does not match the case")
     e2l = q11
     lam = 0.5 * np.log(q11)
     iso = max(float(np.max(np.abs(q11 - q22) / e2l)),
-              float(np.max(np.abs(inner(T1, T2)) / e2l)))
+              float(np.max(np.abs(ambient_inner(T1, T2, sig)) / e2l)))
     # first differences are O(h^2) accurate, so isothermality can only be
     # checked to that order
     iso_tol = max(tol, isothermality_tolerance(spec, float(np.max(np.abs(F)))))
@@ -204,7 +199,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     # contiguous memory; the dot products sum the components in order, as
     # a per-point sum does, so the normals do not depend on the layout.
     seed = canonical_frame0(case, 0.0)
-    sg = signs[:, None]
+    sg = sig.array()[:, None]
 
     def dot(x, y):  # (..., dim, m) -> (..., 1, m)
         return np.sum(x * y, axis=-2, keepdims=True)
@@ -256,19 +251,18 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     N2 = propagate(n2s, seed[:, 3:4], [projector(N1)])
     N1, N2 = (np.ascontiguousarray(np.moveaxis(N, -1, 0)) for N in (N1, N2))
 
-    Fuu = _diff2_along(F, spec.du, 0)
-    Fuv = _diff_along(T1, spec.dv, 1)
-    Fvv = _diff2_along(F, spec.dv, 1)
+    Fuu, Fuv, Fvv = hessian(F, spec)
     inv1 = n1s / e2l
     inv2 = n2s / e2l
-    a1 = inv1 * inner(Fuu, N1)
-    a2 = inv1 * inner(Fuv, N1)
-    a3 = inv1 * inner(Fvv, N1)
-    b1 = inv2 * inner(Fuu, N2)
-    b2 = inv2 * inner(Fuv, N2)
-    b3 = inv2 * inner(Fvv, N2)
-    m1 = inv2 * inner(_diff_along(N1, spec.du, 0), N2)
-    m2 = inv2 * inner(_diff_along(N1, spec.dv, 1), N2)
+    a1 = inv1 * ambient_inner(Fuu, N1, sig)
+    a2 = inv1 * ambient_inner(Fuv, N1, sig)
+    a3 = inv1 * ambient_inner(Fvv, N1, sig)
+    b1 = inv2 * ambient_inner(Fuu, N2, sig)
+    b2 = inv2 * ambient_inner(Fuv, N2, sig)
+    b3 = inv2 * ambient_inner(Fvv, N2, sig)
+    N1u, N1v = grad(N1, spec)
+    m1 = inv2 * ambient_inner(N1u, N2, sig)
+    m2 = inv2 * ambient_inner(N1v, N2, sig)
 
     coeffs = CoefficientSet.from_arrays(
         spec, lam=lam, alpha1=a1, alpha2=a2, alpha3=a3,
@@ -306,9 +300,12 @@ def export_mesh(mesh, path, fmt: str = "csv", axes=(0, 1, 2)) -> None:
 
     OBJ export also accepts a bare (nu, nv, dim) position array, with quad
     faces over the grid; CSV needs a SurfaceMesh for its (u, v) columns.
+    Complex positions are rejected, not truncated to their real parts.
     """
-    positions = np.asarray(mesh.positions if isinstance(mesh, SurfaceMesh) else mesh,
-                           dtype=float)
+    positions = np.asarray(mesh.positions if isinstance(mesh, SurfaceMesh) else mesh)
+    if np.iscomplexobj(positions):
+        raise ValueError("mesh positions must be real")
+    positions = positions.astype(float, copy=False)
     nu, nv, dim = positions.shape
     if fmt == "csv":
         if not isinstance(mesh, SurfaceMesh):

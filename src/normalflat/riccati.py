@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import curvature, sweep
-from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, _diff2_along, _diff_along,
-                   quadratic_tolerance, require_nonzero)
+from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, grad, hessian,
+                   quadratic_tolerance, require_nonzero, wedge)
 from .spaceform import CaseSpec
 
 __all__ = [
@@ -63,7 +63,7 @@ class OneForm:
 
     def wedge(self, other: "OneForm") -> np.ndarray:
         """du^dv coefficient of the wedge product."""
-        return self.cu * other.cv - self.cv * other.cu
+        return wedge((self.cu, self.cv), (other.cu, other.cv))
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.cu)), np.max(np.abs(self.cv))))
@@ -118,11 +118,8 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
         raise ValueError(f"no Riccati angle system for case {case.case_id}")
     spec = f_minus.spec
     f = f_minus.values
-    fu = _diff_along(f, spec.du, 0)
-    fv = _diff_along(f, spec.dv, 1)
-    fuu = _diff2_along(f, spec.du, 0)
-    fvv = _diff2_along(f, spec.dv, 1)
-    fuv = _diff_along(fu, spec.dv, 1)
+    fu, fv = grad(f, spec)
+    fuu, fuv, fvv = hessian(f, spec)
     xi = xi_tilde(f) if callable(xi_tilde) else float(xi_tilde) * np.ones(spec.shape)
 
     if case.kappa > 0:
@@ -241,6 +238,7 @@ def riccati_residual(forms: RiccatiForms, t: FieldGrid):
     spec = forms.spec
     tv = t.values
     w0, w1, w2 = forms.omega0, forms.omega1, forms.omega2
-    ru = _diff_along(tv, spec.du, 0) - (w0.cu + tv * (w1.cu + tv * w2.cu))
-    rv = _diff_along(tv, spec.dv, 1) - (w0.cv + tv * (w1.cv + tv * w2.cv))
+    t_u, t_v = grad(tv, spec)
+    ru = t_u - (w0.cu + tv * (w1.cu + tv * w2.cu))
+    rv = t_v - (w0.cv + tv * (w1.cv + tv * w2.cv))
     return FieldGrid(spec, ru), FieldGrid(spec, rv)

@@ -152,7 +152,7 @@ def ambient_inner(x, y, sig: AmbientSignature):
     y = np.asarray(y)
     if x.shape[-1] != sig.dim or y.shape[-1] != sig.dim:
         raise ValueError(f"vectors must have length {sig.dim}")
-    return np.sum(sig.array() * x * y, axis=-1)
+    return np.einsum("...a,a,...a->...", x, sig.array(), y)
 
 
 def quadric_defect(point, case: CaseSpec):

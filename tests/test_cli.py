@@ -201,7 +201,8 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert main(["verify", "--coeffs", str(tmp_path / "missing.json"),
                  "--case", "R"]) == 1
     # malformed descriptors: a null grid size, list-valued params, a top-level
-    # list, and params values that are neither strings nor numbers
+    # list, params values that are neither strings nor numbers, and a grid
+    # origin or step that is not finite
     good = {"family": "product", "case": "R",
             "grid": {"u0": 0, "v0": 0, "du": 0.03, "dv": 0.03, "nu": 34, "nv": 34},
             "params": {"radius1": 1.0, "radius2": 1.0}}
@@ -211,7 +212,9 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
                       ("null_radius", {**good, "params": {"radius1": None}}),
                       ("null_f_minus", {**good, "family": "notld",
                                         "params": {"f_minus": None, "angle": "1.2"}}),
-                      ("bool_radius", {**good, "params": {"radius2": True}})):
+                      ("bool_radius", {**good, "params": {"radius2": True}}),
+                      ("inf_du", {**good, "grid": {**good["grid"], "du": float("inf")}}),
+                      ("nan_u0", {**good, "grid": {**good["grid"], "u0": float("nan")}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["construct", "--params", str(path),
@@ -219,8 +222,10 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     for t0 in ("nan", "inf"):
         assert main(["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", t0,
                      "--grid", "0:0:0.05:0.05:21:21", "--out", str(tmp_path / "t.json")]) == 1
-    # a tolerance that is not finite, from --tol or NORMALFLAT_TOL
-    for tol in ("nan", "inf", "-inf"):
+    assert main(["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:inf:0.02:8:8", "--out", str(tmp_path / "t.json")]) == 1
+    # a tolerance that is not finite or is negative, from --tol or NORMALFLAT_TOL
+    for tol in ("nan", "inf", "-inf", "-1"):
         for cmd in ("verify", "detect"):
             argv = [cmd, "--coeffs", str(torus_file), "--case", "R"]
             assert main(argv + [f"--tol={tol}"]) == 1, (cmd, tol)
@@ -228,8 +233,8 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
             assert main(argv) == 1, (cmd, tol)
             monkeypatch.delenv("NORMALFLAT_TOL")
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 24
-    assert err.count("tolerance must be finite") == 12
+    assert err.count("normalflat: ") == 31
+    assert err.count("tolerance must be finite and non-negative") == 16
     assert "Traceback" not in err
 
 

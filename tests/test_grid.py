@@ -1,12 +1,16 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normalflat
 from normalflat import FieldGrid, GridSpec, diff_u, diff_v, field_map, load_fields, save_fields
-from normalflat.grid import GridShapeError
+from normalflat.grid import (GridShapeError, _diff2_along, _diff_along, curl, grad, hessian,
+                             wedge)
 
 
 def test_grid_spec_validation():
@@ -14,6 +18,12 @@ def test_grid_spec_validation():
         GridSpec(0, 0, -0.1, 0.1, 10, 10)
     with pytest.raises(ValueError):
         GridSpec(0, 0, 0.1, 0.1, 4, 10)
+    for k in range(4):  # a non-finite origin or step
+        for bad in (np.inf, -np.inf, np.nan):
+            args = [0.0, 0.0, 0.1, 0.1]
+            args[k] = bad
+            with pytest.raises(ValueError):
+                GridSpec(*args, 8, 8)
     spec = GridSpec(0, 0, 0.1, 0.2, 6, 5)
     assert spec.shape == (6, 5)
     assert np.allclose(spec.u_axis(), [0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -160,3 +170,61 @@ def test_field_file_real_kind(tmp_path, unit_spec):
     back = load_fields(path)
     assert back["f"].kind == "real"
     assert np.array_equal(back["f"].values, f.values)
+
+
+# ---------------------------------------------------------------------------
+# the calculus: grad, hessian, curl, wedge
+# ---------------------------------------------------------------------------
+
+def test_grad_hessian_exact_on_quadratics():
+    # second-order stencils, one-sided ones included, are exact on quadratics
+    spec = GridSpec.over_box((-0.3, 1.1), (0.2, 0.9), 15, 11)
+    U, V = spec.mesh()
+    f = 1.5 * U**2 - 0.7 * U * V + 2.0 * V**2 + 0.3 * U - 1.1 * V + 0.4
+    fu, fv = grad(f, spec)
+    assert np.max(np.abs(fu - (3.0 * U - 0.7 * V + 0.3))) < 1e-12
+    assert np.max(np.abs(fv - (-0.7 * U + 4.0 * V - 1.1))) < 1e-12
+    fuu, fuv, fvv = hessian(f, spec)
+    assert np.max(np.abs(fuu - 3.0)) < 1e-10
+    assert np.max(np.abs(fuv + 0.7)) < 1e-10
+    assert np.max(np.abs(fvv - 4.0)) < 1e-10
+
+
+def test_curl_of_gradient_is_round_off():
+    spec = GridSpec.over_box((0, 2), (-1, 1), 41, 37)
+    U, V = spec.mesh()
+    f = np.sin(1.3 * U) * np.cos(V) + np.exp(0.4 * U * V)
+    # the u and v stencils act on different axes, so they commute up to round-off
+    assert np.max(np.abs(curl(*grad(f, spec), spec))) < 1e-11
+    assert np.max(np.abs(curl(-V, U, spec) + 2.0)) < 1e-12
+
+
+def test_wedge_antisymmetric():
+    rng = np.random.default_rng(3)
+    a = tuple(rng.standard_normal((2, 9, 7)))
+    b = tuple(rng.standard_normal((2, 9, 7)))
+    assert np.array_equal(wedge(a, b), -wedge(b, a))
+    assert np.max(np.abs(wedge(a, a))) == 0.0
+    assert wedge((1.0, 0.0), (0.0, 1.0)) == 1.0  # du ^ dv
+
+
+def test_hessian_matches_nested_stencils_bitwise():
+    spec = GridSpec.over_box((0, 1), (0, 2), 23, 19)
+    U, V = spec.mesh()
+    f = np.sin(U + 2 * V) * np.exp(U)
+    fuu, fuv, fvv = hessian(f, spec)
+    assert np.array_equal(fuv, _diff_along(_diff_along(f, spec.du, 0), spec.dv, 1))
+    assert np.array_equal(fuu, _diff2_along(f, spec.du, 0))
+    assert np.array_equal(fvv, _diff2_along(f, spec.dv, 1))
+
+
+def test_only_grid_binds_the_stencils():
+    """Every other module differentiates through grad/hessian/curl."""
+    stencils = {_diff_along, _diff2_along}
+    binders = []
+    for info in pkgutil.iter_modules(normalflat.__path__):
+        mod = importlib.import_module(f"normalflat.{info.name}")
+        if info.name != "grid":
+            binders += [f"{info.name}.{name}" for name, obj in vars(mod).items()
+                        if any(obj is s for s in stencils)]
+    assert binders == []

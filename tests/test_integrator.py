@@ -419,6 +419,16 @@ def test_exports_match_per_vertex_reference(tmp_path):
     assert path.read_bytes() == _reference_obj(bare, (0, 1, 2))
 
 
+def test_export_rejects_complex_positions(tmp_path):
+    spec = GridSpec(0.0, 0.0, 0.1, 0.1, 5, 5)
+    path = tmp_path / "mesh.obj"
+    for mesh in (np.ones((3, 3, 3)) * 1j, SurfaceMesh(spec, np.ones((5, 5, 4)) + 0j)):
+        for fmt in ("obj3d", "csv"):
+            with pytest.raises(ValueError, match="must be real"):
+                export_mesh(mesh, path, fmt)
+    assert not path.exists()
+
+
 def test_obj_two_by_two(tmp_path):
     positions = np.array([[[0.0, 0, 0], [0, 1, 0]],
                           [[1.0, 0, 0], [1, 1, 0]]])
