@@ -41,7 +41,7 @@ from .gcr import (
     gcr_residuals,
     normal_flatness_defect,
 )
-from .grid import FieldGrid, GridSpec, load_fields, save_fields
+from .grid import FieldGrid, GridSpec, grid_size, load_fields, save_fields
 from .integrator import (
     export_mesh,
     integrate_frame,
@@ -109,7 +109,7 @@ def _parse_grid(text: str) -> GridSpec:
 def _grid_from_doc(doc: dict) -> GridSpec:
     g = doc["grid"]
     return GridSpec(float(g.get("u0", 0.0)), float(g.get("v0", 0.0)),
-                    float(g["du"]), float(g["dv"]), int(g["nu"]), int(g["nv"]))
+                    float(g["du"]), float(g["dv"]), grid_size(g, "nu"), grid_size(g, "nv"))
 
 
 def _env_tol(args_tol):
@@ -124,18 +124,20 @@ def _env_tol(args_tol):
 
 
 def _sample(spec: GridSpec, source, variables=("u", "v")):
-    """Expression string, constant, or '@file.json:field' reference."""
+    """Expression string, constant, or '@file.json:field' reference; a
+    referenced field must live on spec."""
     if isinstance(source, (int, float)):
         return FieldGrid.constant(spec, float(source))
     if isinstance(source, str) and source.startswith("@"):
         ref = source[1:]
         path, _, name = ref.partition(":")
         fields = load_fields(path)
-        if name:
-            return fields[name]
-        if len(fields) != 1:
+        if not name and len(fields) != 1:
             raise UsageError(f"{path} holds several fields; use @{path}:name")
-        return next(iter(fields.values()))
+        field = fields[name] if name else next(iter(fields.values()))
+        if field.spec != spec:
+            raise UsageError(f"{path} lives on {field.spec}, not on the command's {spec}")
+        return field
     fn = compile_expr(source, variables)
     U, V = spec.mesh()
     return FieldGrid(spec, np.broadcast_to(fn(u=U, v=V), spec.shape).copy())
@@ -236,7 +238,10 @@ def _cmd_integrate(args) -> int:
     frame0 = None
     if args.frame0 and args.frame0 != "auto":
         with open(args.frame0) as fh:
-            frame0 = np.asarray(json.load(fh)["frame0"], dtype=float)
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise UsageError(f"{args.frame0} must hold a JSON object with a 'frame0' matrix")
+        frame0 = np.asarray(doc["frame0"], dtype=float)
     field, drift = integrate_frame(coeffs, case, frame0,
                                    project_quadric=args.project_quadric)
     save_mesh(args.out, field.mesh())
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
         return 1
-    except (FamilyInputError, NonIntegrableError, FileNotFoundError,
+    except (FamilyInputError, NonIntegrableError, OSError,
             KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
         return 1

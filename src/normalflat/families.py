@@ -10,11 +10,16 @@ and the algebraic identities the derivation promises):
   equal to the ambient one, with or without a parallel normal field
   depending on the chosen one-variable reparametrization xi,
 * the not-linearly-dependent pipelines driven by one potential and a
-  rotation angle.  The case's signs pick the pipeline: the parity
-  g1 g2 n1 n2 = -1 (Lorentzian ambient space, LS/LT) takes a complex
-  potential with k on a gauge circle; otherwise kappa = g1 g2 picks the
-  trigonometric rotation (+1: R/NS) or the hyperbolic one (-1: NT).
-  Inside the Lorentzian pipeline kappa signs the remaining differences.
+  rotation angle.  The parity g1 g2 n1 n2 picks the pipeline: -1
+  (Lorentzian ambient space, LS/LT) takes a complex potential with k on a
+  gauge circle, +1 one real pipeline for R, NS and NT.  In each, kappa =
+  g1 g2 signs the differences of its cases.  In the real one it picks the
+  trigonometric (+1: R/NS) or hyperbolic (-1: NT) rotation of grad f_-
+  into grad f_+ and gives B = f+_u^2 + kappa f+_v^2, C = f+_u f-_u -
+  kappa f+_v f-_v, k+ = (C k- - kappa A)/(A k- + C) on the branch
+  (A k- + C) B < 0, s+- = sqrt|k+-^2 + kappa|, beta1 = (k+ y+ - k- y-)/2,
+  alpha3 = kappa (k- x- - k+ x+)/2 and the gamma gradient -kappa grad a +
+  kappa d J grad f_- - (lambda terms), d = delta on NT and 1 on R/NS.
 
 Certification is deliberate: the assembly involves dozens of signed
 terms, so every constructor re-checks its output against the scalar
@@ -233,16 +238,28 @@ def build_nt_light_family(spec: GridSpec, gamma: FieldGrid, profile,
 # not linearly dependent pipelines
 # ---------------------------------------------------------------------------
 
+def _rotation(case: CaseSpec, angle: np.ndarray):
+    """(r00, r01, r10, r11) with grad(partner) = R grad(f): trigonometric on
+    R/NS, hyperbolic on NT (delta signs cosh, eps picks the branch)."""
+    if case.kappa > 0:
+        s, c = np.sin(angle), np.cos(angle)
+        return -s, c, c, s
+    ch, sh = case.delta * np.cosh(angle), np.sinh(angle)
+    if case.eps == 1:
+        return ch, -sh, sh, -ch
+    return sh, -ch, ch, -sh
+
+
 def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
                tol: float | None = None):
     """Partner potential of f under the case's rotation by the angle field.
 
-    Real cases: rotate/negate the gradient of f by the trigonometric
-    (R/NS) or hyperbolic (NT, both eps branches) matrix, check that the
-    candidate gradient is curl-free, and path-integrate it.  Returns
-    (partner FieldGrid, curl defect).  A curl defect above tolerance
-    means the angle field is not admissible (it should come from the
-    Riccati system); that raises :class:`NonIntegrableError`.
+    Real cases: rotate the gradient of f by the matrix of
+    :func:`_rotation`, check that the candidate gradient is curl-free,
+    and path-integrate it.  Returns (partner FieldGrid, curl defect).  A
+    curl defect above tolerance means the angle field is not admissible
+    (it should come from the Riccati system); that raises
+    :class:`NonIntegrableError`.
 
     Complex cases (LS/LT): the partner is the conjugate, so the angle is
     not free; returns (recovered angle field, max residual of the
@@ -255,18 +272,9 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
         raise ValueError("real cases need the angle field")
     fu, fv = grad(f.values, spec)
     ang = angle.values
-    if case.kappa > 0:
-        gu = -np.sin(ang) * fu + np.cos(ang) * fv
-        gv = np.cos(ang) * fu + np.sin(ang) * fv
-    else:
-        ch, sh = np.cosh(ang), np.sinh(ang)
-        d = case.delta
-        if case.eps == 1:
-            gu = d * ch * fu - sh * fv
-            gv = sh * fu - d * ch * fv
-        else:
-            gu = sh * fu - d * ch * fv
-            gv = d * ch * fu - sh * fv
+    r00, r01, r10, r11 = _rotation(case, ang)
+    gu = r00 * fu + r01 * fv
+    gv = r10 * fu + r11 * fv
     if tol is None:
         tol = angle_link_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang))))
     partner, defect = closed_potential(spec, gu, gv, tol, "partner gradient")
@@ -385,163 +393,115 @@ def _sqrt_tracked(w2: np.ndarray) -> np.ndarray:
 
 
 def build_notld_family(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
+    """Not-linearly-dependent set: complex pipeline for parity -1, else real."""
     if case.parity < 0:
         return _notld_lorentzian(pot, case)
-    if case.kappa < 0:
-        return _notld_neutral_timelike(pot, case)
-    return _notld_real_definite(pot, case)
+    return _notld_real(pot, case)
 
 
 def _lambda_or_zero(pot, spec):
     return pot.lam if pot.lam is not None else FieldGrid.constant(spec, 0.0)
 
 
-def _notld_real_definite(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Cases R and NS: trigonometric rotation, k- = tan(theta_-)."""
-    if pot.f_minus is None or pot.angle is None or pot.theta_minus is None:
-        raise FamilyInputError("need f_minus, angle (psi) and theta_minus")
-    spec = pot.f_minus.spec
-    lam = _lambda_or_zero(pot, spec)
-    scale = 1.0 + pot.f_minus.max_abs()
-    tol = family_tolerance(spec, scale)
-
-    f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
-    fmu, fmv = grad(pot.f_minus.values, spec)
-    fpu, fpv = grad(f_plus.values, spec)
-    psi = pot.angle.values
-
-    A = fpv * fmu + fmv * fpu
-    B = fpu * fpu + fpv * fpv
-    C = fpu * fmu - fpv * fmv
-    Ap = fpv * fmu - fmv * fpu
-    require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
-                    floor=DEGENERACY_FLOOR)
-    if not (np.min(B) > 0):
-        raise FamilyInputError("gradient of f_plus vanishes")
-
-    rot_id = max(float(np.max(np.abs(A - B * np.cos(psi)))),
-                 float(np.max(np.abs(C + B * np.sin(psi)))))
-
-    th = pot.theta_minus.values
-    require_nonzero(FamilyInputError, "theta_minus too close to 0 or pi/2: k- leaves (0, inf)",
-                    np.sin(th), np.cos(th), floor=EXCLUSION_MARGIN)
-    km = np.tan(th)
-    den = A * km + C
-    if not (np.max(den) < 0):
-        raise FamilyInputError("branch condition A k- + C < 0 violated")
-    kp = (C * km - A) / den
-
-    sp = np.sqrt(1 + kp * kp)
-    sm = np.sqrt(1 + km * km)
-    xp, yp = fpv / sp, fpu / sp
-    xm, ym = -fmv / sm, fmu / sm
-    wp, zp = -km * ym, km * xm
-    wm, zm = -kp * yp, kp * xp
-
-    # gamma gradient: -grad theta_- + J grad f_- - (1/A') M grad lambda
-    J = wedge((fpu, fpv), grad(psi, spec)) / wedge((fpu, fpv), (fmu, fmv))
-    thu, thv = grad(th, spec)
-    lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
-    gu = -thu + J * fmu - lgu
-    gv = -thv + J * fmv - lgv
-
-    identities = {
-        "mobius_1_plus_k2": float(np.max(np.abs(1 + kp**2 - B * B * (1 + km**2) / den**2))),
-        "pythagoras_A2_C2_B2": float(np.max(np.abs(A * A + C * C - B * B))),
-        "rotation_A_B_cos_psi": rot_id,
-        "sum_W": float(np.max(np.abs(wp + wm - xp - xm))),
-        "sum_Y": float(np.max(np.abs(yp + ym - zp - zm))),
-    }
-    witness = float(np.min(np.abs(xp**2 * ym**2 - xm**2 * yp**2)))
-    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
-    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, _half_sums(wp, wm, xp, xm, yp, ym, zp, zm),
-                       identities, witness, {"angle_link_curl": curl}, extras)
-
-
-def _notld_neutral_timelike(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Case NT: hyperbolic rotation, k- from t_minus via the eps' branch."""
-    if pot.f_minus is None or pot.angle is None or pot.t_minus is None:
-        raise FamilyInputError("need f_minus, angle (rho) and t_minus")
-    spec = pot.f_minus.spec
-    lam = _lambda_or_zero(pot, spec)
-    eps, delta = case.eps, case.delta
-    scale = 1.0 + pot.f_minus.max_abs()
-    tol = family_tolerance(spec, scale)
-
-    f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
-    fmu, fmv = grad(pot.f_minus.values, spec)
-    fpu, fpv = grad(f_plus.values, spec)
-    rho = pot.angle.values
-    if eps == 1:
-        require_nonzero(FamilyInputError, "rho must be nonvanishing on the eps=+1 branch", rho,
-                        floor=EXCLUSION_MARGIN)
-
-    A = fpv * fmu + fmv * fpu
-    B = fpu * fpu - fpv * fpv
-    C = fpu * fmu + fpv * fmv
-    Ap = fpv * fmu - fmv * fpu
-    require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
-                    floor=DEGENERACY_FLOOR)
-    require_nonzero(FamilyInputError, "B vanishes: input gradient is light-like somewhere", B,
-                    floor=DEGENERACY_FLOOR)
-    grad_id = float(np.max(np.abs(B - eps * (fmu * fmu - fmv * fmv))))
-
-    ch, sh = np.cosh(rho), np.sinh(rho)
-    if eps == 1:
-        rot_id = max(float(np.max(np.abs(A - B * sh))),
-                     float(np.max(np.abs(C - delta * B * ch))))
-    else:
-        rot_id = max(float(np.max(np.abs(A + delta * B * ch))),
-                     float(np.max(np.abs(C + B * sh))))
-
+def _k_minus(pot: NotldPotentials, case: CaseSpec):
+    """(a, k-, identities): a = theta_- and k- = tan a on R/NS; a = t_- and
+    k- = (1 + eps' e^{2a}) / (1 - eps' e^{2a}), off 0 and +-1, on NT."""
+    if case.kappa > 0:
+        th = pot.theta_minus.values
+        require_nonzero(FamilyInputError, "theta_minus too close to 0 or pi/2: k- leaves (0, inf)",
+                        np.sin(th), np.cos(th), floor=EXCLUSION_MARGIN)
+        return th, np.tan(th), {}
     tm = pot.t_minus.values
     require_nonzero(FamilyInputError, "t_minus must be nonvanishing", tm, floor=EXCLUSION_MARGIN)
-    ep = pot.eps_prime
-    e2t = np.exp(2 * tm)
-    km = (1 + ep * e2t) / (1 - ep * e2t)
+    e2t = pot.eps_prime * np.exp(2 * tm)
+    km = (1 + e2t) / (1 - e2t)
     t_minus_id = float(np.max(np.abs(tm - 0.5 * np.log(np.abs((km - 1) / (km + 1))))))
     require_nonzero(FamilyInputError, "k- hits an excluded value (0 or +-1)",
                     np.abs(km) - 1, km, floor=EXCLUSION_MARGIN)
-    den = A * km + C
-    if not (np.max(den * B) < 0):
-        raise FamilyInputError("branch condition (A k- + C) B < 0 violated")
-    kp = (C * km + A) / den
-    require_nonzero(FamilyInputError, "k+ hits an excluded value (0 or +-1)",
-                    np.abs(kp) - 1, kp, floor=EXCLUSION_MARGIN)
+    return tm, km, {"t_minus_log_form": t_minus_id}
 
-    sp = np.sqrt(np.abs(kp * kp - 1))
-    sm = np.sqrt(np.abs(km * km - 1))
+
+def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
+    """Cases R, NS (kappa = 1) and NT (kappa = -1): f_+ is f_- rotated by psi
+    or rho.  kappa = g1 g2 signs B = f+_u^2 + kappa f+_v^2, C = f+_u f-_u -
+    kappa f+_v f-_v, k+ = (C k- - kappa A) / (A k- + C) on the branch
+    (A k- + C) B < 0, s+- = sqrt|k+-^2 + kappa|, beta1 = (k+ y+ - k- y-) / 2,
+    alpha3 = kappa (k- x- - k+ x+) / 2, where (x, y)+ = (f+_v, f+_u) / s+ and
+    (x, y)- = (-f-_v, f-_u) / s-, and the gamma gradient -kappa grad a + kappa
+    d J grad f_- minus the lambda terms (a from _k_minus).  NT sets d = delta
+    and e = eps (in the identities); both are 1 on R/NS.
+    """
+    kappa = case.kappa
+    free, angle_name = ("theta_minus", "psi") if kappa > 0 else ("t_minus", "rho")
+    if pot.f_minus is None or pot.angle is None or getattr(pot, free) is None:
+        raise FamilyInputError(f"need f_minus, angle ({angle_name}) and {free}")
+    spec = pot.f_minus.spec
+    lam = _lambda_or_zero(pot, spec)
+    e, d = (1, 1) if kappa > 0 else (case.eps, case.delta)
+    tol = family_tolerance(spec, 1.0 + pot.f_minus.max_abs())
+
+    f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
+    fmu, fmv = grad(pot.f_minus.values, spec)
+    fpu, fpv = grad(f_plus.values, spec)
+    ang = pot.angle.values
+    if kappa < 0 and e == 1:
+        require_nonzero(FamilyInputError, "rho must be nonvanishing on the eps=+1 branch", ang,
+                        floor=EXCLUSION_MARGIN)
+
+    # kappa multiplies single terms: negating a difference could flip a zero's sign
+    A = fpv * fmu + fmv * fpu
+    B = fpu * fpu + kappa * fpv * fpv
+    C = fpu * fmu - kappa * fpv * fmv
+    Ap = fpv * fmu - fmv * fpu
+    require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
+                    floor=DEGENERACY_FLOOR)
+    checks = {}
+    if kappa > 0 and not (np.min(B) > 0):
+        raise FamilyInputError("gradient of f_plus vanishes")
+    if kappa < 0:
+        require_nonzero(FamilyInputError, "B vanishes: input gradient is light-like somewhere", B,
+                        floor=DEGENERACY_FLOOR)
+        checks["gradient_link"] = float(np.max(np.abs(B - e * (fmu * fmu + kappa * fmv * fmv))))
+    r00, _, r10, _ = _rotation(case, ang)
+    rot_id = max(float(np.max(np.abs(A - e * B * r10))), float(np.max(np.abs(C - e * B * r00))))
+
+    driver, km, km_ids = _k_minus(pot, case)
+    den = A * km + C
+    if not (np.max(den * B) < 0):  # B > 0 on R/NS: there the gate reads A k- + C < 0
+        raise FamilyInputError("branch condition A k- + C < 0 violated" if kappa > 0
+                               else "branch condition (A k- + C) B < 0 violated")
+    kp = (C * km - kappa * A) / den
+    if kappa < 0:
+        require_nonzero(FamilyInputError, "k+ hits an excluded value (0 or +-1)",
+                        np.abs(kp) - 1, kp, floor=EXCLUSION_MARGIN)
+
+    sp, sm = np.sqrt(np.abs(kp * kp + kappa)), np.sqrt(np.abs(km * km + kappa))
     xp, yp = fpv / sp, fpu / sp
     xm, ym = -fmv / sm, fmu / sm
-    wp, zp = kp * yp, kp * xp
-    wm, zm = km * ym, km * xm
+    # W = -kappa k Y, Z = k X; the plus pair takes k- on R/NS (W+ = -k- Y-) and
+    # k+ on NT (W+ = k+ Y+), so kappa = -1 reverses the pairs
+    pairs = ((km, xm, ym), (kp, xp, yp))[::kappa]
+    (wp, zp), (wm, zm) = [(-kappa * k * y, k * x) for k, x, y in pairs]
 
-    J = wedge((fpu, fpv), grad(rho, spec)) / wedge((fpu, fpv), (fmu, fmv))
-    tmu, tmv = grad(tm, spec)
+    J = wedge((fpu, fpv), grad(ang, spec)) / wedge((fpu, fpv), (fmu, fmv))
+    tu, tv = grad(driver, spec)
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * fpu * fmu, 2 * fpv * fmv)
-    gu = tmu - delta * J * fmu - lgu
-    gv = tmv - delta * J * fmv - lgv
+    gu = -kappa * tu + kappa * d * J * fmu - lgu
+    gv = -kappa * tv + kappa * d * J * fmv - lgv
 
-    identities = {
-        "mobius_k2_minus_1": float(np.max(np.abs(
-            kp**2 - 1 - eps * B * B * (km**2 - 1) / den**2))),
-        "pythagoras_A2_C2_epsB2": float(np.max(np.abs(A * A - C * C + eps * B * B))),
-        "rotation_hyperbolic": rot_id,
-        "gradient_link": grad_id,
-        "t_minus_log_form": t_minus_id,
-        "sum_W": float(np.max(np.abs(wp + wm - xp - xm))),
-        "sum_Y": float(np.max(np.abs(yp + ym - zp - zm))),
-    }
+    mobius = float(np.max(np.abs(kp**2 + kappa - e * B * B * (km**2 + kappa) / den**2)))
+    pyth = float(np.max(np.abs(A * A + kappa * C * C - kappa * e * B * B)))
+    names = (("mobius_1_plus_k2", "pythagoras_A2_C2_B2", "rotation_A_B_cos_psi") if kappa > 0
+             else ("mobius_k2_minus_1", "pythagoras_A2_C2_epsB2", "rotation_hyperbolic"))
+    identities = dict(zip(names, (mobius, pyth, rot_id)), **checks, **km_ids,
+                      sum_W=float(np.max(np.abs(wp + wm - xp - xm))),
+                      sum_Y=float(np.max(np.abs(yp + ym - zp - zm))))
     witness = float(np.min(np.abs(xp**2 * ym**2 - xm**2 * yp**2)))
-    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
-    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, _half_sums(wp, wm, xp, xm, yp, ym, zp, zm),
-                       identities, witness, {"angle_link_curl": curl}, extras)
-
-
-def _half_sums(wp, wm, xp, xm, yp, ym, zp, zm) -> dict:
-    """Second-form components from the half-sum/half-difference relations."""
-    return dict(alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
+    form = dict(alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
                 beta1=0.5 * (wp - wm), beta2=0.5 * (yp + ym), beta3=0.5 * (xp - xm))
+    extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
+    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, form, identities, witness,
+                       {"angle_link_curl": curl}, extras)
 
 
 def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:

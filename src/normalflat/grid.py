@@ -312,10 +312,22 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         fh.write("}}\n")
 
 
+def grid_size(doc: dict, key: str) -> int:
+    """doc[key] as a point count: an integral number (34 or 34.0), else a
+    ValueError naming the key."""
+    n = doc[key]
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+        raise ValueError(f"grid size {key!r} must be an integral number, got {json.dumps(n)}")
+    return int(n)
+
+
 def load_fields(path) -> dict[str, FieldGrid]:
     with open(path) as fh:
         doc = json.load(fh)
-    spec = GridSpec(doc["u0"], doc["v0"], doc["du"], doc["dv"], int(doc["nu"]), int(doc["nv"]))
+    if not (isinstance(doc, dict) and isinstance(doc.get("fields"), dict)):
+        raise ValueError(f"{path} is not a field file: expected an object with a 'fields' object")
+    spec = GridSpec(doc["u0"], doc["v0"], doc["du"], doc["dv"],
+                    grid_size(doc, "nu"), grid_size(doc, "nv"))
     kind = doc.get("kind", "real")
     return {
         name: FieldGrid(spec, _decode(data, spec, kind))

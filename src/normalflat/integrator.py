@@ -316,7 +316,7 @@ def export_mesh(mesh, path, fmt: str = "csv", axes=(0, 1, 2)) -> None:
             _write_lines(fh, ",".join(["%r"] * (2 + dim)) + "\r\n",
                          table.reshape(-1, 2 + dim))
     elif fmt == "obj3d":
-        if len(axes) != 3 or max(axes) >= dim:
+        if len(axes) != 3 or not all(-dim <= a < dim for a in axes):
             raise ValueError("obj export needs three valid projection axes")
         a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).reshape(-1, 1)
         with open(path, "w") as fh:

@@ -29,8 +29,9 @@ lambda, a = alpha, b = beta:
 * Ricci: mu1_v - mu2_u = n1 (a1 b2 - a2 b1 + k (a2 b3 - a3 b2));
 * frame Gram target diag(g1, g2, n1, n2) e^{2 lambda}; the flat model has
   one minus sign per -1 among (g1, g2, n1, n2);
-* angle pipelines (families, riccati): k picks the trigonometric (+1) or
-  hyperbolic (-1) rotation, the parity k p = -1 the complex potential.
+* angle pipelines (families, riccati): the parity k p = -1 takes the
+  complex potential; otherwise one real pipeline, inside which k picks
+  the trigonometric (+1) or hyperbolic (-1) rotation.
 
 For curvature L0 = 0 the model is the flat 4-space of the matching
 signature; for L0 != 0 it is the quadric <x, x> = 1/L0 inside a flat

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, GridSpec
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
 from normalflat.cli import main
 
 
@@ -200,13 +200,14 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
                  "--grid", "bad", "--out", str(tmp_path / "x.json")]) == 1
     assert main(["verify", "--coeffs", str(tmp_path / "missing.json"),
                  "--case", "R"]) == 1
-    # malformed descriptors: a null grid size, list-valued params, a top-level
-    # list, params values that are neither strings nor numbers, and a grid
-    # origin or step that is not finite
+    # malformed descriptors: a null or fractional grid size, list-valued params,
+    # a top-level list, params values that are neither strings nor numbers,
+    # and a grid origin or step that is not finite
     good = {"family": "product", "case": "R",
             "grid": {"u0": 0, "v0": 0, "du": 0.03, "dv": 0.03, "nu": 34, "nv": 34},
             "params": {"radius1": 1.0, "radius2": 1.0}}
     for name, doc in (("null_nu", {**good, "grid": {**good["grid"], "nu": None}}),
+                      ("fractional_nu", {**good, "grid": {**good["grid"], "nu": 34.7}}),
                       ("list_params", {**good, "params": [1, 2]}),
                       ("list_doc", [good]),
                       ("null_radius", {**good, "params": {"radius1": None}}),
@@ -232,10 +233,49 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
             monkeypatch.setenv("NORMALFLAT_TOL", tol)
             assert main(argv) == 1, (cmd, tol)
             monkeypatch.delenv("NORMALFLAT_TOL")
+    # documents of the wrong shape, an OBJ axis below -dim, a directory as mesh
+    (tmp_path / "list.json").write_text("[1, 2]")
+    fields_list = json.loads(torus_file.read_text())
+    fields_list["fields"] = list(fields_list["fields"].values())
+    (tmp_path / "fields_list.json").write_text(json.dumps(fields_list))
+    mesh = str(tmp_path / "mesh.json")
+    for argv in (["integrate", "--coeffs", str(torus_file), "--case", "R",
+                  "--frame0", str(tmp_path / "list.json"), "--out", mesh],
+                 ["verify", "--coeffs", str(tmp_path / "list.json"), "--case", "R"],
+                 ["verify", "--coeffs", str(tmp_path / "fields_list.json"), "--case", "R"],
+                 ["integrate", "--coeffs", str(torus_file), "--case", "R", "--out", mesh,
+                  "--export-obj", str(tmp_path / "o.obj"), "--obj-axes", "0,1,-9"],
+                 ["reconstruct", "--mesh", str(tmp_path), "--case", "R",
+                  "--out", str(tmp_path / "rec.json")]):
+        assert main(argv) == 1, argv
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 31
+    assert err.count("normalflat: ") == 37
     assert err.count("tolerance must be finite and non-negative") == 16
+    assert "grid size 'nu' must be an integral number, got 34.7" in err
     assert "Traceback" not in err
+
+
+def test_field_reference_must_share_the_grid(tmp_path, capsys):
+    # an @file field on a 33^2 grid, referenced by commands on an 8^2 grid
+    spec = GridSpec(0.0, 0.0, 0.1, 0.1, 33, 33)
+    U, V = spec.mesh()
+    save_fields(tmp_path / "fm.json", {"f": FieldGrid(spec, U + 0.3 * V)})
+    ref = "@" + str(tmp_path / "fm.json")
+    assert main(["riccati", "--fminus", ref, "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:0.1:0.1:8:8", "--out", str(tmp_path / "t.json")]) == 1
+    assert not (tmp_path / "t.json").exists()
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "family": "notld", "case": "R",
+        "grid": {"u0": 0, "v0": 0, "du": 0.1, "dv": 0.1, "nu": 8, "nv": 8},
+        "params": {"f_minus": ref, "angle": "1.2", "theta_minus": "0.5"}}))
+    assert main(["construct", "--params", str(params), "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    command_grid = "GridSpec(u0=0.0, v0=0.0, du=0.1, dv=0.1, nu=8, nv=8)"
+    assert err.count(f"not on the command's {command_grid}") == 2
+    # on the command's own grid the reference is read as before
+    assert main(["riccati", "--fminus", ref, "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:0.1:0.1:33:33", "--out", str(tmp_path / "t.json")]) == 0
 
 
 def test_report_deterministic(torus_file, tmp_path):

@@ -339,6 +339,38 @@ def test_notld_nt_constant_desk(spec):
     assert res.certificate["k_minus_l0_defect"] <= 1e-10
 
 
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("eps_prime", [1, -1])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_notld_nt_sign_branches(unit_spec, eps, eps_prime, delta):
+    case = CaseSpec("NT", 0.0, eps=eps, delta=delta)
+    pot = _pot_nt(unit_spec, eps_prime)
+    if (eps, eps_prime, delta) in ((1, -1, 1), (-1, 1, 1)):
+        with pytest.raises(FamilyInputError, match=r"branch condition \(A k- \+ C\) B < 0"):
+            build_notld_family(pot, case)
+        return
+    cert = build_notld_family(pot, case).certificate
+    assert cert["passed"], cert
+    assert all(v <= 1e-10 for v in cert["identities"].values()), cert["identities"]
+
+
+@pytest.mark.parametrize("case", [CaseSpec("R", 0.0), CaseSpec("NS", 0.0), CaseSpec("NT", 0.0)],
+                         ids=["R", "NS", "NT"])
+def test_notld_lambda_correction(unit_spec, case):
+    # with f_- = u, A = A' and Q = 0, so lambda = 0.1 v adds -kappa 0.1 to mu1
+    # and leaves mu2 as it is
+    U, V = unit_spec.mesh()
+    pot = (_pot_r(unit_spec, FieldGrid(unit_spec, 0.5 + 0.2 * np.sin(U))) if case.kappa > 0
+           else _pot_nt(unit_spec, 1))
+    base = build_notld_family(pot, case).coeffs
+    pot.lam = FieldGrid(unit_spec, 0.1 * V)
+    res = build_notld_family(pot, case)
+    assert res.certificate["passed"], res.certificate
+    assert res.certificate["residual_max"] <= 1e-5
+    assert np.max(np.abs(res.coeffs.mu1.values - base.mu1.values + 0.1 * case.kappa)) <= 1e-12
+    assert np.array_equal(res.coeffs.mu2.values, base.mu2.values)
+
+
 def _ls_instance(spec):
     U, V = spec.mesh()
     f = FieldGrid(spec, (1 + 1j) * U + (np.sqrt(2) - 1j / np.sqrt(2)) * V)

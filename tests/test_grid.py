@@ -172,6 +172,23 @@ def test_field_file_real_kind(tmp_path, unit_spec):
     assert np.array_equal(back["f"].values, f.values)
 
 
+def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
+    f = FieldGrid.from_function(unit_spec, lambda U, V: U - V)
+    path = tmp_path / "f.json"
+    save_fields(path, {"f": f})
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "nu": 33.0}))  # integral, though written as a float
+    assert np.array_equal(load_fields(path)["f"].values, f.values)
+    for nv in (32.7, "33", None, True):
+        path.write_text(json.dumps({**doc, "nv": nv}))
+        with pytest.raises(ValueError, match="grid size 'nv' must be an integral number"):
+            load_fields(path)
+    for bad in ([doc], {**doc, "fields": list(doc["fields"].values())}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="is not a field file"):
+            load_fields(path)
+
+
 # ---------------------------------------------------------------------------
 # the calculus: grad, hessian, curl, wedge
 # ---------------------------------------------------------------------------
