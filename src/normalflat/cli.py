@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .expressions import compile_expr
 from .families import (
-    FamilyInputError,
     NotldPotentials,
     PhiFamilyInput,
     build_notld_family,
@@ -35,13 +34,12 @@ from .families import (
 from .frames import CoefficientSet, compatibility_defect
 from .gcr import (
     VARIANTS,
-    NonIntegrableError,
     default_tolerance,
     detect_parallel_normal,
     gcr_residuals,
     normal_flatness_defect,
 )
-from .grid import FieldGrid, GridSpec, grid_size, load_fields, save_fields
+from .grid import FieldGrid, GridSpec, load_fields, save_fields
 from .integrator import (
     export_mesh,
     integrate_frame,
@@ -60,7 +58,7 @@ from .riccati import (
 from .spaceform import CASES, CaseSpec
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -74,16 +72,11 @@ def _metric(values) -> dict:
     return {"max": float(np.max(a)), "mean": float(np.mean(a))}
 
 
-def _grid_json(spec: GridSpec) -> dict:
-    return {"u0": spec.u0, "v0": spec.v0, "du": spec.du, "dv": spec.dv,
-            "nu": spec.nu, "nv": spec.nv}
-
-
 def _report(path, case: CaseSpec, spec: GridSpec, metrics: dict, verdicts: dict):
     doc = {
         "tool_version": __version__,
         "case": case.to_json(),
-        "grid": _grid_json(spec),
+        "grid": spec.to_json(),
         "metrics": metrics,
         "verdicts": verdicts,
     }
@@ -94,22 +87,28 @@ def _report(path, case: CaseSpec, spec: GridSpec, metrics: dict, verdicts: dict)
     return doc
 
 
-def _case_from_args(args) -> CaseSpec:
-    return CaseSpec(args.case, args.l0, args.eps, args.delta)
+def _case(args, doc=None) -> CaseSpec:
+    """The command's case: its flags, over a descriptor's entries, over the
+    defaults (case R)."""
+    flags = {"case": args.case, "l0": args.l0, "eps": args.eps, "delta": args.delta}
+    return CaseSpec.from_json({"case": "R", **(doc or {}),
+                               **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 6:
         raise UsageError("grid must be u0:v0:du:dv:nu:nv")
-    return GridSpec(float(parts[0]), float(parts[1]), float(parts[2]),
-                    float(parts[3]), int(parts[4]), int(parts[5]))
+    return GridSpec.from_json(dict(zip(("u0", "v0", "du", "dv", "nu", "nv"), map(float, parts))))
 
 
-def _grid_from_doc(doc: dict) -> GridSpec:
-    g = doc["grid"]
-    return GridSpec(float(g.get("u0", 0.0)), float(g.get("v0", 0.0)),
-                    float(g["du"]), float(g["dv"]), grid_size(g, "nu"), grid_size(g, "nv"))
+def _one_variable(text, var: str):
+    """A one-variable expression (or number) as a callable of one array;
+    None stays None."""
+    if text is None:
+        return None
+    fn = compile_expr(str(text), (var,))
+    return lambda x: np.broadcast_to(fn(**{var: x}), np.shape(x))
 
 
 def _env_tol(args_tol):
@@ -123,7 +122,7 @@ def _env_tol(args_tol):
     return tol
 
 
-def _sample(spec: GridSpec, source, variables=("u", "v")):
+def _sample(spec: GridSpec, source):
     """Expression string, constant, or '@file.json:field' reference; a
     referenced field must live on spec."""
     if isinstance(source, (int, float)):
@@ -138,9 +137,8 @@ def _sample(spec: GridSpec, source, variables=("u", "v")):
         if field.spec != spec:
             raise UsageError(f"{path} lives on {field.spec}, not on the command's {spec}")
         return field
-    fn = compile_expr(source, variables)
-    U, V = spec.mesh()
-    return FieldGrid(spec, np.broadcast_to(fn(u=U, v=V), spec.shape).copy())
+    fn = compile_expr(source, ("u", "v"))
+    return FieldGrid.from_function(spec, lambda U, V: fn(u=U, v=V))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def _sample(spec: GridSpec, source, variables=("u", "v")):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    case = _case_from_args(args)
+    case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     res = gcr_residuals(coeffs, case)
     flat = normal_flatness_defect(coeffs)
@@ -171,69 +169,57 @@ def _cmd_construct(args) -> int:
     if not (isinstance(doc, dict) and isinstance(doc.get("params", {}), dict)):
         raise UsageError("a family descriptor and its params must be JSON objects")
     family = args.family or doc.get("family")
-    try:  # a null, list or string where the descriptor needs an object or a number
-        case = CaseSpec(args.case or doc.get("case", "R"), float(doc.get("l0", args.l0 or 0.0)),
-                        int(doc.get("eps", args.eps)), int(doc.get("delta", args.delta)))
-        spec = _grid_from_doc(doc)
-    except (TypeError, AttributeError) as exc:
-        raise UsageError(f"bad case or grid in the family descriptor: {exc}") from None
-    p = doc.get("params", {})
+    case = _case(args, doc)
+    spec = GridSpec.from_json(doc.get("grid"))
+    p = dict(doc.get("params", {}))  # each param is popped once; what is left is read by none
     for key, value in p.items():
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"param {key!r} must be a string or a number, "
                              f"got {json.dumps(value)}")
 
+    def field(key):
+        return _sample(spec, p.pop(key)) if key in p else None
+
     if family == "product":
-        result = build_product_family(float(p.get("radius1", 1.0)),
-                                      float(p.get("radius2", 1.0)), case, spec)
+        result = build_product_family(float(p.pop("radius1", 1.0)),
+                                      float(p.pop("radius2", 1.0)), case, spec)
     elif family == "phi":
-        xi = compile_expr(str(p["xi"]), ("s",)) if "xi" in p else None
-        xi_fn = (lambda x: xi(s=x)) if xi else None
-        inp = PhiFamilyInput(
-            lam=_sample(spec, p.get("lambda", 0.0)),
-            phi=_sample(spec, p["phi"]),
-            theta=_sample(spec, p["theta"]),
-            xi=xi_fn)
+        inp = PhiFamilyInput(lam=_sample(spec, p.pop("lambda", 0.0)),
+                             phi=_sample(spec, p.pop("phi")), theta=_sample(spec, p.pop("theta")),
+                             xi=_one_variable(p.pop("xi", None), "s"))
         result = build_phi_family(inp, case)
     elif family == "light":
-        prof = compile_expr(str(p.get("profile", "1")), ("u",))
-        result = build_nt_light_family(
-            spec, _sample(spec, p.get("gamma", 0.0)),
-            lambda U: np.broadcast_to(prof(u=U), U.shape), case)
+        result = build_nt_light_family(spec, _sample(spec, p.pop("gamma", 0.0)),
+                                       _one_variable(p.pop("profile", "1"), "u"), case)
     elif family == "notld":
-        xi = compile_expr(str(p["xi_tilde"]), ("s",)) if "xi_tilde" in p else None
         pot = NotldPotentials(
-            f_minus=_sample(spec, p["f_minus"]) if "f_minus" in p else None,
-            angle=_sample(spec, p["angle"]) if "angle" in p else None,
-            theta_minus=_sample(spec, p["theta_minus"]) if "theta_minus" in p else None,
-            t_minus=_sample(spec, p["t_minus"]) if "t_minus" in p else None,
-            sigma=_sample(spec, p["sigma"]) if "sigma" in p else None,
-            xi_tilde=(lambda x: xi(s=x)) if xi else None,
-            gamma0=float(p.get("gamma0", 0.0)),
-            eps_prime=int(p.get("eps_prime", 1)),
-            lam=_sample(spec, p["lambda"]) if "lambda" in p else None)
+            f_minus=field("f_minus"), angle=field("angle"), theta_minus=field("theta_minus"),
+            t_minus=field("t_minus"), sigma=field("sigma"),
+            xi_tilde=_one_variable(p.pop("xi_tilde", None), "s"),
+            gamma0=float(p.pop("gamma0", 0.0)), eps_prime=int(p.pop("eps_prime", 1)),
+            lam=field("lambda"))
         if "f_re" in p:
-            fre = _sample(spec, p["f_re"])
-            fim = _sample(spec, p["f_im"])
-            pot.f = FieldGrid(spec, fre.values + 1j * fim.values)
+            f_re = field("f_re")
+            pot.f = FieldGrid(spec, f_re.values + 1j * _sample(spec, p.pop("f_im")).values)
         result = build_notld_family(pot, case)
     else:
         raise UsageError(f"unknown family {family!r}")
+    if p:
+        raise UsageError(f"family {family!r} reads no param {min(p)!r}")
 
     result.coeffs.save(args.out)
     cert_path = args.cert or (args.out + ".cert.json")
     with open(cert_path, "w") as fh:
         json.dump(result.certificate, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    metrics = {"residual_max": {"max": result.certificate["residual_max"],
-                                "mean": result.certificate["residual_max"]}}
+    metrics = {"residual_max": _metric(result.certificate["residual_max"])}
     _report(args.report, case, spec, metrics,
             {"family": family, "certificate_passed": result.certificate["passed"]})
     return 0 if result.certificate["passed"] else 2
 
 
 def _cmd_integrate(args) -> int:
-    case = _case_from_args(args)
+    case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     frame0 = None
     if args.frame0 and args.frame0 != "auto":
@@ -248,60 +234,56 @@ def _cmd_integrate(args) -> int:
     if args.export_obj:
         export_mesh(field.mesh(), args.export_obj, "obj3d",
                     tuple(int(a) for a in args.obj_axes.split(",")))
-    metrics = {k: {"max": v, "mean": v} for k, v in drift.items() if isinstance(v, float)}
+    metrics = {k: _metric(v) for k, v in drift.items() if isinstance(v, float)}
     notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []
     _report(args.report, case, coeffs.spec, metrics, {"frame0": drift["frame0"], "notes": notes})
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    case = _case_from_args(args)
+    case = _case(args)
     mesh = load_mesh(args.mesh)
     coeffs, gauge = reconstruct_coefficients(mesh, case)
     coeffs.save(args.out)
-    metrics = {"isothermality": {"max": gauge["isothermality_defect"],
-                                 "mean": gauge["isothermality_defect"]}}
+    metrics = {"isothermality": _metric(gauge["isothermality_defect"])}
     _report(args.report, case, mesh.spec, metrics, {"gauge": gauge})
     return 0
 
 
 def _cmd_detect(args) -> int:
-    case = _case_from_args(args)
+    case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     tol = _env_tol(args.tol)
     rep = detect_parallel_normal(coeffs, case, args.variant, tol)
     metrics = {
         "dependence_defect": _metric(rep.ld.defect.values),
-        "k_minus_l0": {"max": rep.k_equals_l0_defect, "mean": rep.k_equals_l0_defect},
-        "gamma_angle_spread": {"max": rep.gamma_angle_defect, "mean": rep.gamma_angle_defect},
+        "k_minus_l0": _metric(rep.k_equals_l0_defect),
+        "gamma_angle_spread": _metric(rep.gamma_angle_defect),
     }
     _report(args.out, case, coeffs.spec, metrics, rep.verdict_json())
     return 0
 
 
 def _cmd_riccati(args) -> int:
-    case = _case_from_args(args)
+    case = _case(args)
     if not np.isfinite(args.t0):
         raise UsageError(f"--t0 must be finite, got {args.t0}")
     spec = _parse_grid(args.grid)
     fminus = _sample(spec, args.fminus)
-    xi = compile_expr(args.xi, ("s",)) if args.xi else None
-    forms = build_forms(fminus, (lambda x: xi(s=x)) if xi else 0.0, case)
+    forms = build_forms(fminus, _one_variable(args.xi, "s") if args.xi else 0.0, case)
     verdict, norms = obstruction_verdict(forms)
+    metrics = {name: _metric(val) for name, val in norms.items()}
     try:
         sol = solve_riccati(forms, args.t0, case)
     except (RiccatiBlowUpError, RangeConstraintError) as exc:
-        _report(args.report, case, spec,
-                {name: {"max": val, "mean": val} for name, val in norms.items()},
-                {"obstruction": verdict, "error": str(exc)})
+        _report(args.report, case, spec, metrics, {"obstruction": verdict, "error": str(exc)})
         print(f"riccati: {exc}", file=sys.stderr)
         return 2
     save_fields(args.out, {"t": sol.t})
     ru, rv = riccati_residual(forms, sol.t)
-    metrics = {name: {"max": val, "mean": val} for name, val in norms.items()}
     metrics["residual_u"] = _metric(ru.values)
     metrics["residual_v"] = _metric(rv.values)
-    metrics["path_defect"] = {"max": sol.path_defect, "mean": sol.path_defect}
+    metrics["path_defect"] = _metric(sol.path_defect)
     _report(args.report, case, spec, metrics,
             {"obstruction": verdict, "path_defect": sol.path_defect})
     return 0
@@ -331,9 +313,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("construct", help="build a coefficient family")
     sp.add_argument("--family", choices=["product", "phi", "notld", "light"])
     sp.add_argument("--case", choices=CASES)
-    sp.add_argument("--l0", type=float)
-    sp.add_argument("--eps", type=int, default=1, choices=[1, -1])
-    sp.add_argument("--delta", type=int, default=1, choices=[1, -1])
+    sp.add_argument("--l0", type=float)  # these four override the descriptor's entries
+    sp.add_argument("--eps", type=int, choices=[1, -1])
+    sp.add_argument("--delta", type=int, choices=[1, -1])
     sp.add_argument("--params", required=True, help="family descriptor JSON")
     sp.add_argument("--out", required=True, help="coefficient field file")
     sp.add_argument("--cert", help="certificate JSON path")
@@ -386,11 +368,8 @@ def main(argv=None) -> int:
         # a non-finite intermediate fails the run instead of reaching a report
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.fn(args)
-    except UsageError as exc:
-        print(f"normalflat: {exc}", file=sys.stderr)
-        return 1
-    except (FamilyInputError, NonIntegrableError, OSError,
-            KeyError, ValueError, json.JSONDecodeError) as exc:
+    # UsageError, FamilyInputError, NonIntegrableError and JSONDecodeError are ValueErrors
+    except (OSError, KeyError, ValueError) as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, FloatingPointError) as exc:

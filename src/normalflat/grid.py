@@ -80,6 +80,34 @@ class GridSpec:
         """Coordinate arrays U, V of shape (nu, nv)."""
         return np.meshgrid(self.u_axis(), self.v_axis(), indexing="ij")
 
+    def to_json(self) -> dict:
+        """The grid's JSON form, as field-file headers and reports print it."""
+        return {"u0": self.u0, "v0": self.v0, "du": self.du, "dv": self.dv,
+                "nu": self.nu, "nv": self.nv}
+
+    @classmethod
+    def from_json(cls, doc) -> "GridSpec":
+        """The grid of a JSON object {u0, v0, du, dv, nu, nv}, the origin 0 by
+        default; a ValueError names the first entry that is not a number, or
+        for nu and nv not an integral one (34 or 34.0)."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a grid must be a JSON object, got {json.dumps(doc)}")
+        entries = {"u0": 0.0, "v0": 0.0, **doc}
+        values = []
+        for key in ("u0", "v0", "du", "dv"):
+            x = entries.get(key)
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"grid entry {key!r} must be a number, got {json.dumps(x)}")
+            values.append(float(x))
+        for key in ("nu", "nv"):
+            n = entries.get(key)
+            if isinstance(n, bool) or not (isinstance(n, int)
+                                           or isinstance(n, float) and n.is_integer()):
+                raise ValueError(f"grid size {key!r} must be an integral number, "
+                                 f"got {json.dumps(n)}")
+            values.append(int(n))
+        return cls(*values)
+
     @classmethod
     def over_box(cls, u_range, v_range, nu: int, nv: int) -> "GridSpec":
         """Grid whose first/last samples hit the box corners exactly."""
@@ -276,7 +304,9 @@ def _encode(values: np.ndarray, kind: str) -> list:
     return flat.astype(float).tolist()
 
 
-def _decode(data: list, spec: GridSpec, kind: str) -> np.ndarray:
+def _decode(name: str, data, spec: GridSpec, kind: str) -> np.ndarray:
+    if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
+        raise ValueError(f"field {name!r} must be a flat list of numbers")
     arr = np.asarray(data, dtype=float)
     if kind == "complex":
         if arr.size != 2 * spec.nu * spec.nv:
@@ -299,8 +329,7 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         raise GridShapeError("all fields in one file must share a grid")
     spec = next(iter(specs))
     kind = "complex" if any(f.kind == "complex" for f in fields.values()) else "real"
-    head = json.dumps({"u0": spec.u0, "v0": spec.v0, "du": spec.du, "dv": spec.dv,
-                       "nu": spec.nu, "nv": spec.nv, "kind": kind})
+    head = json.dumps({**spec.to_json(), "kind": kind})
     # json.dump's bytes, one field at a time through the C encoder (json.dump
     # itself runs the pure-Python one): only one field's list and text exist
     with open(path, "w") as fh:
@@ -312,24 +341,16 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         fh.write("}}\n")
 
 
-def grid_size(doc: dict, key: str) -> int:
-    """doc[key] as a point count: an integral number (34 or 34.0), else a
-    ValueError naming the key."""
-    n = doc[key]
-    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
-        raise ValueError(f"grid size {key!r} must be an integral number, got {json.dumps(n)}")
-    return int(n)
-
-
 def load_fields(path) -> dict[str, FieldGrid]:
     with open(path) as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("fields"), dict)):
         raise ValueError(f"{path} is not a field file: expected an object with a 'fields' object")
-    spec = GridSpec(doc["u0"], doc["v0"], doc["du"], doc["dv"],
-                    grid_size(doc, "nu"), grid_size(doc, "nv"))
+    spec = GridSpec.from_json(doc)
     kind = doc.get("kind", "real")
+    if kind not in ("real", "complex"):
+        raise ValueError(f"field kind must be 'real' or 'complex', got {json.dumps(kind)}")
     return {
-        name: FieldGrid(spec, _decode(data, spec, kind))
+        name: FieldGrid(spec, _decode(name, data, spec, kind))
         for name, data in doc["fields"].items()
     }

@@ -287,12 +287,12 @@ def save_mesh(path, mesh: SurfaceMesh) -> None:
 
 def load_mesh(path) -> SurfaceMesh:
     fields = load_fields(path)
-    names = sorted(n for n in fields if n.startswith("x"))
-    if not names:
-        raise ValueError("mesh file holds no coordinate fields x0..")
-    spec = fields[names[0]].spec
+    names = [f"x{k}" for k in range(len(fields))]
+    if not fields or set(fields) != set(names):
+        raise ValueError(f"{path} is not a mesh file: expected the fields x0, x1, ... "
+                         f"and no other, got {sorted(fields)}")
     pos = np.stack([fields[n].values for n in names], axis=-1)
-    return SurfaceMesh(spec, pos)
+    return SurfaceMesh(fields["x0"].spec, pos)
 
 
 def export_mesh(mesh, path, fmt: str = "csv", axes=(0, 1, 2)) -> None:

@@ -41,6 +41,7 @@ signs trailing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,18 @@ class CaseSpec:
         return {"case": self.case_id, "l0": self.l0, "eps": self.eps, "delta": self.delta}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CaseSpec":
-        return cls(doc["case"], float(doc.get("l0", 0.0)),
-                   int(doc.get("eps", 1)), int(doc.get("delta", 1)))
+    def from_json(cls, doc) -> "CaseSpec":
+        """The case of a JSON object {case, l0, eps, delta}, l0 0 and the signs
+        +1 by default; a ValueError names the first malformed entry."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a case must be a JSON object, got {json.dumps(doc)}")
+        l0, eps, delta = doc.get("l0", 0.0), doc.get("eps", 1), doc.get("delta", 1)
+        if isinstance(l0, bool) or not isinstance(l0, (int, float)):
+            raise ValueError(f"case entry 'l0' must be a number, got {json.dumps(l0)}")
+        for key, x in (("eps", eps), ("delta", delta)):
+            if isinstance(x, bool) or x not in (1, -1):
+                raise ValueError(f"case entry {key!r} must be 1 or -1, got {json.dumps(x)}")
+        return cls(doc.get("case"), float(l0), int(eps), int(delta))
 
     @property
     def g_signs(self) -> tuple:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
 from normalflat.cli import main
@@ -248,11 +250,117 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
                  ["reconstruct", "--mesh", str(tmp_path), "--case", "R",
                   "--out", str(tmp_path / "rec.json")]):
         assert main(argv) == 1, argv
+    # field files whose grid, kind or field data is of the wrong JSON type
+    torus = json.loads(torus_file.read_text())
+    fields = torus["fields"]
+    for name, doc in (("str_du", {**torus, "du": "0.1"}),
+                      ("null_u0", {**torus, "u0": None}),
+                      ("bool_du", {**torus, "du": True}),
+                      ("foo_kind", {**torus, "kind": "foo"}),
+                      ("object_field", {**torus, "fields": {**fields, "lambda": {"a": 1}}}),
+                      ("wrapped_field", {**torus, "fields": {
+                          **fields, "lambda": [[x] for x in fields["lambda"]]}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--coeffs", str(path), "--case", "R"]) == 1, name
+    # descriptor entries of the wrong type or value, and a param no family reads
+    for name, doc in (("str_du", {**good, "grid": {**good["grid"], "du": "0.05"}}),
+                      ("str_l0", {**good, "l0": "0.5"}),
+                      ("fractional_eps", {**good, "eps": 1.5}),
+                      ("unread_radius", {**good, "params": {"radius": 2.0}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["construct", "--params", str(path),
+                     "--out", str(tmp_path / "c.json")]) == 1, name
+    # a mesh file holds x0..x{d-1} and nothing else
+    assert main(["integrate", "--coeffs", str(torus_file), "--case", "R", "--out", mesh]) == 0
+    mesh_doc = json.loads((tmp_path / "mesh.json").read_text())
+    x = mesh_doc["fields"]
+    mesh_doc["fields"] = {"x0": x["x0"], "x1": x["x1"], "x3": x["x2"], "xtra": x["x3"]}
+    (tmp_path / "bad_mesh.json").write_text(json.dumps(mesh_doc))
+    assert main(["reconstruct", "--mesh", str(tmp_path / "bad_mesh.json"), "--case", "R",
+                 "--out", str(tmp_path / "rec.json")]) == 1
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 37
+    assert err.count("normalflat: ") == 48
     assert err.count("tolerance must be finite and non-negative") == 16
     assert "grid size 'nu' must be an integral number, got 34.7" in err
+    assert "normalflat: grid entry 'du' must be a number, got \"0.1\"" in err
+    assert "normalflat: field kind must be 'real' or 'complex', got \"foo\"" in err
+    assert err.count("normalflat: field 'lambda' must be a flat list of numbers") == 2
+    assert "normalflat: case entry 'l0' must be a number, got \"0.5\"" in err
+    assert "normalflat: case entry 'eps' must be 1 or -1, got 1.5" in err
+    assert "normalflat: family 'product' reads no param 'radius'" in err
+    assert "is not a mesh file" in err
     assert "Traceback" not in err
+
+
+def test_construct_flags_override_the_descriptor(tmp_path):
+    grid = {"u0": 0, "v0": 0, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41}
+    doc = {"family": "light", "case": "NT", "l0": 0.0, "eps": 1, "grid": grid,
+           "params": {"gamma": "0.3*u", "profile": "1 + 0.1*u"}}
+    outs = {}
+    for name, eps, argv in (("flag", 1, ["--eps", "-1"]), ("doc", -1, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "eps": eps}))
+        outs[name] = [tmp_path / f"{name}_{suffix}.json" for suffix in ("c", "r")]
+        assert main(["construct", "--params", str(path), "--out", str(outs[name][0]),
+                     "--report", str(outs[name][1])] + argv) == 0
+    assert json.loads(outs["flag"][1].read_text())["case"]["eps"] == -1
+    for a, b in zip(outs["flag"], outs["doc"]):
+        assert a.read_bytes() == b.read_bytes()
+
+
+# arbitrary JSON values; numbers stay small, because a grid size is a memory request
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-40, 40) | st.floats(-40, 40) | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), 1e-300, 1e300, 34.0, 1.5]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids,
+                                                              max_size=2),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    CoefficientSet.from_arrays(GridSpec.over_box((0, 1), (0, 1), 9, 9),
+                               alpha1=-1.0, beta3=-1.0).save(d / "torus.json")
+    descriptor = {"family": "product", "case": "R", "l0": 0.0, "eps": 1, "delta": 1,
+                  "grid": {"u0": 0, "v0": 0, "du": 0.1, "dv": 0.1, "nu": 9, "nv": 9},
+                  "params": {"radius1": 1.0, "radius2": 1.0}}
+    return d, json.loads((d / "torus.json").read_text()), descriptor
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(target=st.sampled_from(["u0", "v0", "du", "dv", "nu", "nv", "kind", "field",
+                               "grid.u0", "grid.v0", "grid.du", "grid.dv", "grid.nu",
+                               "grid.nv", "case", "l0", "eps", "delta", "--grid"]),
+       value=_json_values,
+       grid=st.lists(st.text(max_size=4) | st.floats(-40, 40).map(repr)
+                     | st.sampled_from(["nan", "inf", "8.0", "8.5", "1e300"]),
+                     max_size=7).map(":".join))
+def test_document_readers_never_raise(fuzz_inputs, target, value, grid):
+    d, torus, descriptor = fuzz_inputs
+    if target == "--grid":
+        argv = ["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", "0.1",
+                "--grid", grid, "--out", str(d / "t.json")]
+    elif target in torus or target == "field":
+        doc = {**torus, "fields": dict(torus["fields"])}
+        if target == "field":
+            doc["fields"]["lambda"] = value
+        else:
+            doc[target] = value
+        (d / "coeffs.json").write_text(json.dumps(doc))
+        argv = ["verify", "--coeffs", str(d / "coeffs.json"), "--case", "R"]
+    else:
+        doc = {**descriptor, "grid": dict(descriptor["grid"])}
+        if target.startswith("grid."):
+            doc["grid"][target[5:]] = value
+        else:
+            doc[target] = value
+        (d / "descriptor.json").write_text(json.dumps(doc))
+        argv = ["construct", "--params", str(d / "descriptor.json"),
+                "--out", str(d / "c.json")]
+    assert main(argv) in (0, 1, 2)
 
 
 def test_field_reference_must_share_the_grid(tmp_path, capsys):

@@ -172,6 +172,22 @@ def test_field_file_real_kind(tmp_path, unit_spec):
     assert np.array_equal(back["f"].values, f.values)
 
 
+def test_grid_json_round_trip():
+    # the field-file header order is pinned by test_field_file_bytes_pinned_to_json_dump
+    spec = GridSpec(-0.0, 0.1, 0.1, 1e-3, 5, 7)
+    assert GridSpec.from_json(spec.to_json()) == spec
+    # the origin defaults to 0; numbers are floats, sizes integral numbers
+    assert GridSpec.from_json({"du": 1, "dv": 0.5, "nu": 5.0, "nv": 6}) == GridSpec(
+        0.0, 0.0, 1.0, 0.5, 5, 6)
+    for doc, entry in ((None, "a grid must be a JSON object"),
+                       ({**spec.to_json(), "u0": "0"}, "'u0'"),
+                       ({**spec.to_json(), "dv": False}, "'dv'"),
+                       ({**spec.to_json(), "du": [0.1]}, "'du'"),
+                       ({**spec.to_json(), "nu": 5.5}, "grid size 'nu'")):
+        with pytest.raises(ValueError, match=entry):
+            GridSpec.from_json(doc)
+
+
 def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
     f = FieldGrid.from_function(unit_spec, lambda U, V: U - V)
     path = tmp_path / "f.json"
@@ -186,6 +202,16 @@ def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
     for bad in ([doc], {**doc, "fields": list(doc["fields"].values())}):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="is not a field file"):
+            load_fields(path)
+    data = doc["fields"]["f"]
+    for bad, message in (({**doc, "kind": "foo"}, "field kind must be 'real' or 'complex'"),
+                         ({**doc, "kind": None}, "field kind"),
+                         ({**doc, "fields": {"f": [[x] for x in data]}}, "flat list of numbers"),
+                         ({**doc, "fields": {"f": {"0": 1}}}, "flat list of numbers"),
+                         ({**doc, "fields": {"f": data[:-1] + ["1"]}}, "flat list of numbers"),
+                         ({**doc, "fields": {"f": data[:-1] + [True]}}, "flat list of numbers")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=message):
             load_fields(path)
 
 

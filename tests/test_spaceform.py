@@ -13,6 +13,14 @@ def test_case_spec_validation():
         CaseSpec("R", 0.0, eps=2)
     spec = CaseSpec.from_json({"case": "NT", "l0": -1.0, "eps": -1, "delta": 1})
     assert spec.case_id == "NT" and spec.l0 == -1.0 and spec.eps == -1
+    assert CaseSpec.from_json(spec.to_json()) == spec
+    assert CaseSpec.from_json({"case": "LS", "l0": 2, "eps": 1.0}).to_json() == {
+        "case": "LS", "l0": 2.0, "eps": 1, "delta": 1}
+    for doc, entry in (([], "a case must be a JSON object"), ({"case": "R", "l0": "0"}, "'l0'"),
+                       ({"case": "R", "l0": True}, "'l0'"), ({"case": "R", "eps": 1.5}, "'eps'"),
+                       ({"case": "R", "delta": True}, "'delta'"), ({"l0": 0.0}, "unknown case")):
+        with pytest.raises(ValueError, match=entry):
+            CaseSpec.from_json(doc)
 
 
 @pytest.mark.parametrize("case_id,l0,dim,signs", [
