@@ -192,11 +192,14 @@ def _cmd_construct(args) -> int:
         result = build_nt_light_family(spec, _sample(spec, p.pop("gamma", 0.0)),
                                        _one_variable(p.pop("profile", "1"), "u"), case)
     elif family == "notld":
+        eps_prime = p.pop("eps_prime", 1)
+        if isinstance(eps_prime, bool) or eps_prime not in (1, -1):
+            raise UsageError(f"param 'eps_prime' must be 1 or -1, got {json.dumps(eps_prime)}")
         pot = NotldPotentials(
             f_minus=field("f_minus"), angle=field("angle"), theta_minus=field("theta_minus"),
             t_minus=field("t_minus"), sigma=field("sigma"),
             xi_tilde=_one_variable(p.pop("xi_tilde", None), "s"),
-            gamma0=float(p.pop("gamma0", 0.0)), eps_prime=int(p.pop("eps_prime", 1)),
+            gamma0=float(p.pop("gamma0", 0.0)), eps_prime=int(eps_prime),
             lam=field("lambda"))
         if "f_re" in p:
             f_re = field("f_re")

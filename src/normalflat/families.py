@@ -147,7 +147,7 @@ def phi_equation_residual(phi: FieldGrid, lam: FieldGrid) -> FieldGrid:
     """
     spec = phi.spec
     pu, pv = grad(phi.values, spec)
-    puu, puv, pvv = hessian(phi.values, spec)
+    puu, puv, pvv = hessian(phi.values, spec, pu)
     lu, lv = grad(lam.values, spec)
     res = pv * pv * puu - 2 * pu * pv * puv + pu * pu * pvv \
         + (pu * pu + pv * pv) * (pu * lu + pv * lv)

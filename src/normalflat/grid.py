@@ -17,6 +17,7 @@ gradient of ``frames.assemble_connection`` (``_diff_along4``).
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -35,6 +36,14 @@ __all__ = [
     "save_fields",
     "load_fields",
 ]
+
+
+def _float(x, entry: str) -> float:
+    """float(x) of a JSON number; an integer too large for a double is a ValueError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{entry} is too large for a double") from None
 
 
 class GridShapeError(ValueError):
@@ -98,7 +107,7 @@ class GridSpec:
             x = entries.get(key)
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise ValueError(f"grid entry {key!r} must be a number, got {json.dumps(x)}")
-            values.append(float(x))
+            values.append(_float(x, f"grid entry {key!r}"))
         for key in ("nu", "nv"):
             n = entries.get(key)
             if isinstance(n, bool) or not (isinstance(n, int)
@@ -204,9 +213,12 @@ def grad(f: np.ndarray, spec: GridSpec):
     return _diff_along(f, spec.du, 0), _diff_along(f, spec.dv, 1)
 
 
-def hessian(f: np.ndarray, spec: GridSpec):
-    """(f_uu, f_uv, f_vv), with the mixed derivative taken as (f_u)_v."""
-    f_uv = _diff_along(_diff_along(f, spec.du, 0), spec.dv, 1)
+def hessian(f: np.ndarray, spec: GridSpec, f_u: np.ndarray | None = None):
+    """(f_uu, f_uv, f_vv), with the mixed derivative taken as (f_u)_v; a
+    caller that holds grad(f, spec)[0] passes it as f_u."""
+    if f_u is None:
+        f_u = _diff_along(f, spec.du, 0)
+    f_uv = _diff_along(f_u, spec.dv, 1)
     return _diff2_along(f, spec.du, 0), f_uv, _diff2_along(f, spec.dv, 1)
 
 
@@ -291,36 +303,48 @@ def field_map(fn, *fields: FieldGrid) -> FieldGrid:
 
 
 # ---------------------------------------------------------------------------
-# field files: one JSON document per grid, any number of named fields
+# field files: one JSON document per grid, any number of named fields;
+# written as base64 doubles, read in that encoding or as lists of numbers
 # ---------------------------------------------------------------------------
 
-def _encode(values: np.ndarray, kind: str) -> list:
-    flat = values.reshape(-1)
-    if kind == "complex":
-        out = np.empty(2 * flat.size)
-        out[0::2] = flat.real
-        out[1::2] = flat.imag
-        return out.tolist()
-    return flat.astype(float).tolist()
+TEXT, BASE64 = "text", "base64-f64le"
 
 
-def _decode(name: str, data, spec: GridSpec, kind: str) -> np.ndarray:
-    if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
-        raise ValueError(f"field {name!r} must be a flat list of numbers")
-    arr = np.asarray(data, dtype=float)
-    if kind == "complex":
-        if arr.size != 2 * spec.nu * spec.nv:
-            raise ValueError("complex field length must be 2*nu*nv")
-        return (arr[0::2] + 1j * arr[1::2]).reshape(spec.shape)
-    if arr.size != spec.nu * spec.nv:
-        raise ValueError("field length must be nu*nv")
-    return arr.reshape(spec.shape)
+def _encode(values: np.ndarray, kind: str) -> str:
+    """base64 of the little-endian doubles; a complex field's bytes are those
+    of <c16, so its doubles interleave [re, im, ...]."""
+    dtype = "<c16" if kind == "complex" else "<f8"
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(name: str, data, spec: GridSpec, kind: str, encoding: str) -> np.ndarray:
+    n = spec.nu * spec.nv * (2 if kind == "complex" else 1)
+    if encoding == BASE64:
+        if not isinstance(data, str):
+            raise ValueError(f"field {name!r} must be a base64 string")
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:  # binascii.Error
+            raise ValueError(f"field {name!r} is not valid base64") from None
+        if len(raw) != 8 * n:
+            raise ValueError(f"field {name!r} holds {len(raw)} bytes, not the {8 * n} "
+                             f"of {n} doubles")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # writable, native order
+    else:
+        if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
+            raise ValueError(f"field {name!r} must be a flat list of numbers")
+        if len(data) != n:
+            raise ValueError(f"field {name!r} holds {len(data)} numbers, not {n}")
+        arr = np.asarray(data, dtype=np.float64)
+    # viewing [re, im, ...] as complex keeps the sign of every zero
+    return (arr.view(np.complex128) if kind == "complex" else arr).reshape(spec.shape)
 
 
 def save_fields(path, fields: dict[str, FieldGrid]) -> None:
     """Write named fields sharing one grid to a JSON field file.
 
-    Doubles round-trip bit-exactly (shortest-repr JSON floats).
+    Each field is one base64 string of its little-endian doubles, so
+    values round-trip bit-exactly.
     """
     if not fields:
         raise ValueError("nothing to save")
@@ -329,19 +353,18 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         raise GridShapeError("all fields in one file must share a grid")
     spec = next(iter(specs))
     kind = "complex" if any(f.kind == "complex" for f in fields.values()) else "real"
-    head = json.dumps({**spec.to_json(), "kind": kind})
-    # json.dump's bytes, one field at a time through the C encoder (json.dump
-    # itself runs the pure-Python one): only one field's list and text exist
+    head = json.dumps({**spec.to_json(), "kind": kind, "encoding": BASE64})
+    # json.dump's bytes for the whole document, one field at a time
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "fields": {')
         for n, (name, f) in enumerate(sorted(fields.items())):
-            values = f.values.astype(np.complex128) if kind == "complex" else f.values
-            fh.write(f"{', ' if n else ''}{json.dumps(name)}: ")
-            fh.write(json.dumps(_encode(values, kind)))
+            fh.write(f'{", " if n else ""}{json.dumps(name)}: "{_encode(f.values, kind)}"')
         fh.write("}}\n")
 
 
 def load_fields(path) -> dict[str, FieldGrid]:
+    """Read a field file in either encoding: base64 strings, or (an absent
+    or "text" encoding) flat lists of numbers."""
     with open(path) as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("fields"), dict)):
@@ -350,7 +373,11 @@ def load_fields(path) -> dict[str, FieldGrid]:
     kind = doc.get("kind", "real")
     if kind not in ("real", "complex"):
         raise ValueError(f"field kind must be 'real' or 'complex', got {json.dumps(kind)}")
+    encoding = doc.get("encoding", TEXT)
+    if encoding not in (TEXT, BASE64):
+        raise ValueError(f"field encoding must be {TEXT!r} or {BASE64!r}, "
+                         f"got {json.dumps(encoding)}")
     return {
-        name: FieldGrid(spec, _decode(name, data, spec, kind))
+        name: FieldGrid(spec, _decode(name, data, spec, kind, encoding))
         for name, data in doc["fields"].items()
     }

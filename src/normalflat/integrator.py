@@ -251,7 +251,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
     N2 = propagate(n2s, seed[:, 3:4], [projector(N1)])
     N1, N2 = (np.ascontiguousarray(np.moveaxis(N, -1, 0)) for N in (N1, N2))
 
-    Fuu, Fuv, Fvv = hessian(F, spec)
+    Fuu, Fuv, Fvv = hessian(F, spec, T1)
     inv1 = n1s / e2l
     inv2 = n2s / e2l
     a1 = inv1 * ambient_inner(Fuu, N1, sig)

@@ -119,7 +119,7 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
     spec = f_minus.spec
     f = f_minus.values
     fu, fv = grad(f, spec)
-    fuu, fuv, fvv = hessian(f, spec)
+    fuu, fuv, fvv = hessian(f, spec, fu)
     xi = xi_tilde(f) if callable(xi_tilde) else float(xi_tilde) * np.ones(spec.shape)
 
     if case.kappa > 0:

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _float
+
 __all__ = [
     "CASES",
     "CaseSpec",
@@ -103,7 +105,7 @@ class CaseSpec:
         for key, x in (("eps", eps), ("delta", delta)):
             if isinstance(x, bool) or x not in (1, -1):
                 raise ValueError(f"case entry {key!r} must be 1 or -1, got {json.dumps(x)}")
-        return cls(doc.get("case"), float(l0), int(eps), int(delta))
+        return cls(doc.get("case"), _float(l0, "case entry 'l0'"), int(eps), int(delta))
 
     @property
     def g_signs(self) -> tuple:

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, load_fields
 
 
 @pytest.fixture
@@ -44,3 +46,16 @@ def random_coefficients(rng, spec, amplitude=0.4):
     names = ["lam", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2"]
     return CoefficientSet.from_arrays(
         spec, **{n: random_smooth_field(rng, spec, amplitude).values for n in names})
+
+
+def text_document(path) -> dict:
+    """The field file at path as a text-encoded document (no "encoding" key,
+    each field a flat list of doubles, complex ones interleaved [re, im, ...]),
+    for tests that edit a field file as lists."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    del doc["encoding"]
+    dtype = complex if doc["kind"] == "complex" else float
+    doc["fields"] = {name: f.values.astype(dtype).view(float).ravel().tolist()
+                     for name, f in load_fields(path).items()}
+    return doc

@@ -1,3 +1,4 @@
+import base64
 import json
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import text_document
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
 from normalflat.cli import main
 
@@ -250,24 +252,41 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
                  ["reconstruct", "--mesh", str(tmp_path), "--case", "R",
                   "--out", str(tmp_path / "rec.json")]):
         assert main(argv) == 1, argv
-    # field files whose grid, kind or field data is of the wrong JSON type
-    torus = json.loads(torus_file.read_text())
+    # field files whose grid, kind, encoding or field data is of the wrong JSON
+    # type, a grid step too large for a double, and base64 payloads that are
+    # not a string, hold a character outside the alphabet or are a double short
+    torus = text_document(torus_file)
     fields = torus["fields"]
+    encoded = json.loads(torus_file.read_text())
+    lam = encoded["fields"]["lambda"]
+    short = base64.b64encode(base64.b64decode(lam)[:-8]).decode()
     for name, doc in (("str_du", {**torus, "du": "0.1"}),
                       ("null_u0", {**torus, "u0": None}),
                       ("bool_du", {**torus, "du": True}),
+                      ("huge_du", {**torus, "du": 10**400}),
                       ("foo_kind", {**torus, "kind": "foo"}),
                       ("object_field", {**torus, "fields": {**fields, "lambda": {"a": 1}}}),
                       ("wrapped_field", {**torus, "fields": {
-                          **fields, "lambda": [[x] for x in fields["lambda"]]}})):
+                          **fields, "lambda": [[x] for x in fields["lambda"]]}}),
+                      ("foo_encoding", {**encoded, "encoding": "foo"}),
+                      ("list_payload", {**encoded, "fields": {
+                          **encoded["fields"], "lambda": fields["lambda"]}}),
+                      ("bad_char", {**encoded, "fields": {
+                          **encoded["fields"], "lambda": lam[:8] + "!" + lam[8:]}}),
+                      ("short_payload", {**encoded, "fields": {
+                          **encoded["fields"], "lambda": short}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", "--coeffs", str(path), "--case", "R"]) == 1, name
     # descriptor entries of the wrong type or value, and a param no family reads
     for name, doc in (("str_du", {**good, "grid": {**good["grid"], "du": "0.05"}}),
                       ("str_l0", {**good, "l0": "0.5"}),
+                      ("huge_l0", {**good, "l0": 10**400}),
                       ("fractional_eps", {**good, "eps": 1.5}),
-                      ("unread_radius", {**good, "params": {"radius": 2.0}})):
+                      ("unread_radius", {**good, "params": {"radius": 2.0}}),
+                      ("fractional_eps_prime", {**good, "family": "notld", "case": "NT",
+                                                "params": {"f_minus": "u", "angle": "0.7",
+                                                           "t_minus": "0.4", "eps_prime": 1.5}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["construct", "--params", str(path),
@@ -281,14 +300,21 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert main(["reconstruct", "--mesh", str(tmp_path / "bad_mesh.json"), "--case", "R",
                  "--out", str(tmp_path / "rec.json")]) == 1
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 48
+    assert err.count("normalflat: ") == 55
     assert err.count("tolerance must be finite and non-negative") == 16
     assert "grid size 'nu' must be an integral number, got 34.7" in err
     assert "normalflat: grid entry 'du' must be a number, got \"0.1\"" in err
     assert "normalflat: field kind must be 'real' or 'complex', got \"foo\"" in err
     assert err.count("normalflat: field 'lambda' must be a flat list of numbers") == 2
+    assert "normalflat: grid entry 'du' is too large for a double" in err
+    assert "normalflat: field encoding must be 'text' or 'base64-f64le', got \"foo\"" in err
+    assert "normalflat: field 'lambda' must be a base64 string" in err
+    assert "normalflat: field 'lambda' is not valid base64" in err
+    assert "normalflat: field 'lambda' holds 8704 bytes, not the 8712 of 1089 doubles" in err
     assert "normalflat: case entry 'l0' must be a number, got \"0.5\"" in err
     assert "normalflat: case entry 'eps' must be 1 or -1, got 1.5" in err
+    assert "normalflat: case entry 'l0' is too large for a double" in err
+    assert "normalflat: param 'eps_prime' must be 1 or -1, got 1.5" in err
     assert "normalflat: family 'product' reads no param 'radius'" in err
     assert "is not a mesh file" in err
     assert "Traceback" not in err
@@ -327,26 +353,35 @@ def fuzz_inputs(tmp_path_factory):
     descriptor = {"family": "product", "case": "R", "l0": 0.0, "eps": 1, "delta": 1,
                   "grid": {"u0": 0, "v0": 0, "du": 0.1, "dv": 0.1, "nu": 9, "nv": 9},
                   "params": {"radius1": 1.0, "radius2": 1.0}}
-    return d, json.loads((d / "torus.json").read_text()), descriptor
+    encoded = json.loads((d / "torus.json").read_text())
+    return d, text_document(d / "torus.json"), encoded, descriptor
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(target=st.sampled_from(["u0", "v0", "du", "dv", "nu", "nv", "kind", "field",
-                               "grid.u0", "grid.v0", "grid.du", "grid.dv", "grid.nu",
-                               "grid.nv", "case", "l0", "eps", "delta", "--grid"]),
+@given(target=st.sampled_from(["u0", "v0", "du", "dv", "nu", "nv", "kind", "encoding",
+                               "field", "payload", "grid.u0", "grid.v0", "grid.du",
+                               "grid.dv", "grid.nu", "grid.nv", "case", "l0", "eps", "delta",
+                               "--grid"]),
        value=_json_values,
        grid=st.lists(st.text(max_size=4) | st.floats(-40, 40).map(repr)
                      | st.sampled_from(["nan", "inf", "8.0", "8.5", "1e300"]),
-                     max_size=7).map(":".join))
-def test_document_readers_never_raise(fuzz_inputs, target, value, grid):
-    d, torus, descriptor = fuzz_inputs
+                     max_size=7).map(":".join),
+       cut=st.integers(0, 12), tail=st.text(max_size=3))
+def test_document_readers_never_raise(fuzz_inputs, target, value, grid, cut, tail):
+    d, torus, encoded, descriptor = fuzz_inputs
     if target == "--grid":
         argv = ["riccati", "--fminus", "u + 0.3*v", "--case", "R", "--t0", "0.1",
                 "--grid", grid, "--out", str(d / "t.json")]
-    elif target in torus or target == "field":
-        doc = {**torus, "fields": dict(torus["fields"])}
+    elif target in encoded or target in ("field", "payload"):
+        # text documents for entries of any JSON value; the base64 one for the
+        # encoding and for a payload cut by up to 12 characters and extended
+        src = encoded if target in ("encoding", "payload") else torus
+        doc = {**src, "fields": dict(src["fields"])}
         if target == "field":
             doc["fields"]["lambda"] = value
+        elif target == "payload":
+            lam = doc["fields"]["lambda"]
+            doc["fields"]["lambda"] = lam[:len(lam) - cut] + tail
         else:
             doc[target] = value
         (d / "coeffs.json").write_text(json.dumps(doc))

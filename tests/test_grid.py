@@ -1,6 +1,8 @@
+import base64
 import importlib
 import json
 import pkgutil
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normalflat
+from conftest import text_document
 from normalflat import FieldGrid, GridSpec, diff_u, diff_v, field_map, load_fields, save_fields
 from normalflat.grid import (GridShapeError, _diff2_along, _diff_along, curl, grad, hessian,
                              wedge)
@@ -135,32 +138,69 @@ def test_field_file_roundtrip_bit_exact(tmp_path, unit_spec):
     assert np.array_equal(back["f"].values, f.values.astype(complex))
     assert np.array_equal(back["g"].values, g.values)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"u0", "v0", "du", "dv", "nu", "nv", "kind", "fields"}
-    assert doc["kind"] == "complex"
+    assert list(doc) == ["u0", "v0", "du", "dv", "nu", "nv", "kind", "encoding", "fields"]
+    assert doc["kind"] == "complex" and doc["encoding"] == "base64-f64le"
 
 
 _SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -5e-324, 1e-300, -1e300]
 
 
-def test_field_file_bytes_pinned_to_json_dump(tmp_path):
-    # the reference is the pure-Python encoder json.dump streams through
+def _special_fields():
+    """Real fields "a", "b" and a complex "z" on one grid, each starting with _SPECIAL."""
     spec = GridSpec(-0.0, 0.1, 0.1, 1e-3, 5, 7)
     rng = np.random.default_rng(11)
     vals = 10.0 ** rng.uniform(-300, 300, (3, 5, 7)) * rng.choice([-1, 1], (3, 5, 7))
     vals.reshape(3, -1)[:, :len(_SPECIAL)] = _SPECIAL
     real = {"b": FieldGrid(spec, vals[0]), "a": FieldGrid(spec, vals[1])}
-    both = {**real, "z": FieldGrid(spec, vals[2] - 1j * vals[0])}
-    for kind, fields in (("real", real), ("complex", both)):
+    return real, {**real, "z": FieldGrid(spec, vals[2] - 1j * vals[0])}
+
+
+def _doubles(field, kind):
+    """A field's doubles as Python floats, row-major, complex ones as [re, im, ...]."""
+    values = field.values.ravel().tolist()
+    if kind == "real":
+        return values
+    return [x for z in values for x in (complex(z).real, complex(z).imag)]
+
+
+def _document(kind, fields, encode):
+    return {"u0": -0.0, "v0": 0.1, "du": 0.1, "dv": 1e-3, "nu": 5, "nv": 7, "kind": kind,
+            **({"encoding": "base64-f64le"} if encode else {}),
+            "fields": {name: encode(_doubles(fields[name], kind)) if encode
+                       else _doubles(fields[name], kind) for name in sorted(fields)}}
+
+
+def _dump(doc):
+    # the reference is the pure-Python encoder json.dump streams through
+    return "".join(json.JSONEncoder().iterencode(doc)) + "\n"
+
+
+def test_field_file_bytes_pinned_to_json_dump(tmp_path):
+    def encode(doubles):
+        return base64.b64encode(struct.pack("<%dd" % len(doubles), *doubles)).decode()
+
+    for kind, fields in zip(("real", "complex"), _special_fields()):
         path = tmp_path / f"{kind}.json"
         save_fields(path, fields)
+        assert path.read_bytes() == _dump(_document(kind, fields, encode)).encode(), kind
+        back = load_fields(path)
+        for name, f in fields.items():  # bitwise, so the sign of every zero is kept
+            values = back[name].values
+            assert values.tobytes() == f.values.astype(values.dtype).tobytes(), (kind, name)
+
+
+def test_text_field_file_reads_bit_exact(tmp_path):
+    # lists of shortest-repr doubles, with no "encoding" key or "text", stay a readable input
+    for kind, fields in zip(("real", "complex"), _special_fields()):
         dtype = complex if kind == "complex" else float
-        # a complex array viewed as doubles interleaves [re, im, ...]
-        doc = {"u0": -0.0, "v0": 0.1, "du": 0.1, "dv": 1e-3, "nu": 5, "nv": 7, "kind": kind,
-               "fields": {name: fields[name].values.astype(dtype).view(float).ravel().tolist()
-                          for name in sorted(fields)}}
-        expected = "".join(json.JSONEncoder().iterencode(doc)) + "\n"
-        assert path.read_bytes() == expected.encode(), kind
-        assert path.read_text().count("-0.0") >= 2  # sign of zero kept
+        for encoding in ({}, {"encoding": "text"}):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(_dump({**_document(kind, fields, None), **encoding}))
+            back = load_fields(path)
+            assert back.keys() == fields.keys()
+            for name, f in fields.items():
+                assert back[name].values.dtype == dtype
+                assert back[name].values.tobytes() == f.values.astype(dtype).tobytes(), (kind, name)
 
 
 def test_field_file_real_kind(tmp_path, unit_spec):
@@ -183,7 +223,8 @@ def test_grid_json_round_trip():
                        ({**spec.to_json(), "u0": "0"}, "'u0'"),
                        ({**spec.to_json(), "dv": False}, "'dv'"),
                        ({**spec.to_json(), "du": [0.1]}, "'du'"),
-                       ({**spec.to_json(), "nu": 5.5}, "grid size 'nu'")):
+                       ({**spec.to_json(), "nu": 5.5}, "grid size 'nu'"),
+                       ({**spec.to_json(), "du": 10**400}, "'du' is too large for a double")):
         with pytest.raises(ValueError, match=entry):
             GridSpec.from_json(doc)
 
@@ -192,7 +233,7 @@ def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
     f = FieldGrid.from_function(unit_spec, lambda U, V: U - V)
     path = tmp_path / "f.json"
     save_fields(path, {"f": f})
-    doc = json.loads(path.read_text())
+    doc = text_document(path)
     path.write_text(json.dumps({**doc, "nu": 33.0}))  # integral, though written as a float
     assert np.array_equal(load_fields(path)["f"].values, f.values)
     for nv in (32.7, "33", None, True):
@@ -213,6 +254,34 @@ def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=message):
             load_fields(path)
+
+
+def test_field_file_base64_payload_checks(tmp_path, unit_spec):
+    f = FieldGrid.from_function(unit_spec, lambda U, V: U - V)
+    path = tmp_path / "f.json"
+    save_fields(path, {"f": f})
+    doc, text = json.loads(path.read_text()), text_document(path)
+    data = doc["fields"]["f"]
+    n = unit_spec.nu * unit_spec.nv
+    for bad, message in (({**doc, "encoding": "base64"}, "field encoding must be"),
+                         ({**doc, "encoding": None}, "field encoding must be"),
+                         ({**doc, "fields": {"f": [1.0] * n}}, "'f' must be a base64 string"),
+                         ({**doc, "fields": {"f": data[:8] + "*" + data[8:]}}, "not valid base64"),
+                         ({**doc, "fields": {"f": data[:-1]}}, "'f' is not valid base64"),
+                         ({**doc, "fields": {"f": data[:-4]}}, f"holds {8 * n - 3} bytes"),
+                         ({**doc, "fields": {"f": base64.b64encode(bytes(8 * n - 8)).decode()}},
+                          f"field 'f' holds {8 * n - 8} bytes, not the {8 * n} of {n} doubles"),
+                         ({**doc, "kind": "complex"}, f"not the {16 * n} of {2 * n} doubles"),
+                         ({**text, "fields": {"f": [1.0] * (n - 1)}},
+                          f"field 'f' holds {n - 1} numbers, not {n}")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=message):
+            load_fields(path)
+    # a payload that decodes to a non-finite double is refused like a text one
+    path.write_text(json.dumps({**doc, "fields": {"f": base64.b64encode(
+        struct.pack("<%dd" % n, *[float("nan")] * n)).decode()}}))
+    with pytest.raises(ValueError, match="field values must be finite"):
+        load_fields(path)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +328,9 @@ def test_hessian_matches_nested_stencils_bitwise():
     assert np.array_equal(fuv, _diff_along(_diff_along(f, spec.du, 0), spec.dv, 1))
     assert np.array_equal(fuu, _diff2_along(f, spec.du, 0))
     assert np.array_equal(fvv, _diff2_along(f, spec.dv, 1))
+    # a caller that holds f_u gets the same arrays
+    for a, b in zip(hessian(f, spec, grad(f, spec)[0]), (fuu, fuv, fvv)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_only_grid_binds_the_stencils():
