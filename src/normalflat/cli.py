@@ -32,14 +32,8 @@ from .families import (
     build_product_family,
 )
 from .frames import CoefficientSet, compatibility_defect
-from .gcr import (
-    VARIANTS,
-    default_tolerance,
-    detect_parallel_normal,
-    gcr_residuals,
-    normal_flatness_defect,
-)
-from .grid import FieldGrid, GridSpec, load_fields, save_fields
+from .gcr import VARIANTS, detect_parallel_normal, gcr_residuals, normal_flatness_defect
+from .grid import FieldGrid, GridSpec, _float, load_fields, residual_tolerance, save_fields
 from .integrator import (
     export_mesh,
     integrate_frame,
@@ -141,6 +135,20 @@ def _sample(spec: GridSpec, source):
     return FieldGrid.from_function(spec, lambda U, V: fn(u=U, v=V))
 
 
+def _frame0(path) -> np.ndarray:
+    """The 'frame0' entry of a JSON object: a list of rows of 5 numbers, one
+    row per ambient axis (integrate_frame checks their count)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    rows = doc.get("frame0") if isinstance(doc, dict) else None
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == 5 for row in rows)):
+        raise UsageError(f"{path} must hold a JSON object whose 'frame0' is a list of "
+                         f"rows of 5 numbers, got {json.dumps(rows)}")
+    return np.array([[_float(x, f"frame0 entry [{i}][{j}]") for j, x in enumerate(row)]
+                     for i, row in enumerate(rows)])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ def _cmd_verify(args) -> int:
     compat = compatibility_defect(coeffs, case)
     tol = _env_tol(args.tol)
     if tol is None:
-        tol = default_tolerance(coeffs.spec, coeffs.max_abs())
+        tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
     metrics = res.metrics()
     metrics["flatness"] = _metric(flat.values)
     metrics["compatibility"] = _metric(compat.values)
@@ -224,13 +232,7 @@ def _cmd_construct(args) -> int:
 def _cmd_integrate(args) -> int:
     case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
-    frame0 = None
-    if args.frame0 and args.frame0 != "auto":
-        with open(args.frame0) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise UsageError(f"{args.frame0} must hold a JSON object with a 'frame0' matrix")
-        frame0 = np.asarray(doc["frame0"], dtype=float)
+    frame0 = _frame0(args.frame0) if args.frame0 and args.frame0 != "auto" else None
     field, drift = integrate_frame(coeffs, case, frame0,
                                    project_quadric=args.project_quadric)
     save_mesh(args.out, field.mesh())
@@ -263,7 +265,7 @@ def _cmd_detect(args) -> int:
         "k_minus_l0": _metric(rep.k_equals_l0_defect),
         "gamma_angle_spread": _metric(rep.gamma_angle_defect),
     }
-    _report(args.out, case, coeffs.spec, metrics, rep.verdict_json())
+    _report(args.out, case, coeffs.spec, metrics, {**rep.verdict_json(), "tolerance": rep.ld.tol})
     return 0
 
 
@@ -374,6 +376,9 @@ def main(argv=None) -> int:
     # UsageError, FamilyInputError, NonIntegrableError and JSONDecodeError are ValueErrors
     except (OSError, KeyError, ValueError) as exc:
         print(f"normalflat: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the grid cap keeps out the sizes no machine holds
+        print(f"normalflat: out of memory: {exc}", file=sys.stderr)
         return 1
     except (OverflowError, FloatingPointError) as exc:
         print(f"normalflat: floating-point failure: {exc}", file=sys.stderr)

@@ -2,13 +2,15 @@
 
 Grammar: numbers, named variables, unary minus, binary ``+ - * / ^``
 (with ``^`` right-associative and binding tighter than unary minus),
-a fixed set of one-argument functions, and parentheses.  Evaluation is
-IEEE-754 double (numpy-vectorized, complex allowed); domain errors and
-unknown names carry the byte offset of the offending token.
+a fixed set of one-argument functions, and parentheses.  Parentheses,
+calls, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
+Evaluation is IEEE-754 double (numpy-vectorized, complex allowed); domain
+errors and unknown names carry the byte offset of the offending token.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,10 @@ FUNCTIONS = {
 }
 
 DEFAULT_VARIABLES = ("u", "v", "s")
+
+# the parser takes about five stack frames per level, so a deeper input is
+# refused before it can exhaust Python's default recursion limit of 1000
+MAX_NESTING = 160
 
 
 class ParseError(ValueError):
@@ -132,41 +138,46 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    # depth is the nesting level of the operand being read: parentheses, a
+    # call's argument, a negated operand and an exponent each open one
     def parse(self):
-        e = self.expr()
+        e = self.expr(1)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def expr(self):
-        e = self.term()
+    def expr(self, depth):
+        e = self.term(depth)
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.next()
-            e = BinOp(op, e, self.term(), pos)
+            e = BinOp(op, e, self.term(depth), pos)
         return e
 
-    def term(self):
-        e = self.unary()
+    def term(self, depth):
+        e = self.unary(depth)
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.next()
-            e = BinOp(op, e, self.unary(), pos)
+            e = BinOp(op, e, self.unary(depth), pos)
         return e
 
-    def unary(self):
+    def unary(self, depth):
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.peek()[2])
         if self.peek()[0] == "-":
             _, _, pos = self.next()
-            return Neg(self.unary(), pos)
-        return self.power()
+            return Neg(self.unary(depth + 1), pos)
+        return self.power(depth)
 
-    def power(self):
-        base = self.atom()
+    def power(self, depth):
+        base = self.atom(depth)
         if self.peek()[0] == "^":
             _, _, pos = self.next()
-            return BinOp("^", base, self.unary(), pos)
+            return BinOp("^", base, self.unary(depth + 1), pos)
         return base
 
-    def atom(self):
+    def atom(self, depth):
         kind, val, pos = self.next()
         if kind == "num":
             return Num(val, pos)
@@ -175,14 +186,14 @@ class _Parser:
                 if val not in FUNCTIONS:
                     raise ParseError(f"unknown function {val!r}", pos)
                 self.next()
-                arg = self.expr()
+                arg = self.expr(depth + 1)
                 self.expect(")")
                 return Call(val, arg, pos)
             if val not in self.variables:
                 raise ParseError(f"unknown identifier {val!r}", pos)
             return Var(val, pos)
         if kind == "(":
-            e = self.expr()
+            e = self.expr(depth + 1)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {val!r}", pos)
@@ -199,6 +210,12 @@ def _check_finite(value, node, what):
     return value
 
 
+# binary operators; the two that can leave the finite range are checked
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power}
+_CHECKED = {"/": "division", "^": "power"}
+
+
 def eval_expr(expr, **bindings):
     """Evaluate a parse tree with numpy semantics (scalars or arrays)."""
     if isinstance(expr, Num):
@@ -210,18 +227,20 @@ def eval_expr(expr, **bindings):
     if isinstance(expr, Neg):
         return -eval_expr(expr.arg, **bindings)
     if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, **bindings)
-        b = eval_expr(expr.right, **bindings)
-        with np.errstate(all="ignore"):
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                return _check_finite(np.divide(a, b), expr, "division")
-            return _check_finite(np.power(a, b), expr, "power")
+        # a left-associative chain (u + u + ... + u) is walked down its left
+        # operands in a loop, so only nesting takes stack
+        chain = []
+        while isinstance(expr, BinOp):
+            chain.append(expr)
+            expr = expr.left
+        a = eval_expr(expr, **bindings)
+        for node in reversed(chain):
+            b = eval_expr(node.right, **bindings)
+            with np.errstate(all="ignore"):
+                a = _BINARY[node.op](a, b)
+            if node.op in _CHECKED:
+                _check_finite(a, node, _CHECKED[node.op])
+        return a
     if isinstance(expr, Call):
         arg = eval_expr(expr.arg, **bindings)
         if expr.fn == "log" and not np.iscomplexobj(arg) and np.any(np.asarray(arg) <= 0):
@@ -240,7 +259,6 @@ def compile_expr(source: str, variables=DEFAULT_VARIABLES):
     def fn(**bindings):
         return eval_expr(tree, **bindings)
 
-    fn.tree = tree
     return fn
 
 

@@ -250,24 +250,21 @@ def _rotation(case: CaseSpec, angle: np.ndarray):
     return sh, -ch, ch, -sh
 
 
-def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
-               tol: float | None = None):
+def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec):
     """Partner potential of f under the case's rotation by the angle field.
 
-    Real cases: rotate the gradient of f by the matrix of
-    :func:`_rotation`, check that the candidate gradient is curl-free,
-    and path-integrate it.  Returns (partner FieldGrid, curl defect).  A
-    curl defect above tolerance means the angle field is not admissible
-    (it should come from the Riccati system); that raises
-    :class:`NonIntegrableError`.
-
-    Complex cases (LS/LT): the partner is the conjugate, so the angle is
-    not free; returns (recovered angle field, max residual of the
-    rotation relation).
+    Rotate the gradient of f by the matrix of :func:`_rotation`, check
+    that the candidate gradient is curl-free at 100 h^2 (1 + s), and
+    path-integrate it.  Returns (partner FieldGrid, curl defect).  A curl
+    defect above tolerance means the angle field is not admissible (it
+    should come from the Riccati system); that raises
+    :class:`NonIntegrableError`.  The real cases (R/NS/NT) only: in the
+    complex ones the partner is the conjugate, see :func:`rotation_angle`.
     """
     spec = f.spec
     if case.parity < 0:
-        return rotation_angle(f, case)
+        raise ValueError(f"angle_link serves the real cases only; case {case.case_id} "
+                         "links through rotation_angle")
     if angle is None:
         raise ValueError("real cases need the angle field")
     fu, fv = grad(f.values, spec)
@@ -275,8 +272,7 @@ def angle_link(f: FieldGrid, angle: FieldGrid | None, case: CaseSpec,
     r00, r01, r10, r11 = _rotation(case, ang)
     gu = r00 * fu + r01 * fv
     gv = r10 * fu + r11 * fv
-    if tol is None:
-        tol = angle_link_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang))))
+    tol = angle_link_tolerance(spec, f.max_abs() + float(np.max(np.abs(ang))))
     partner, defect = closed_potential(spec, gu, gv, tol, "partner gradient")
     return FieldGrid(spec, partner), defect
 
@@ -341,14 +337,6 @@ class NotldPotentials:
     gamma0: float = 0.0
     eps_prime: int = 1
     lam: FieldGrid | None = None            # default: identically zero
-
-
-def _xi_eval(xi_tilde, values):
-    if xi_tilde is None:
-        return np.zeros_like(np.real(values))
-    if callable(xi_tilde):
-        return xi_tilde(values)
-    return float(xi_tilde) * np.ones_like(np.real(values))
 
 
 def _lambda_terms(lam: FieldGrid, case: CaseSpec, A, Ap, P, Q):
@@ -552,7 +540,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     Y = fu / w
     W, Z = _signed(kappa, k) * Y, k * X
 
-    xi = _xi_eval(pot.xi_tilde, fv_)
+    xi = np.zeros(spec.shape) if pot.xi_tilde is None else pot.xi_tilde(fv_)
     ku, kv = grad(k, spec)
     d = case.delta if kappa < 0 else 1
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * np.abs(fu) ** 2, 2 * np.abs(fv) ** 2)

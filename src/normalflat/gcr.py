@@ -30,16 +30,12 @@ __all__ = [
     "integrate_gradient",
     "dependence_report",
     "detect_parallel_normal",
-    "default_tolerance",
     "second_form_pseudo_norm",
 ]
 
 
 class NonIntegrableError(ValueError):
     """A candidate gradient field failed its curl test."""
-
-
-default_tolerance = residual_tolerance  # public name of the residual pass level
 
 
 def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
@@ -153,14 +149,13 @@ def closed_potential(spec, gu: np.ndarray, gv: np.ndarray, tol: float, what: str
     return integrate_gradient(spec, gu, gv, base_value), defect
 
 
-def gamma_potential(coeffs: CoefficientSet, tol: float | None = None) -> FieldGrid:
+def gamma_potential(coeffs: CoefficientSet) -> FieldGrid:
     """Potential gamma with gamma_u = mu1, gamma_v = mu2, gamma(u0, v0) = 0.
 
-    Requires the flatness defect to sit below tol (default 10 h^2 scale).
+    Requires the flatness defect to sit at the residual level 10 h^2 (1 + s).
     """
     spec = coeffs.spec
-    if tol is None:
-        tol = residual_tolerance(spec, coeffs.max_abs())
+    tol = residual_tolerance(spec, coeffs.max_abs())
     gamma, _ = closed_potential(spec, coeffs.mu1.values, coeffs.mu2.values, tol,
                                 "normal connection form mu1 du + mu2 dv")
     return FieldGrid(spec, gamma)
@@ -214,14 +209,13 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
 
     variant: "generic" (trig theta; cases R/NS/LT), "space"/"time"
     (hyperbolic t_pm; cases NT/LS), "light" (alpha + eps*beta = 0), or
-    "auto" to classify from the data.
+    "auto" to classify from the data.  tol defaults to the quadratic level
+    10 h^2 (1 + s)^2, s the largest coefficient magnitude.
     """
     spec = coeffs.spec
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    scale = max(coeffs.alpha1.max_abs(), coeffs.alpha2.max_abs(), coeffs.alpha3.max_abs(),
-                coeffs.beta1.max_abs(), coeffs.beta2.max_abs(), coeffs.beta3.max_abs())
     if tol is None:
-        tol = quadratic_tolerance(spec, scale)
+        tol = quadratic_tolerance(spec, coeffs.max_abs())
 
     defect = dependence_minors(coeffs)
     anorm2 = a1 * a1 + a2 * a2 + a3 * a3
@@ -367,52 +361,40 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
       procedure's hypotheses; reported as indeterminate, not guessed.
     """
     spec = coeffs.spec
-    scale = coeffs.max_abs()
-    if tol is None:
-        tol = quadratic_tolerance(spec, scale)
+    ld = dependence_report(coeffs, case, variant, tol)
 
     notes = []
     flat = normal_flatness_defect(coeffs)
-    if not (flat.max_abs() <= tol):
+    if not (flat.max_abs() <= ld.tol):
         notes.append(f"normal connection not flat (defect {flat.max_abs():.3e})")
-
-    ld = dependence_report(coeffs, case, variant, tol)
     gamma = FieldGrid(spec, integrate_gradient(spec, coeffs.mu1.values, coeffs.mu2.values))
 
     kml = curvature_minus_l0(coeffs, case).values
     k_defect = float(np.max(np.abs(kml)))
-    if k_defect <= tol:
+    if k_defect <= ld.tol:
         regime = "equal"
-    elif np.all(kml > tol) or np.all(kml < -tol):
+    elif np.all(kml > ld.tol) or np.all(kml < -ld.tol):
         regime = "nowhere-equal"
     else:
         regime = "mixed"
 
-    if ld.degenerate:
-        return ParallelNormalReport("degenerate", ld, gamma, 0.0, k_defect, regime,
-                                    notes=notes + ["second form vanishes identically"])
-
     combo_defect = 0.0
-    if ld.satisfied and ld.variant != "light" and ld.angle is not None:
+    if ld.satisfied and ld.variant != "light":
         combo = gamma.values + ld.angle.values if ld.variant == "generic" \
             else gamma.values - ld.angle.values
         combo_defect = float(np.max(combo) - np.min(combo))
 
-    if regime == "mixed":
-        return ParallelNormalReport("indeterminate", ld, gamma, combo_defect, k_defect, regime,
-                                    notes=notes + ["K - L0 changes sign on the grid"])
-
-    if ld.variant == "light":
-        if ld.satisfied and regime == "equal":
-            return ParallelNormalReport("parallel-exists", ld, gamma, combo_defect, k_defect,
-                                        regime, field_kind="light", notes=notes)
-        return ParallelNormalReport("none", ld, gamma, combo_defect, k_defect, regime,
-                                    notes=notes)
-
-    if regime == "nowhere-equal":
-        verdict = "parallel-exists" if ld.satisfied else "none"
+    if ld.degenerate:
+        verdict = "degenerate"
+        notes.append("second form vanishes identically")
+    elif regime == "mixed":
+        verdict = "indeterminate"
+        notes.append("K - L0 changes sign on the grid")
+    elif regime == "nowhere-equal":  # the light field needs K = L0
+        verdict = "parallel-exists" if ld.satisfied and ld.variant != "light" else "none"
     else:  # K = L0 identically
-        verdict = "parallel-exists" if (ld.satisfied and combo_defect <= tol) else "none"
+        verdict = "parallel-exists" if ld.satisfied and (
+            ld.variant == "light" or combo_defect <= ld.tol) else "none"
     return ParallelNormalReport(verdict, ld, gamma, combo_defect, k_defect, regime,
                                 field_kind=ld.variant if verdict == "parallel-exists" else "",
                                 notes=notes)

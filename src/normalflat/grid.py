@@ -39,7 +39,10 @@ __all__ = [
 
 
 def _float(x, entry: str) -> float:
-    """float(x) of a JSON number; an integer too large for a double is a ValueError."""
+    """float(x) of a JSON number; anything else (a bool too), or an integer too
+    large for a double, is a ValueError naming the entry."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{entry} must be a number, got {json.dumps(x)}")
     try:
         return float(x)
     except OverflowError:
@@ -70,6 +73,8 @@ class GridSpec:
         if self.nu < 5 or self.nv < 5:
             # one-sided boundary stencils need five points per direction
             raise ValueError(f"need at least 5 points per direction, got {self.nu}x{self.nv}")
+        if self.nu * self.nv > MAX_POINTS:  # checked before anything is allocated
+            raise ValueError(f"a {self.nu}x{self.nv} grid exceeds the cap of {MAX_POINTS} points")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,12 +107,8 @@ class GridSpec:
         if not isinstance(doc, dict):
             raise ValueError(f"a grid must be a JSON object, got {json.dumps(doc)}")
         entries = {"u0": 0.0, "v0": 0.0, **doc}
-        values = []
-        for key in ("u0", "v0", "du", "dv"):
-            x = entries.get(key)
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"grid entry {key!r} must be a number, got {json.dumps(x)}")
-            values.append(_float(x, f"grid entry {key!r}"))
+        values = [_float(entries.get(key), f"grid entry {key!r}")
+                  for key in ("u0", "v0", "du", "dv")]
         for key in ("nu", "nv"):
             n = entries.get(key)
             if isinstance(n, bool) or not (isinstance(n, int)
@@ -130,8 +131,6 @@ class FieldGrid:
 
     def __init__(self, spec: GridSpec, values):
         values = np.asarray(values)
-        if values.size == spec.nu * spec.nv and values.ndim == 1:
-            values = values.reshape(spec.nu, spec.nv)
         if values.shape != spec.shape:
             raise GridShapeError(f"values shape {values.shape} != grid shape {spec.shape}")
         if np.iscomplexobj(values):
@@ -233,12 +232,15 @@ def wedge(a, b):
 
 
 # ---------------------------------------------------------------------------
-# tolerance policy: every pass level of the package; gates compare
-# NaN-strictly, ``not (x <= tol)``
+# tolerance policy: every pass level and size cap of the package; gates
+# compare NaN-strictly, ``not (x <= tol)``
 # ---------------------------------------------------------------------------
 
 # round-off floor of quantities that are exact on closed-form inputs
 ROUND_OFF_TOL = 1e-10
+
+# the most points a grid may hold: 2^26, a (nu, nv, 5, 5) connection of 13 GB
+MAX_POINTS = 1 << 26
 
 # floors of the quantities that must stay away from zero (require_nonzero)
 DEGENERACY_FLOOR = 1e-12  # products of potential gradients dividing an assembly

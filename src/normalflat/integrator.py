@@ -158,7 +158,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     return field, report
 
 
-def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-6):
+def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     """Recover a CoefficientSet from a sampled conformal immersion.
 
     Tangents come from first differences, lambda from their inner
@@ -188,7 +188,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec, tol: float = 1e-
               float(np.max(np.abs(ambient_inner(T1, T2, sig)) / e2l)))
     # first differences are O(h^2) accurate, so isothermality can only be
     # checked to that order
-    iso_tol = max(tol, isothermality_tolerance(spec, float(np.max(np.abs(F)))))
+    iso_tol = max(1e-6, isothermality_tolerance(spec, float(np.max(np.abs(F)))))
     if not (iso <= iso_tol):
         raise NotConformalError(f"isothermality defect {iso:.3e} exceeds {iso_tol:.3e}")
 

@@ -173,12 +173,13 @@ def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
     return loc[::-1] if transposed else loc
 
 
-def _solve_one_order(S, T, spec, t0, bound, interval, margin, transposed):
+def _solve_one_order(S, T, spec, t0, bound, interval, transposed):
     """t = p/q from one sweep of [p q] = [t0 1], checked once it is done."""
     Y = sweep(S, T, np.array([[t0, 1.0]]), spec)
     p, q = Y[..., 0, 0], Y[..., 0, 1]
     if interval is not None:
         lo, hi = interval
+        margin = EXCLUSION_MARGIN
         # lo + margin < p/q < hi - margin and |p/q| >= margin; all fail unless q > 0
         left = ~((lo + margin) * q < p) | ~(p < (hi - margin) * q) | ~(np.abs(p) >= margin * q)
         loc = _first_cell(left, spec, transposed)
@@ -195,35 +196,36 @@ def _solve_one_order(S, T, spec, t0, bound, interval, margin, transposed):
 
 
 def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
-                  bound: float = 1e6, margin: float = EXCLUSION_MARGIN) -> RiccatiSolution:
+                  bound: float = 1e6) -> RiccatiSolution:
     """Path-ordered solution of dt = w0 + t w1 + t^2 w2 from t(u0, v0) = t0.
 
     Integrates along the base row, then down every column; the defect is
     the max difference against the transposed (column-first) order.  For
-    case NT the solution is constrained to (-1, 1) minus zero.  Riccati
-    solutions can escape to infinity in finite time; a sign change of q
-    or |t| > ``bound`` raises :class:`RiccatiBlowUpError` with the first
-    such cell in sweep order (``location``, None standing for a whole
-    line swept at once).
+    case NT the solution is constrained to (-1, 1) minus zero, with margin
+    ``EXCLUSION_MARGIN``.  Riccati solutions can escape to infinity in
+    finite time; a sign change of q or |t| > ``bound`` raises
+    :class:`RiccatiBlowUpError` with the first such cell in sweep order
+    (``location``, None standing for a whole line swept at once).
     """
     interval = (-1.0, 1.0) if (case is not None and case.case_id == "NT") else None
-    if interval is not None and (abs(t0) >= 1 - margin or abs(t0) < margin):
+    if interval is not None and (abs(t0) >= 1 - EXCLUSION_MARGIN
+                                 or abs(t0) < EXCLUSION_MARGIN):
         raise RangeConstraintError(f"initial value t0={t0} outside {interval} \\ {{0}}")
     spec = forms.spec
     S, T = _connection(forms.omega0, forms.omega1, forms.omega2)
-    t_rc = _solve_one_order(S, T, spec, t0, bound, interval, margin, False)
+    t_rc = _solve_one_order(S, T, spec, t0, bound, interval, False)
     # transposed order: v first, then u; realized by swapping axes/roles
     swapped = GridSpec(spec.v0, spec.u0, spec.dv, spec.du, spec.nv, spec.nu)
     t_cr = _solve_one_order(T.swapaxes(0, 1), S.swapaxes(0, 1), swapped,
-                            t0, bound, interval, margin, True).T
+                            t0, bound, interval, True).T
     defect = float(np.max(np.abs(t_rc - t_cr)))
     return RiccatiSolution(FieldGrid(spec, t_rc), defect, forms.obstruction_max())
 
 
-def obstruction_verdict(forms: RiccatiForms, tol: float | None = None):
-    """('identically-zero' | 'nontrivial', max norms of the three 2-forms)."""
-    if tol is None:
-        tol = quadratic_tolerance(forms.spec, forms.omega_scale())
+def obstruction_verdict(forms: RiccatiForms):
+    """('identically-zero' | 'nontrivial', max norms of the three 2-forms),
+    judged at the quadratic level of the omega scale."""
+    tol = quadratic_tolerance(forms.spec, forms.omega_scale())
     norms = {
         "Omega0": forms.Omega0.max_abs(),
         "Omega1": forms.Omega1.max_abs(),

@@ -99,13 +99,12 @@ class CaseSpec:
         +1 by default; a ValueError names the first malformed entry."""
         if not isinstance(doc, dict):
             raise ValueError(f"a case must be a JSON object, got {json.dumps(doc)}")
-        l0, eps, delta = doc.get("l0", 0.0), doc.get("eps", 1), doc.get("delta", 1)
-        if isinstance(l0, bool) or not isinstance(l0, (int, float)):
-            raise ValueError(f"case entry 'l0' must be a number, got {json.dumps(l0)}")
+        l0 = _float(doc.get("l0", 0.0), "case entry 'l0'")
+        eps, delta = doc.get("eps", 1), doc.get("delta", 1)
         for key, x in (("eps", eps), ("delta", delta)):
             if isinstance(x, bool) or x not in (1, -1):
                 raise ValueError(f"case entry {key!r} must be 1 or -1, got {json.dumps(x)}")
-        return cls(doc.get("case"), _float(l0, "case entry 'l0'"), int(eps), int(delta))
+        return cls(doc.get("case"), l0, int(eps), int(delta))
 
     @property
     def g_signs(self) -> tuple:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import text_document
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
 from normalflat.cli import main
+from normalflat.families import NotldPotentials, build_notld_family
+from normalflat.integrator import canonical_frame0
 
 
 @pytest.fixture
@@ -291,6 +293,26 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
         path.write_text(json.dumps(doc))
         assert main(["construct", "--params", str(path),
                      "--out", str(tmp_path / "c.json")]) == 1, name
+    # an expression nested past the parser's limit (an --fminus 200 levels deep,
+    # a phi of 2000 minus signs), a frame0 that is an object, holds objects or
+    # a string, and a grid past the size cap
+    assert main(["riccati", "--fminus", "(" * 200 + "u" + ")" * 200, "--case", "R",
+                 "--t0", "0.1", "--grid", "0:0:0.05:0.05:9:9",
+                 "--out", str(tmp_path / "t.json")]) == 1
+    path = tmp_path / "deep_phi.json"
+    path.write_text(json.dumps({**good, "family": "phi",
+                                "params": {"phi": "-" * 2000 + "u", "theta": "0.7"}}))
+    assert main(["construct", "--params", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    canonical = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    for name, frame0 in (("object_frame0", {}),
+                         ("object_rows", [[{}] * 5] * 4),
+                         ("string_entry", [["1", 0, 0, 0, 0]] + canonical[1:])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"frame0": frame0}))
+        assert main(["integrate", "--coeffs", str(torus_file), "--case", "R",
+                     "--frame0", str(path), "--out", mesh]) == 1, name
+    assert main(["riccati", "--fminus", "u", "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:0.1:0.1:1e18:9", "--out", str(tmp_path / "t.json")]) == 1
     # a mesh file holds x0..x{d-1} and nothing else
     assert main(["integrate", "--coeffs", str(torus_file), "--case", "R", "--out", mesh]) == 0
     mesh_doc = json.loads((tmp_path / "mesh.json").read_text())
@@ -300,7 +322,12 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert main(["reconstruct", "--mesh", str(tmp_path / "bad_mesh.json"), "--case", "R",
                  "--out", str(tmp_path / "rec.json")]) == 1
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 55
+    assert err.count("normalflat: ") == 61
+    assert err.count("normalflat: expression nested deeper than 160 levels") == 2
+    assert "'frame0' is a list of rows of 5 numbers, got {}" in err
+    assert "normalflat: frame0 entry [0][0] must be a number, got {}" in err
+    assert "normalflat: frame0 entry [0][0] must be a number, got \"1\"" in err
+    assert "normalflat: a 1000000000000000000x9 grid exceeds the cap of 67108864 points" in err
     assert err.count("tolerance must be finite and non-negative") == 16
     assert "grid size 'nu' must be an integral number, got 34.7" in err
     assert "normalflat: grid entry 'du' must be a number, got \"0.1\"" in err
@@ -318,6 +345,75 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert "normalflat: family 'product' reads no param 'radius'" in err
     assert "is not a mesh file" in err
     assert "Traceback" not in err
+
+
+def test_memory_error_exits_one(tmp_path, monkeypatch, capsys):
+    # a MemoryError that passes the grid cap is a usage error, not a traceback
+    def no_memory(self):
+        raise MemoryError("Unable to allocate 6.94 EiB")
+
+    monkeypatch.setattr(GridSpec, "mesh", no_memory)
+    assert main(["riccati", "--fminus", "u", "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:0.1:0.1:9:9", "--out", str(tmp_path / "t.json")]) == 1
+    assert capsys.readouterr().err == "normalflat: out of memory: Unable to allocate 6.94 EiB\n"
+
+
+def test_integrate_frame0_file(torus_file, tmp_path, capsys):
+    # the canonical frame read from a file integrates to the bytes of --frame0 auto;
+    # a frame of the wrong shape, or with a column doubled, is a usage error
+    frame = canonical_frame0(CaseSpec("R", 0.0), float(CoefficientSet.load(torus_file)
+                                                       .lam.values[0, 0]))
+    doubled = frame.copy()
+    doubled[:, 1] *= 2
+    argv = ["integrate", "--coeffs", str(torus_file), "--case", "R", "--out"]
+    assert main(argv + [str(tmp_path / "auto.json")]) == 0
+    for name, f in (("file", frame), ("short", frame[:3]), ("doubled", doubled)):
+        (tmp_path / f"{name}_frame.json").write_text(json.dumps({"frame0": f.tolist()}))
+    assert main(argv + [str(tmp_path / "file.json"),
+                        "--frame0", str(tmp_path / "file_frame.json")]) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "auto.json").read_bytes()
+    for name in ("short", "doubled"):
+        assert main(argv + [str(tmp_path / f"{name}.json"),
+                            "--frame0", str(tmp_path / f"{name}_frame.json")]) == 1, name
+        assert not (tmp_path / f"{name}.json").exists()
+    err = capsys.readouterr().err
+    assert "normalflat: frame0 must have shape (4, 5)" in err
+    assert "normalflat: frame0 violates the Gram conditions at the base point" in err
+
+
+def test_construct_notld_ls_cli(tmp_path):
+    # the complex pipeline from f_re, f_im and sigma: the bits of
+    # build_notld_family on the same complex field
+    grid = {"u0": 0, "v0": 0, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41}
+    params = tmp_path / "notld_ls.json"
+    params.write_text(json.dumps({
+        "family": "notld", "case": "LS", "grid": grid,
+        "params": {"f_re": "u + sqrt(2)*v", "f_im": "u - v/sqrt(2)", "sigma": np.pi / 2}}))
+    out = tmp_path / "ls.json"
+    assert main(["construct", "--params", str(params), "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "ls.json.cert.json").read_text())["passed"] is True
+    spec = GridSpec.from_json(grid)
+    U, V = spec.mesh()
+    f = FieldGrid(spec, (U + np.sqrt(2) * V) + 1j * (U - V / np.sqrt(2)))
+    built = build_notld_family(NotldPotentials(f=f, sigma=FieldGrid.constant(spec, np.pi / 2)),
+                               CaseSpec("LS", 0.0)).coeffs.arrays()
+    read = CoefficientSet.load(out).arrays()
+    assert built.keys() == read.keys()
+    assert all(built[k].tobytes() == read[k].tobytes() for k in built)
+
+
+def test_detect_reports_its_tolerance(torus_file, tmp_path, monkeypatch):
+    # the level the verdict was judged against: the default, --tol or NORMALFLAT_TOL
+    report = tmp_path / "detect.json"
+    argv = ["detect", "--coeffs", str(torus_file), "--case", "R", "--out", str(report)]
+    spec = GridSpec.over_box((0, 1), (0, 1), 33, 33)
+    for extra, env, tol in (([], None, 10 * spec.hmax**2 * 2**2),
+                            (["--tol", "0.5"], None, 0.5),
+                            ([], "0.25", 0.25)):
+        if env:
+            monkeypatch.setenv("NORMALFLAT_TOL", env)
+        assert main(argv + extra) == 0
+        assert json.loads(report.read_text())["verdicts"]["tolerance"] == tol
 
 
 def test_construct_flags_override_the_descriptor(tmp_path):
@@ -419,6 +515,13 @@ def test_field_reference_must_share_the_grid(tmp_path, capsys):
     # on the command's own grid the reference is read as before
     assert main(["riccati", "--fminus", ref, "--case", "R", "--t0", "0.1",
                  "--grid", "0:0:0.1:0.1:33:33", "--out", str(tmp_path / "t.json")]) == 0
+    # a file of several fields needs the field's name
+    save_fields(tmp_path / "two.json", {"f": FieldGrid(spec, U), "g": FieldGrid(spec, V)})
+    argv = ["riccati", "--case", "R", "--t0", "0.1", "--grid", "0:0:0.1:0.1:33:33",
+            "--out", str(tmp_path / "t.json"), "--fminus"]
+    assert main(argv + ["@" + str(tmp_path / "two.json")]) == 1
+    assert "holds several fields; use @" in capsys.readouterr().err
+    assert main(argv + ["@" + str(tmp_path / "two.json") + ":f"]) == 0
 
 
 def test_report_deterministic(torus_file, tmp_path):

@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normalflat.expressions import (
+    MAX_NESTING,
     BinOp,
     Call,
     EvalError,
     Num,
     ParseError,
     Var,
+    compile_expr,
     eval_expr,
     parse_expr,
     to_string,
@@ -66,6 +68,14 @@ def test_parse_errors_carry_offsets():
     assert err.value.offset == 0
     with pytest.raises(ParseError):
         parse_expr("u + (v")
+    # past the nesting limit: parentheses, calls, unary minus and ^ each open a level
+    for src, offset in (("(" * 200 + "u" + ")" * 200, MAX_NESTING),
+                        ("sin(" * 200 + "u" + ")" * 200, 4 * MAX_NESTING),
+                        ("-" * 2000 + "u", MAX_NESTING),
+                        ("u^" * 2000 + "u", 2 * MAX_NESTING)):
+        with pytest.raises(ParseError, match="nested deeper than 160 levels") as err:
+            parse_expr(src)
+        assert err.value.offset == offset
 
 
 def test_eval_domain_errors():
@@ -158,3 +168,12 @@ def test_eval_matches_reference(tree, u, v):
         return
     ours = eval_expr(parse_expr(to_string(tree)), u=u, v=v)
     assert ours == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+
+def test_nested_and_long_expressions_evaluate():
+    # 150 levels stay under the nesting limit; a left-associative chain is
+    # as deep as it is long but nests no level
+    assert eval_expr(parse_expr("(" * 150 + "u" + ")" * 150), u=2.0) == 2.0
+    assert eval_expr(parse_expr("-" * 150 + "u"), u=2.0) == 2.0
+    fn = compile_expr(" + ".join(["u"] * 3000) + " - " + " * ".join(["1"] * 3000))
+    assert fn(u=np.array([1.0, 0.5])).tolist() == [2999.0, 1499.0]

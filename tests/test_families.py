@@ -198,6 +198,14 @@ def test_angle_link_constant_rotation(spec):
     assert np.max(np.abs(f_plus.values - (-np.sin(c) * U + np.cos(c) * V))) < 1e-10
 
 
+def test_angle_link_serves_the_real_cases_only(spec):
+    U, V = spec.mesh()
+    f = FieldGrid(spec, (1 + 1j) * U + (np.sqrt(2) - 1j / np.sqrt(2)) * V)
+    for case in (CaseSpec("LS", 0.0), CaseSpec("LT", 0.0)):
+        with pytest.raises(ValueError, match="rotation_angle"):
+            angle_link(f, None, case)
+
+
 def test_angle_link_rejects_inadmissible_angle(spec):
     U, V = spec.mesh()
     with pytest.raises(NonIntegrableError):

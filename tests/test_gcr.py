@@ -303,3 +303,70 @@ def test_curvature_field_matches_liouville():
     case = CaseSpec("R", 1.0)
     assert gauss_residual(coeffs, case).max_abs() <= 50 * spec.hmax**2
     assert np.max(np.abs(curvature_minus_l0(coeffs, case).values)) == 0.0
+
+
+def _nt_hyperbolic_set(kind):
+    """The space- and time-likely NT sets of test_detect_nt_space_and_time_variants."""
+    spec = GridSpec.over_box((0.0, 1.0), (0.0, 1.0), 49, 49)
+    U, V = spec.mesh()
+    t = (1.0 if kind == "space" else 0.5) + 0.3 * V
+    m = (np.sinh(t) if kind == "space" else np.cosh(t)) * (1 + 0.1 * U**2)
+    ratio = np.cosh(t) / np.sinh(t) if kind == "space" else np.tanh(t)
+    return CoefficientSet.from_arrays(spec, alpha1=m, beta1=-ratio * m,
+                                      mu1=np.zeros_like(U), mu2=0.3 * np.ones_like(U))
+
+
+@pytest.mark.parametrize("kind", ["space", "time"])
+def test_hyperbolic_field_is_ambient_parallel(kind):
+    """The space and time branches of parallel_field_coefficients: xi =
+    c1 N1 + c2 N2 on the integrated frame is constant; with the sign of c2
+    flipped it is not."""
+    from normalflat.gcr import parallel_field_coefficients
+    from normalflat.grid import _diff_along
+    from normalflat.integrator import integrate_frame
+
+    coeffs, case = _nt_hyperbolic_set(kind), CaseSpec("NT", 0.0)
+    rep = detect_parallel_normal(coeffs, case)
+    assert rep.verdict == "parallel-exists" and rep.field_kind == kind
+    c1, c2 = parallel_field_coefficients(rep, coeffs)
+    field, _ = integrate_frame(coeffs, case)
+    spec = coeffs.spec
+
+    def d_max(sign):
+        xi = (c1.values[..., None] * field.column(2)
+              + sign * c2.values[..., None] * field.column(3))
+        return max(np.max(np.abs(_diff_along(xi, spec.du, 0))),
+                   np.max(np.abs(_diff_along(xi, spec.dv, 1))))
+
+    assert d_max(1) <= 20 * spec.hmax**2
+    assert d_max(-1) > 1.0
+
+
+def test_near_light_rows_have_no_light_field():
+    # beta = -1.03 alpha classifies as light (ratio within 5% of 1) but
+    # misses alpha + eps beta = 0 by 0.03 > 10 h^2 (1 + 1.34)^2 = 0.013,
+    # so the light branch answers "none"
+    spec = GridSpec.over_box((0.0, 1.0), (0.0, 1.0), 65, 65)
+    U, _ = spec.mesh()
+    s = 1.0 + 0.3 * U
+    case = CaseSpec("NT", 0.0)
+    for factor, verdict in ((1.0, "parallel-exists"), (1.03, "none")):
+        rep = detect_parallel_normal(
+            CoefficientSet.from_arrays(spec, alpha1=s, beta1=-factor * s), case)
+        assert rep.ld.variant == "light" and rep.curvature_regime == "equal"
+        assert rep.ld.satisfied == (factor == 1.0)
+        assert rep.verdict == verdict
+        assert rep.field_kind == ("light" if factor == 1.0 else "")
+
+
+def test_dependence_report_and_detect_judge_at_one_level(unit_spec, case_r):
+    # constant rows with minor 0.2: above 10 h^2 (1 + 2)^2 = 0.088 of the
+    # alpha/beta scale alone, within 10 h^2 (1 + 10)^2 = 1.18 of all coefficients
+    coeffs = CoefficientSet.from_arrays(unit_spec, alpha1=2.0, beta1=1.0, beta2=0.1, mu1=10.0)
+    ld = dependence_report(coeffs, case_r)
+    rep = detect_parallel_normal(coeffs, case_r)
+    assert ld.tol == rep.ld.tol == 10 * unit_spec.hmax**2 * 11**2
+    assert ld.satisfied and rep.ld.satisfied
+    for tol in (1e-3, 0.5):
+        assert dependence_report(coeffs, case_r, tol=tol).tol == tol
+        assert detect_parallel_normal(coeffs, case_r, tol=tol).ld.tol == tol

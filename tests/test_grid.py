@@ -27,6 +27,12 @@ def test_grid_spec_validation():
             args[k] = bad
             with pytest.raises(ValueError):
                 GridSpec(*args, 8, 8)
+    # more points than the cap, refused before anything is allocated
+    with pytest.raises(ValueError, match="exceeds the cap of 67108864 points"):
+        GridSpec(0.0, 0.0, 0.1, 0.1, 10**18, 9)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        GridSpec.from_json({"du": 0.1, "dv": 0.1, "nu": 1e18, "nv": 9})
+    GridSpec(0.0, 0.0, 0.1, 0.1, 2**13, 2**13)  # exactly at the cap
     spec = GridSpec(0, 0, 0.1, 0.2, 6, 5)
     assert spec.shape == (6, 5)
     assert np.allclose(spec.u_axis(), [0, 0.1, 0.2, 0.3, 0.4, 0.5])
