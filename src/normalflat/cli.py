@@ -32,7 +32,7 @@ from .families import (
     build_product_family,
 )
 from .frames import CoefficientSet, compatibility_defect
-from .gcr import VARIANTS, detect_parallel_normal, gcr_residuals, normal_flatness_defect
+from .gcr import VARIANTS, detect_parallel_normal, gcr_residuals
 from .grid import FieldGrid, GridSpec, _float, load_fields, residual_tolerance, save_fields
 from .integrator import (
     export_mesh,
@@ -81,10 +81,15 @@ def _report(path, case: CaseSpec, spec: GridSpec, metrics: dict, verdicts: dict)
     return doc
 
 
+# the case flags besides --case that each subcommand reads; it accepts no other
+CASE_FLAGS = {"verify": ("l0",), "construct": ("l0", "eps", "delta"), "integrate": ("l0",),
+              "reconstruct": ("l0",), "detect": ("l0",), "riccati": ("eps", "delta")}
+
+
 def _case(args, doc=None) -> CaseSpec:
     """The command's case: its flags, over a descriptor's entries, over the
     defaults (case R)."""
-    flags = {"case": args.case, "l0": args.l0, "eps": args.eps, "delta": args.delta}
+    flags = {key: getattr(args, key) for key in ("case", *CASE_FLAGS[args.command])}
     return CaseSpec.from_json({"case": "R", **(doc or {}),
                                **{k: v for k, v in flags.items() if v is not None}})
 
@@ -157,16 +162,13 @@ def _cmd_verify(args) -> int:
     case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     res = gcr_residuals(coeffs, case)
-    flat = normal_flatness_defect(coeffs)
     compat = compatibility_defect(coeffs, case)
     tol = _env_tol(args.tol)
     if tol is None:
         tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
-    metrics = res.metrics()
-    metrics["flatness"] = _metric(flat.values)
-    metrics["compatibility"] = _metric(compat.values)
-    worst = max(res.max_abs(), flat.max_abs())
-    verdicts = {"tolerance": tol, "passed": bool(worst <= tol)}
+    metrics = {**res.metrics(), "flatness": _metric(res.flatness.values),
+               "compatibility": _metric(compat.values)}
+    verdicts = {"tolerance": tol, "passed": res.passed(tol)}
     _report(args.out, case, coeffs.spec, metrics, verdicts)
     return 0 if verdicts["passed"] else 2
 
@@ -207,8 +209,7 @@ def _cmd_construct(args) -> int:
             f_minus=field("f_minus"), angle=field("angle"), theta_minus=field("theta_minus"),
             t_minus=field("t_minus"), sigma=field("sigma"),
             xi_tilde=_one_variable(p.pop("xi_tilde", None), "s"),
-            gamma0=float(p.pop("gamma0", 0.0)), eps_prime=int(eps_prime),
-            lam=field("lambda"))
+            eps_prime=int(eps_prime), lam=field("lambda"))
         if "f_re" in p:
             f_re = field("f_re")
             pot.f = FieldGrid(spec, f_re.values + 1j * _sample(spec, p.pop("f_im")).values)
@@ -233,8 +234,7 @@ def _cmd_integrate(args) -> int:
     case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     frame0 = _frame0(args.frame0) if args.frame0 and args.frame0 != "auto" else None
-    field, drift = integrate_frame(coeffs, case, frame0,
-                                   project_quadric=args.project_quadric)
+    field, drift = integrate_frame(coeffs, case, frame0)
     save_mesh(args.out, field.mesh())
     if args.export_obj:
         export_mesh(field.mesh(), args.export_obj, "obj3d",
@@ -302,66 +302,54 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_case(sp):
-        sp.add_argument("--case", required=True, choices=CASES)
-        sp.add_argument("--l0", type=float, default=0.0)
-        sp.add_argument("--eps", type=int, default=1, choices=[1, -1])
-        sp.add_argument("--delta", type=int, default=1, choices=[1, -1])
+    def command(name, fn, summary):
+        """A subparser with its case flags; construct's override the descriptor."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
+        sp.add_argument("--case", required=name != "construct", choices=CASES)
+        for key in CASE_FLAGS[name]:
+            sp.add_argument(f"--{key}", **({"type": float} if key == "l0"
+                                           else {"type": int, "choices": [1, -1]}))
+        return sp
 
-    sp = sub.add_parser("verify", help="Gauss/Codazzi/Ricci residual check")
+    sp = command("verify", _cmd_verify, "Gauss/Codazzi/Ricci residual check")
     sp.add_argument("--coeffs", required=True)
-    add_case(sp)
     sp.add_argument("--tol", type=float)
     sp.add_argument("--out", help="JSON report path")
-    sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("construct", help="build a coefficient family")
+    sp = command("construct", _cmd_construct, "build a coefficient family")
     sp.add_argument("--family", choices=["product", "phi", "notld", "light"])
-    sp.add_argument("--case", choices=CASES)
-    sp.add_argument("--l0", type=float)  # these four override the descriptor's entries
-    sp.add_argument("--eps", type=int, choices=[1, -1])
-    sp.add_argument("--delta", type=int, choices=[1, -1])
     sp.add_argument("--params", required=True, help="family descriptor JSON")
     sp.add_argument("--out", required=True, help="coefficient field file")
     sp.add_argument("--cert", help="certificate JSON path")
     sp.add_argument("--report", help="JSON report path")
-    sp.set_defaults(fn=_cmd_construct)
 
-    sp = sub.add_parser("integrate", help="integrate the moving frame")
+    sp = command("integrate", _cmd_integrate, "integrate the moving frame")
     sp.add_argument("--coeffs", required=True)
-    add_case(sp)
     sp.add_argument("--frame0", default="auto", help="'auto' or a JSON file")
     sp.add_argument("--out", required=True, help="mesh field file")
-    sp.add_argument("--project-quadric", action="store_true")
     sp.add_argument("--export-obj", help="also write an OBJ projection")
     sp.add_argument("--obj-axes", default="0,1,2")
     sp.add_argument("--report", help="JSON report path")
-    sp.set_defaults(fn=_cmd_integrate)
 
-    sp = sub.add_parser("reconstruct", help="coefficients from a sampled mesh")
+    sp = command("reconstruct", _cmd_reconstruct, "coefficients from a sampled mesh")
     sp.add_argument("--mesh", required=True)
-    add_case(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report", help="JSON report path")
-    sp.set_defaults(fn=_cmd_reconstruct)
 
-    sp = sub.add_parser("detect", help="parallel normal vector field detector")
+    sp = command("detect", _cmd_detect, "parallel normal vector field detector")
     sp.add_argument("--coeffs", required=True)
-    add_case(sp)
     sp.add_argument("--variant", default="auto", choices=("auto", *VARIANTS))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--out", help="JSON report path")
-    sp.set_defaults(fn=_cmd_detect)
 
-    sp = sub.add_parser("riccati", help="solve the quadratic angle system")
+    sp = command("riccati", _cmd_riccati, "solve the quadratic angle system")
     sp.add_argument("--fminus", required=True, help="expression or @file[:field]")
     sp.add_argument("--xi", help="one-variable expression in s")
-    add_case(sp)
     sp.add_argument("--t0", type=float, required=True)
     sp.add_argument("--grid", required=True, help="u0:v0:du:dv:nu:nv")
     sp.add_argument("--out", required=True, help="t field file")
     sp.add_argument("--report", help="JSON report path")
-    sp.set_defaults(fn=_cmd_riccati)
 
     return p
 

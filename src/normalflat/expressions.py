@@ -279,11 +279,16 @@ def to_string(expr) -> str:
         if isinstance(e, Call):
             return f"{e.fn}({render(e.arg, 0)})"
         if isinstance(e, BinOp):
-            p = _PREC[e.op]
+            p, chain = _PREC[e.op], [e]
+            # walk a left-associative chain (u + u + ... + u) in a loop, as eval_expr does
+            while isinstance(e.left, BinOp) and _PREC[e.op] <= _PREC[e.left.op] < _PREC["^"]:
+                e = e.left
+                chain.append(e)
             if e.op == "^":
                 s = f"{render(e.left, p + 1)}^{render(e.right, p)}"
             else:
-                s = f"{render(e.left, p)} {e.op} {render(e.right, p + 1)}"
+                s = render(e.left, _PREC[e.op]) + "".join(
+                    f" {n.op} {render(n.right, _PREC[n.op] + 1)}" for n in reversed(chain))
             return f"({s})" if parent_prec > p else s
         raise TypeError(f"not an expression node: {e!r}")
 

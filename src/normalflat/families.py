@@ -40,7 +40,6 @@ from .gcr import (
     dependence_minors,
     gauss_lhs,
     gcr_residuals,
-    normal_flatness_defect,
 )
 from .grid import (DEGENERACY_FLOOR, EXCLUSION_MARGIN, ROUND_OFF_TOL, FieldGrid, GridSpec,
                    angle_link_tolerance, family_tolerance, grad, hessian, require_nonzero,
@@ -76,18 +75,17 @@ def certify(coeffs: CoefficientSet, case: CaseSpec, identities: dict | None = No
     """Numerical certificate for a constructed coefficient set."""
     tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
     res = gcr_residuals(coeffs, case)
-    flat = normal_flatness_defect(coeffs).max_abs()
     kml = float(np.max(np.abs(curvature_minus_l0(coeffs, case).values)))
     minors = dependence_minors(coeffs)
     cert = {
         "tol": tol,
         "residuals": res.metrics(),
         "residual_max": res.max_abs(),
-        "flatness_defect": flat,
+        "flatness_defect": res.flatness.max_abs(),
         "k_minus_l0_defect": kml,
         "dependence_minors_max": float(np.max(minors.values)),
         "dependence_minors_min": float(np.min(minors.values)),
-        "passed": bool(res.max_abs() <= tol and flat <= tol),
+        "passed": res.passed(tol),
     }
     if identities:
         cert["identities"] = {k: float(v) for k, v in identities.items()}
@@ -324,7 +322,7 @@ class NotldPotentials:
     or t_minus (NT: k- through the eps'-branch exponential formula).
     Complex cases (LS/LT): the complex potential f and the gauge angle
     sigma placing k on its admissible circle.  xi_tilde feeds the gamma
-    gradient; gamma0 seeds the base value.
+    gradient; extras["gamma"], whose gradient is mu, is 0 at the base corner.
     """
 
     f_minus: FieldGrid | None = None
@@ -334,7 +332,6 @@ class NotldPotentials:
     f: FieldGrid | None = None              # LS/LT, complex
     sigma: FieldGrid | None = None          # LS/LT gauge angle
     xi_tilde: object = None                 # one-variable callable or None
-    gamma0: float = 0.0
     eps_prime: int = 1
     lam: FieldGrid | None = None            # default: identically zero
 
@@ -353,11 +350,11 @@ def _signed(kappa: int, z: np.ndarray) -> np.ndarray:
     return z if kappa > 0 else -z
 
 
-def _gamma_tail(case, gamma0, lam, tol, gu, gv, form, identities, witness, checks, extras):
+def _gamma_tail(case, lam, tol, gu, gv, form, identities, witness, checks, extras):
     """Integrate gamma from its gradient, assemble with mu = grad gamma and
     the second form ``form``, certify; ``checks`` join the certificate."""
     spec = lam.spec
-    gamma, gcurl = closed_potential(spec, gu, gv, tol, "gamma gradient", gamma0)
+    gamma, gcurl = closed_potential(spec, gu, gv, tol, "gamma gradient")
     coeffs = CoefficientSet.from_arrays(spec, lam=lam.values, **form, mu1=gu, mu2=gv)
     cert = certify(coeffs, case, identities, witness)
     cert.update(checks, gamma_curl=gcurl)
@@ -488,7 +485,7 @@ def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     form = dict(alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
                 beta1=0.5 * (wp - wm), beta2=0.5 * (yp + ym), beta3=0.5 * (xp - xm))
     extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
-    return _gamma_tail(case, pot.gamma0, lam, tol, gu, gv, form, identities, witness,
+    return _gamma_tail(case, lam, tol, gu, gv, form, identities, witness,
                        {"angle_link_curl": curl}, extras)
 
 
@@ -562,6 +559,6 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         "B_reality": reality,
     }
     witness = float(np.min(np.abs(X**2 * np.conj(Y) ** 2 - np.conj(X) ** 2 * Y**2)))
-    return _gamma_tail(case, pot.gamma0, lam, tol, np.real(gcu), np.real(gcv), form, identities,
-                       witness, {"gamma_realness": realness}, {"k": FieldGrid(spec, k)})
+    return _gamma_tail(case, lam, tol, np.real(gcu), np.real(gcv), form, identities, witness,
+                       {"gamma_realness": realness}, {"k": FieldGrid(spec, k)})
 

@@ -98,9 +98,9 @@ class CoefficientSet:
     @classmethod
     def load(cls, path) -> "CoefficientSet":
         fields = load_fields(path)
-        missing = [n for n in COEFF_NAMES if n not in fields]
-        if missing:
-            raise ValueError(f"coefficient file is missing fields: {missing}")
+        if set(fields) != set(COEFF_NAMES):
+            raise ValueError(f"{path} is not a coefficient file: expected the fields "
+                             f"{', '.join(COEFF_NAMES)} and no other, got {sorted(fields)}")
         return cls(*(fields[n] for n in COEFF_NAMES))
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import CoefficientSet
-from .grid import FieldGrid, curl, grad, hessian, quadratic_tolerance, residual_tolerance
+from .grid import (FieldGrid, curl, grad, quadratic_tolerance, residual_tolerance,
+                   second_derivatives)
 from .spaceform import CaseSpec
 
 __all__ = [
@@ -52,7 +53,7 @@ def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
 def gauss_lhs(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
     """Conformal side of the Gauss equation, lambda_uu + g1 g2 lambda_vv + L0 e^{2 lambda}."""
     g1, g2 = case.g_signs
-    l_uu, _, l_vv = hessian(lam.values, lam.spec)
+    l_uu, l_vv = second_derivatives(lam.values, lam.spec)
     return l_uu + g1 * g2 * l_vv + case.l0 * np.exp(2 * lam.values)
 
 
@@ -93,25 +94,27 @@ class GcrResiduals:
     gauss: FieldGrid
     codazzi: list[FieldGrid]
     ricci: FieldGrid
+    flatness: FieldGrid  # the Ricci left side; not a residual, so not in max_abs
 
     def max_abs(self) -> float:
         return max([self.gauss.max_abs(), self.ricci.max_abs()]
                    + [c.max_abs() for c in self.codazzi])
 
+    def passed(self, tol: float) -> bool:
+        """Residuals and flatness defect at or under tol; a NaN fails."""
+        return bool(self.max_abs() <= tol and self.flatness.max_abs() <= tol)
+
     def metrics(self) -> dict:
-        named = {"gauss": self.gauss, "ricci": self.ricci}
-        named.update({f"codazzi{i+1}": c for i, c in enumerate(self.codazzi)})
-        return {
-            name: {"max": float(np.max(np.abs(f.values))),
-                   "mean": float(np.mean(np.abs(f.values)))}
-            for name, f in named.items()
-        }
+        named = {"gauss": self.gauss, "ricci": self.ricci,
+                 **{f"codazzi{i+1}": c for i, c in enumerate(self.codazzi)}}
+        return {name: {"max": f.max_abs(), "mean": float(np.mean(np.abs(f.values)))}
+                for name, f in named.items()}
 
 
 def gcr_residuals(coeffs: CoefficientSet, case: CaseSpec) -> GcrResiduals:
-    return GcrResiduals(gauss_residual(coeffs, case),
-                        codazzi_residual(coeffs, case),
-                        ricci_residual(coeffs, case))
+    flat = normal_flatness_defect(coeffs)
+    ricci = FieldGrid(coeffs.spec, flat.values - ricci_quadratic(coeffs, case))
+    return GcrResiduals(gauss_residual(coeffs, case), codazzi_residual(coeffs, case), ricci, flat)
 
 
 def normal_flatness_defect(coeffs: CoefficientSet) -> FieldGrid:
@@ -125,28 +128,30 @@ def curvature_minus_l0(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
 
     When the Gauss equation holds, K - L0 = -e^{-2 lambda} * quadratic.
     """
-    q = gauss_quadratic(coeffs, case)
+    return _curvature_minus_l0(coeffs, gauss_quadratic(coeffs, case))
+
+
+def _curvature_minus_l0(coeffs: CoefficientSet, q: np.ndarray) -> FieldGrid:
     return FieldGrid(coeffs.spec, -np.exp(-2 * coeffs.lam.values) * q)
 
 
-def integrate_gradient(spec, gu: np.ndarray, gv: np.ndarray, base_value: float = 0.0) -> np.ndarray:
-    """Trapezoidal path integral of a gradient: base row in u, then columns in v."""
-    out = np.empty(spec.shape)
-    out[0, 0] = base_value
-    out[1:, 0] = base_value + np.cumsum(0.5 * spec.du * (gu[:-1, 0] + gu[1:, 0]))
+def integrate_gradient(spec, gu: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """Trapezoidal path integral of a gradient from 0: base row, then columns."""
+    out = np.zeros(spec.shape)
+    out[1:, 0] += np.cumsum(0.5 * spec.du * (gu[:-1, 0] + gu[1:, 0]))  # 0.0 + -0.0 is +0.0
     steps = 0.5 * spec.dv * (gv[:, :-1] + gv[:, 1:])
     out[:, 1:] = out[:, :1] + np.cumsum(steps, axis=1)
     return out
 
 
-def closed_potential(spec, gu: np.ndarray, gv: np.ndarray, tol: float, what: str,
-                     base_value: float = 0.0) -> tuple[np.ndarray, float]:
+def closed_potential(spec, gu: np.ndarray, gv: np.ndarray, tol: float,
+                     what: str) -> tuple[np.ndarray, float]:
     """(Path integral, max |curl|) of gu du + gv dv; a curl above tol, or a
     NaN, raises :class:`NonIntegrableError` naming ``what``."""
     defect = float(np.max(np.abs(curl(gu, gv, spec))))
     if not (defect <= tol):
         raise NonIntegrableError(f"{what} is not closed (curl {defect:.3e} > {tol:.3e})")
-    return integrate_gradient(spec, gu, gv, base_value), defect
+    return integrate_gradient(spec, gu, gv), defect
 
 
 def gamma_potential(coeffs: CoefficientSet) -> FieldGrid:
@@ -347,7 +352,7 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
                            tol: float | None = None) -> ParallelNormalReport:
     """Decide whether a parallel normal vector field exists.
 
-    Decision procedure (flat normal connection assumed and checked):
+    Decision procedure (a non-flat normal connection or a failed Gauss equation is noted):
 
     * K nowhere equal to L0: a parallel field exists iff the dependence
       condition holds; the matching angle combination is then constant.
@@ -369,7 +374,11 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
         notes.append(f"normal connection not flat (defect {flat.max_abs():.3e})")
     gamma = FieldGrid(spec, integrate_gradient(spec, coeffs.mu1.values, coeffs.mu2.values))
 
-    kml = curvature_minus_l0(coeffs, case).values
+    q = gauss_quadratic(coeffs, case)
+    gauss = float(np.max(np.abs(gauss_lhs(coeffs.lam, case) - q)))
+    if not (gauss <= ld.tol):
+        notes.append(f"Gauss equation fails at L0 = {case.l0:g} (residual {gauss:.3e})")
+    kml = _curvature_minus_l0(coeffs, q).values
     k_defect = float(np.max(np.abs(kml)))
     if k_defect <= ld.tol:
         regime = "equal"

@@ -8,11 +8,11 @@ are stored as 2-d arrays indexed ``[i, j]`` with ``u = u0 + i*du`` and
 the interior and second-order one-sided stencils on the boundary, so every
 residual computed downstream carries a uniform O(h^2) truncation budget.
 
-The calculus is ``grad``, ``hessian``, ``curl`` and ``wedge``; a 1-form
-a du + b dv is its coefficient pair (a, b).  Every other module
-differentiates through these four, so this is the one place where a step
-is paired with an axis.  The one exception is the fourth-order lambda
-gradient of ``frames.assemble_connection`` (``_diff_along4``).
+The calculus is ``grad``, ``hessian`` (without f_uv: ``second_derivatives``),
+``curl`` and ``wedge``; a 1-form a du + b dv is its pair (a, b).  Every
+other module differentiates through these, so this is the one place where
+a step is paired with an axis.  The one exception is the fourth-order
+lambda gradient of ``frames.assemble_connection`` (``_diff_along4``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "diff_v",
     "grad",
     "hessian",
+    "second_derivatives",
     "curl",
     "wedge",
     "field_map",
@@ -217,8 +218,13 @@ def hessian(f: np.ndarray, spec: GridSpec, f_u: np.ndarray | None = None):
     caller that holds grad(f, spec)[0] passes it as f_u."""
     if f_u is None:
         f_u = _diff_along(f, spec.du, 0)
-    f_uv = _diff_along(f_u, spec.dv, 1)
-    return _diff2_along(f, spec.du, 0), f_uv, _diff2_along(f, spec.dv, 1)
+    f_uu, f_vv = second_derivatives(f, spec)
+    return f_uu, _diff_along(f_u, spec.dv, 1), f_vv
+
+
+def second_derivatives(f: np.ndarray, spec: GridSpec):
+    """(f_uu, f_vv), the hessian without its mixed derivative."""
+    return _diff2_along(f, spec.du, 0), _diff2_along(f, spec.dv, 1)
 
 
 def curl(gu: np.ndarray, gv: np.ndarray, spec: GridSpec) -> np.ndarray:

@@ -115,14 +115,14 @@ def _frame0_gram_defect(frame0: np.ndarray, case: CaseSpec, lam0: float) -> floa
     return float(dev / max(e2l, 1.0))
 
 
-def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
-                    project_quadric: bool = False):
+def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     """Propagate the moving frame over the grid; returns (FrameField, report).
 
     frame0: (dim, 5) initial frame at the base corner, or None for the
-    canonical axis-aligned frame.  The report carries Gram/quadric drift
-    and, when the input coefficients violate compatibility, that defect
-    is the expected error floor (warned, not blocked).
+    canonical axis-aligned frame.  The frame is never projected onto the
+    quadric, so the report's Gram and quadric drift are integration error;
+    when the input coefficients violate compatibility, that defect is the
+    expected error floor (warned, not blocked).
     """
     sig = ambient_signature(case)
     if frame0 is None:
@@ -138,11 +138,6 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None,
     spec = coeffs.spec
     S, T = assemble_connection(coeffs, case)
     field = FrameField(case, spec, sweep(S, T, frame0, spec))
-    if project_quadric and case.l0 != 0:
-        F = field.values[..., 4]
-        norm = ambient_inner(F, F, sig)
-        scale = np.sqrt(np.abs(1.0 / case.l0 / norm))
-        field.values[..., 4] = F * scale[..., None]
 
     report = field.gram_drift(coeffs.lam)
     report["frame0"] = frame0.tolist()

@@ -73,8 +73,8 @@ _METRIC = {
 class CaseSpec:
     """Which signature case is active, plus branch switches.
 
-    eps is the +-1 branch of the time-like/neutral pipelines (and the
-    light-like dependence sign); delta the +-1 of the hyperbolic rotation.
+    eps: +-1 branch of the NT constructions and angle system (the detector
+    fits a set's light-like sign itself); delta: +-1 of the hyperbolic rotation.
     """
 
     case_id: str

@@ -321,8 +321,34 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     (tmp_path / "bad_mesh.json").write_text(json.dumps(mesh_doc))
     assert main(["reconstruct", "--mesh", str(tmp_path / "bad_mesh.json"), "--case", "R",
                  "--out", str(tmp_path / "rec.json")]) == 1
+    # settings that change no output are not accepted: the case flags a
+    # subcommand does not read, --project-quadric and a notld param gamma0;
+    # a coefficient file holds the nine coefficients and no other field
+    for argv in (["verify", "--coeffs", str(torus_file), "--case", "R", "--eps", "-1"],
+                 ["detect", "--coeffs", str(torus_file), "--case", "R", "--delta", "1"],
+                 ["integrate", "--coeffs", str(torus_file), "--case", "R", "--out", mesh,
+                  "--project-quadric"],
+                 ["reconstruct", "--mesh", mesh, "--case", "R", "--eps", "1",
+                  "--out", str(tmp_path / "rec.json")],
+                 ["riccati", "--fminus", "u", "--case", "R", "--l0", "1", "--t0", "0.1",
+                  "--grid", "0:0:0.1:0.1:9:9", "--out", str(tmp_path / "t.json")]):
+        assert main(argv) == 1, argv
+    path = tmp_path / "gamma0.json"
+    path.write_text(json.dumps({**good, "family": "notld", "params": {
+        "f_minus": "u", "angle": "1.2", "theta_minus": "0.5", "gamma0": 5}}))
+    assert main(["construct", "--params", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    extra = json.loads(torus_file.read_text())
+    extra["fields"]["alpha4"] = extra["fields"]["alpha1"]
+    (tmp_path / "alpha4.json").write_text(json.dumps(extra))
+    assert main(["verify", "--coeffs", str(tmp_path / "alpha4.json"), "--case", "R"]) == 1
     err = capsys.readouterr().err
-    assert err.count("normalflat: ") == 61
+    assert err.count("normalflat: ") == 68
+    for flag in ("--eps -1", "--delta 1", "--project-quadric", "--eps 1", "--l0 1"):
+        assert f"normalflat: unrecognized arguments: {flag}\n" in err
+    assert "normalflat: family 'notld' reads no param 'gamma0'" in err
+    assert ("alpha4.json is not a coefficient file: expected the fields lambda, alpha1, "
+            "alpha2, alpha3, beta1, beta2, beta3, mu1, mu2 and no other, got ['alpha1', "
+            "'alpha2', 'alpha3', 'alpha4', 'beta1'") in err
     assert err.count("normalflat: expression nested deeper than 160 levels") == 2
     assert "'frame0' is a list of rows of 5 numbers, got {}" in err
     assert "normalflat: frame0 entry [0][0] must be a number, got {}" in err
@@ -529,3 +555,63 @@ def test_report_deterministic(torus_file, tmp_path):
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r1)])
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def _outputs(workdir, argv, capsys) -> tuple:
+    """(exit code, stderr, every file the command wrote); a report's echoed
+    case block is left out."""
+    workdir.mkdir()
+    rc = main([str(workdir / a[1:]) if a.startswith("@") else a for a in argv])
+    files = {}
+    for path in sorted(workdir.iterdir()):
+        doc = path.read_bytes()
+        if path.suffix == ".json" and b'"case"' in doc:
+            doc = {k: v for k, v in json.loads(doc).items() if k != "case"}
+        files[path.name] = doc
+    return rc, capsys.readouterr().err.replace(str(workdir), ""), files
+
+
+def test_every_case_flag_changes_an_output(tmp_path, torus_file, capsys):
+    # each of --case, --l0, --eps and --delta that a subcommand accepts must
+    # change its exit code, its messages or a file it writes (the echoed case
+    # block aside); a flag it does not read is refused
+    mesh = tmp_path / "mesh.json"
+    assert main(["integrate", "--coeffs", str(torus_file), "--case", "R", "--out", str(mesh)]) == 0
+    descriptor = tmp_path / "notld_nt.json"
+    descriptor.write_text(json.dumps({
+        "family": "notld", "case": "NT",
+        "grid": {"u0": 0, "v0": 0, "du": 0.05, "dv": 0.05, "nu": 17, "nv": 17},
+        "params": {"f_minus": "u", "angle": "0.7", "t_minus": "0.4 + 0.1*cos(v)"}}))
+    coeffs = ["--coeffs", str(torus_file), "--case", "R"]
+    commands = {
+        "verify": ["verify", *coeffs, "--out", "@r.json"],
+        "detect": ["detect", *coeffs, "--out", "@r.json"],
+        "integrate": ["integrate", *coeffs, "--out", "@m.json", "--report", "@r.json"],
+        "reconstruct": ["reconstruct", "--mesh", str(mesh), "--case", "R", "--out", "@c.json",
+                        "--report", "@r.json"],
+        "riccati": ["riccati", "--fminus", "u + 0.3*v", "--xi", "0.2", "--case", "NT",
+                    "--t0", "0.1", "--grid", "0:0:0.05:0.05:9:9", "--out", "@t.json",
+                    "--report", "@r.json"],
+        "construct": ["construct", "--params", str(descriptor), "--out", "@c.json",
+                      "--report", "@r.json"],
+    }
+    values = {"--case": ("NT", "R"), "--l0": ("0", "1"), "--eps": ("1", "-1"),
+              "--delta": ("1", "-1")}
+    accepted = {}
+    for command, argv in commands.items():
+        accepted[command] = []
+        for flag, pair in values.items():
+            if flag == "--case" and flag in argv:
+                continue  # a required --case is read by every command
+            runs = [_outputs(tmp_path / f"{command}{flag}{value}", argv + [flag, value], capsys)
+                    for value in pair]
+            refused = [rc == 1 and f"unrecognized arguments: {flag}" in err and files == {}
+                       for rc, err, files in runs]
+            if any(refused):
+                assert all(refused), (command, flag)
+                continue
+            accepted[command].append(flag)
+            assert runs[0] != runs[1], (command, flag)
+    assert accepted == {"verify": ["--l0"], "detect": ["--l0"], "integrate": ["--l0"],
+                        "reconstruct": ["--l0"], "riccati": ["--eps", "--delta"],
+                        "construct": ["--case", "--l0", "--eps", "--delta"]}

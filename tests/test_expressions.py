@@ -177,3 +177,12 @@ def test_nested_and_long_expressions_evaluate():
     assert eval_expr(parse_expr("-" * 150 + "u"), u=2.0) == 2.0
     fn = compile_expr(" + ".join(["u"] * 3000) + " - " + " * ".join(["1"] * 3000))
     assert fn(u=np.array([1.0, 0.5])).tolist() == [2999.0, 1499.0]
+
+
+def test_long_chain_prints_and_reparses():
+    # to_string walks a left-associative chain in a loop, as eval_expr does
+    for src in (" + ".join(["u"] * 3000),
+                " * ".join(["u"] * 3000) + " - " + " / ".join(["v"] * 3000)):
+        text = to_string(parse_expr(src))
+        assert text == src
+        assert to_string(parse_expr(text)) == text

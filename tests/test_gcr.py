@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec
+from normalflat.families import build_nt_light_family
 from normalflat.gcr import (
     NonIntegrableError,
     codazzi_residual,
@@ -13,6 +14,7 @@ from normalflat.gcr import (
     detect_parallel_normal,
     gamma_potential,
     gauss_residual,
+    gcr_residuals,
     normal_flatness_defect,
     ricci_residual,
 )
@@ -59,6 +61,17 @@ def test_ricci_mu1_v(unit_spec, case_r):
     _, V = unit_spec.mesh()
     coeffs = CoefficientSet.from_arrays(unit_spec, mu1=V)
     assert np.max(np.abs(ricci_residual(coeffs, case_r).values - 1.0)) < 1e-12
+
+
+def test_gcr_residuals_keep_the_flatness(unit_spec, case_r):
+    # the Ricci left side is the flatness defect; it joins the pass rule
+    _, V = unit_spec.mesh()
+    coeffs = CoefficientSet.from_arrays(unit_spec, mu1=V, alpha1=-1.0, beta3=-1.0)
+    res = gcr_residuals(coeffs, case_r)
+    assert res.flatness.values.tobytes() == normal_flatness_defect(coeffs).values.tobytes()
+    assert res.ricci.values.tobytes() == ricci_residual(coeffs, case_r).values.tobytes()
+    assert res.max_abs() == pytest.approx(1.0) and res.flatness.max_abs() == pytest.approx(1.0)
+    assert not res.passed(0.5) and res.passed(1.5)
 
 
 # --------------------------------------------------------------------------
@@ -370,3 +383,22 @@ def test_dependence_report_and_detect_judge_at_one_level(unit_spec, case_r):
     for tol in (1e-3, 0.5):
         assert dependence_report(coeffs, case_r, tol=tol).tol == tol
         assert detect_parallel_normal(coeffs, case_r, tol=tol).ld.tol == tol
+
+
+def test_detect_notes_a_failed_gauss_equation():
+    # the NT light set has lambda = 0 and K = 0: K - L0 is read off the second
+    # form, so the regime and the verdict cannot see L0 = 1; the Gauss note can
+    spec = GridSpec.over_box((0, 1), (0, 1), 33, 33)
+    U, _ = spec.mesh()
+    coeffs = build_nt_light_family(spec, FieldGrid(spec, 0.3 * U), lambda u: 1 + 0.1 * u,
+                                   CaseSpec("NT", 0.0)).coeffs
+    for l0 in (0.0, 1.0):
+        case = CaseSpec("NT", l0)
+        rep = detect_parallel_normal(coeffs, case)
+        gauss = gauss_residual(coeffs, case).max_abs()
+        assert rep.verdict == "parallel-exists" and rep.curvature_regime == "equal"
+        if l0:
+            assert gauss == pytest.approx(1.0, abs=1e-12)
+            assert rep.notes == [f"Gauss equation fails at L0 = 1 (residual {gauss:.3e})"]
+        else:
+            assert gauss <= rep.ld.tol and rep.notes == []

@@ -94,19 +94,6 @@ def test_geodesic_sphere_quadric_and_span():
     assert sv[3] / sv[0] <= 1e-6 and sv[4] / sv[0] <= 1e-6
 
 
-def test_quadric_projection_flag():
-    case = CaseSpec("R", 1.0)
-    spec = GridSpec.over_box((-0.5, 0.5), (-0.5, 0.5), 33, 33)
-    U, V = spec.mesh()
-    lam = np.log(2.0 / (1.0 + U**2 + V**2))
-    coeffs = CoefficientSet.from_arrays(spec, lam=lam)
-    field, drift = integrate_frame(coeffs, case, project_quadric=True)
-    sig = ambient_signature(case)
-    F = field.column(4)
-    q = ambient_inner(F, F, sig) - 1.0
-    assert np.max(np.abs(q)) <= 1e-12
-
-
 def test_gram_drift_grows_with_violation():
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, 1), (0, 1), 33, 33)
