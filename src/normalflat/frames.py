@@ -18,6 +18,13 @@ same value, and its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
 classic RK4: four substeps per cell, matrices interpolated by cubics on
 the nearest 4-point stencil.
+
+The frame's S and T are streamed: ``FrameConnection`` holds the eleven
+(nu, nv) fields they are pointwise functions of and assembles blocks on
+demand.  The sweep reads T in windows of 32 columns plus the stencil
+overlap, and the defect assembles S and T per row slab with a one-row
+halo (``grid.row_slabs``), so neither holds a whole-grid (nu, nv, 5, 5)
+array; every value is bit for bit what the whole-grid matrices give.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along4, curl, load_fields,
-                   save_fields)
+                   row_slabs, save_fields)
 from .spaceform import CaseSpec
 
 __all__ = ["CoefficientSet", "assemble_connection", "compatibility_defect"]
@@ -104,29 +111,46 @@ class CoefficientSet:
         return cls(*(fields[n] for n in COEFF_NAMES))
 
 
-def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
-    """Pointwise connection matrices S, T as arrays of shape (nu, nv, 5, 5).
+class FrameConnection:
+    """The frame connection of a coefficient set, assembled block by block.
+
+    Every entry of S and T is a pointwise function of eleven (nu, nv)
+    arrays: the nine coefficients and the two lambda gradients.  Those are
+    held; any block of S or T is assembled from them on demand, so the
+    sweep and the curvature each hold a few blocks, never a whole-grid
+    (nu, nv, 5, 5) array, and every block is bit for bit the same part of
+    the whole-grid matrices.
 
     The lambda gradients are fourth order: the RK4 sweep would otherwise be
     throttled by their truncation, and the curvature, which differentiates
     them once more, keeps its O(h^2) up to the grid edges.
     """
-    lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
-    spec = coeffs.spec
-    lu = _diff_along4(lam, spec.du, 0)
-    lv = _diff_along4(lam, spec.dv, 1)
-    *g, n1, n2 = case.frame_signs
-    q = case.l0 * np.exp(2 * lam)  # L0 e^{2 lambda}
-    # S is the u-matrix (k = 0), T the v-matrix (k = 1): T repeats S with
-    # every alpha/beta/mu index raised by one and the lambda roles swapped.
-    # Each is filled entry-major, so that every entry is one contiguous
-    # write, then copied once to the (nu, nv, 5, 5) layout the sweep reads
-    out = []
-    for k, l_own, l_other in ((0, lu, lv), (1, lv, lu)):
+
+    def __init__(self, coeffs: CoefficientSet, case: CaseSpec):
+        lam = coeffs.lam.values
+        spec = self.spec = coeffs.spec
+        self.case = case
+        self.inputs = (*coeffs.alravel(), _diff_along4(lam, spec.du, 0),
+                       _diff_along4(lam, spec.dv, 1))
+
+    def block(self, k: int, view) -> np.ndarray:
+        """S (k = 0, the u-matrix) or T (k = 1) on a block of the grid.
+
+        view maps a (nu, nv) array to the block, of shape (a, b) say, and
+        the result is (a, b, 5, 5): ``lambda x: x`` gives the whole grid,
+        ``lambda x: x[:, lo:hi].T`` columns lo..hi-1, line first.
+        """
+        lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = map(view, self.inputs)
+        *g, n1, n2 = self.case.frame_signs
+        # T repeats S with every alpha/beta/mu index raised by one and the
+        # lambda roles swapped.  The block is filled entry-major, so that
+        # every entry is one contiguous write, then copied once to the
+        # (a, b, 5, 5) layout the sweep reads
+        l_own, l_other = (lu, lv) if k == 0 else (lv, lu)
         alpha = (a1, a2, a3)[k:k + 2]
         beta = (b1, b2, b3)[k:k + 2]
         mu = (m1, m2)[k]
-        M = np.zeros((5, 5, *spec.shape))
+        M = np.zeros((5, 5, *lam.shape))
         for i in range(4):
             M[i, i] = l_own
         M[k, 1 - k] = l_other
@@ -139,20 +163,34 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
         M[2, 3] = -n1 * n2 * mu
         M[3, 2] = mu
         M[k, 4] = 1.0
-        M[4, k] = -g[k] * q
-        out.append(np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1))))
-    return tuple(out)
+        M[4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
+        return np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
+
+    def sweep(self, state0: np.ndarray) -> np.ndarray:
+        """The frame over the grid from state0 at the base corner; T is
+        assembled one column window at a time."""
+        return sweep(self.block(0, lambda x: x[:, 0]),
+                     lambda lo, hi: self.block(1, lambda x: x[:, lo:hi].T), state0, self.spec)
+
+    def curvature_norm(self) -> FieldGrid:
+        """Frobenius norm per grid point of the curvature, one row slab at a time."""
+        out = np.empty(self.spec.shape)
+        for slab in row_slabs(self.spec):
+            S, T = (self.block(k, lambda x: x[slab.pad]) for k in (0, 1))
+            K = curvature(S, T, slab.spec)[slab.keep]
+            out[slab.rows] = np.sqrt(np.sum(K * K, axis=(-2, -1)))
+        return FieldGrid(self.spec, out)
+
+
+def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
+    """Pointwise connection matrices S, T as arrays of shape (nu, nv, 5, 5)."""
+    conn = FrameConnection(coeffs, case)
+    return conn.block(0, lambda x: x), conn.block(1, lambda x: x)
 
 
 def compatibility_defect(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
     """Frobenius norm per grid point of the frame connection's curvature."""
-    return _curvature_norm(*assemble_connection(coeffs, case), coeffs.spec)
-
-
-def _curvature_norm(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> FieldGrid:
-    """Frobenius norm per grid point of an assembled connection's curvature."""
-    K = curvature(S, T, spec)
-    return FieldGrid(spec, np.sqrt(np.sum(K * K, axis=(-2, -1))))
+    return FrameConnection(coeffs, case).curvature_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +214,25 @@ _SUBNODE_WEIGHTS = np.stack(
     axis=-1)
 
 
-def _advance(state: np.ndarray, h: float, mats: np.ndarray, k: int) -> np.ndarray:
+# column steps per window of the v-matrices a sweep holds
+_WINDOW = 32
+
+
+def _stencil(k: int, n: int) -> int:
+    """First node of the 4-point stencil of cell k on a line of n nodes."""
+    return min(max(k - 1, 0), n - 4)
+
+
+def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int) -> np.ndarray:
     """One cell of dY/ds = Y M(s), RK4 with four substeps.
 
-    state: (..., r, d); mats: matrices along the line, line index first
-    (leading axes of mats must broadcast against state's leading axes).
+    state: (..., r, d); mats: the cell's 4-point stencil of matrices, node
+    first (leading axes after it must broadcast against state's), the cell
+    being its interval ``at``; k numbers the cell in an overflow message.
     """
-    k0 = min(max(k - 1, 0), mats.shape[0] - 4)
     # all 9 sub-node matrices at once; einsum, unlike a matmul, calls no
     # BLAS, so the sums do not depend on the BLAS build
-    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[k - k0], mats[k0:k0 + 4])
+    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[at], mats)
     hs = h / _SUBSTEPS
     for m in range(_SUBSTEPS):
         M0, Mm, M1 = sub[2 * m:2 * m + 3]
@@ -199,22 +246,29 @@ def _advance(state: np.ndarray, h: float, mats: np.ndarray, k: int) -> np.ndarra
     return state
 
 
-def sweep(S: np.ndarray, T: np.ndarray, state0: np.ndarray, spec: GridSpec) -> np.ndarray:
+def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Y over the grid from Y(u0, v0) = state0, base row first, then every column.
 
-    S, T: (nu, nv, d, d); state0: (r, d).  Returns (nu, nv, r, d).
+    row: (nu, d, d), the u-matrices along the base row.  columns(lo, hi):
+    the v-matrices of grid columns lo..hi-1, line first and contiguous,
+    (hi - lo, nu, d, d); it is asked for _WINDOW column steps at a time
+    plus their stencil overlap.  state0: (r, d).  Returns (nu, nv, r, d).
     """
     nu, nv = spec.shape
     out = np.empty((nu, nv, *state0.shape))
     out[0, 0] = state0
-    row = S[:, 0]  # (nu, d, d) along the base row
     for i in range(nu - 1):
-        out[i + 1, 0] = _advance(out[i, 0], spec.du, row, i)
-    # columns, all u-indices at once: line index first, and contiguous so
-    # that each cell's 4-point stencil is one block for the contraction
-    cols = np.ascontiguousarray(np.moveaxis(T, 1, 0))  # (nv, nu, d, d)
+        k0 = _stencil(i, nu)
+        out[i + 1, 0] = _advance(out[i, 0], spec.du, row[k0:k0 + 4], i - k0, i)
+    # columns, all u-indices at once; each cell's 4-point stencil is one
+    # contiguous block of its window
     state = out[:, 0]
-    for j in range(nv - 1):
-        state = _advance(state, spec.dv, cols, j)
-        out[:, j + 1] = state
+    for j0 in range(0, nv - 1, _WINDOW):
+        j1 = min(j0 + _WINDOW, nv - 1)
+        lo = _stencil(j0, nv)
+        window = columns(lo, _stencil(j1 - 1, nv) + 4)
+        for j in range(j0, j1):
+            k0 = _stencil(j, nv) - lo
+            state = _advance(state, spec.dv, window[k0:k0 + 4], j - lo - k0, j)
+            out[:, j + 1] = state
     return out

@@ -12,7 +12,11 @@ The calculus is ``grad``, ``hessian`` (without f_uv: ``second_derivatives``),
 ``curl`` and ``wedge``; a 1-form a du + b dv is its pair (a, b).  Every
 other module differentiates through these, so this is the one place where
 a step is paired with an axis.  The one exception is the fourth-order
-lambda gradient of ``frames.assemble_connection`` (``_diff_along4``).
+lambda gradient of the frame connection (``_diff_along4``).
+
+``row_slabs`` cuts a grid into slabs of ``SLAB_ROWS`` rows with a stencil
+halo, so a whole-grid pass can hold one slab's temporaries at a time and
+still give, bit for bit, the whole-grid values.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,6 +240,41 @@ def curl(gu: np.ndarray, gv: np.ndarray, spec: GridSpec) -> np.ndarray:
 def wedge(a, b):
     """du^dv coefficient of a ^ b, for 1-forms given as (du, dv) coefficient pairs."""
     return a[0] * b[1] - a[1] * b[0]
+
+
+# grid rows per slab of a streamed whole-grid pass: a slab of 5x5 matrices
+# on a 1024-column grid is 3 MB, so a pass holds a few of those, not a
+# whole-grid connection
+SLAB_ROWS = 16
+
+
+class Slab(NamedTuple):
+    """One slab of grid rows: ``rows`` of the grid, padded to ``pad`` (a
+    grid of its own, ``spec``), whose rows ``keep`` are ``rows``."""
+
+    rows: slice
+    pad: slice
+    keep: slice
+    spec: GridSpec
+
+
+def row_slabs(spec: GridSpec):
+    """The grid's rows in slabs of SLAB_ROWS, each padded by a one-row halo
+    and, at a grid edge, to the five rows a one-sided stencil reads.
+
+    A second-order stencil applied to a slab's padded rows (``grad``,
+    ``hessian``, ``curl``) is therefore, on its kept rows, bit for bit the
+    whole-grid result, edge rows included; the central fourth-order stencil
+    reaches two rows and needs the whole grid.
+    """
+    nu = spec.nu
+    for r0 in range(0, nu, SLAB_ROWS):
+        r1 = min(r0 + SLAB_ROWS, nu)
+        p0, p1 = max(r0 - 1, 0), min(r1 + 1, nu)
+        if p1 - p0 < 5:  # only a slab at an edge is this short
+            p0, p1 = (0, 5) if p0 == 0 else (nu - 5, nu)
+        yield Slab(slice(r0, r1), slice(p0, p1), slice(r0 - p0, r1 - p0),
+                   GridSpec(spec.u0 + p0 * spec.du, spec.v0, spec.du, spec.dv, p1 - p0, spec.nv))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ re-orthonormalization is applied; Gram and quadric drift are the
 accuracy diagnostics.  ``reconstruct_coefficients`` inverts
 the frame definitions on a sampled conformal immersion.
 
+Both stream their whole-grid work: the connection is assembled in column
+windows and row slabs (:class:`normalflat.frames.FrameConnection`), the
+Gram drift and the reconstructed coefficients are computed one row slab
+at a time (``grid.row_slabs``), so the largest arrays either holds are
+its input and its output, plus, in reconstruction, the normal frame.
+
 For L0 = 0 the ambient model is 4-dimensional and the fifth frame column
 is the position itself (affine frame); for L0 != 0 everything lives in
 the flat 5-space containing the quadric model.
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoefficientSet, _curvature_norm, assemble_connection, sweep
+from .frames import COEFF_NAMES, CoefficientSet, FrameConnection
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
-                   load_fields, residual_tolerance, save_fields)
+                   load_fields, residual_tolerance, row_slabs, save_fields)
 from .spaceform import CaseSpec, ambient_inner, ambient_signature
 
 __all__ = [
@@ -42,6 +48,10 @@ class SignatureError(ValueError):
 
 class NotConformalError(ValueError):
     pass
+
+
+class OffQuadricError(ValueError):
+    """Sampled mesh does not lie on the quadric <x, x> = 1/L0 of the case."""
 
 
 @dataclass
@@ -70,19 +80,21 @@ class FrameField:
         """Max deviation of the frame Gram matrix from its target.
 
         Frame-block deviations are scaled by e^{-2 lambda}; quadric and
-        mixed-F deviations are absolute.
+        mixed-F deviations are absolute.  The Gram matrices are formed one
+        row slab at a time; a NaN anywhere is the maximum.
         """
-        sig = ambient_signature(self.case)
-        e2l = np.exp(2 * lam.values)
-        signs = sig.array()
-        gram = np.swapaxes(self.values * signs[:, None], -1, -2) @ self.values
-        target = np.diag(self.case.frame_signs) * e2l[..., None, None]
-        frame_dev = np.max(np.abs(gram[..., :4, :4] - target) / e2l[..., None, None])
-        out = {"gram_max": float(frame_dev)}
-        if self.case.l0 != 0:
-            out["quadric_max"] = float(np.max(np.abs(gram[..., 4, 4] - 1.0 / self.case.l0)))
-            out["position_cross_max"] = float(np.max(np.abs(gram[..., 4, :4])))
-        return out
+        signs = ambient_signature(self.case).array()[:, None]
+        target = np.diag(self.case.frame_signs)
+        maxima = {"gram_max": [], "quadric_max": [], "position_cross_max": []}
+        for slab in row_slabs(self.spec):
+            Y = self.values[slab.rows]
+            gram = np.swapaxes(Y * signs, -1, -2) @ Y
+            e2l = np.exp(2 * lam.values[slab.rows])[..., None, None]
+            maxima["gram_max"].append(np.max(np.abs(gram[..., :4, :4] - target * e2l) / e2l))
+            if self.case.l0 != 0:
+                maxima["quadric_max"].append(np.max(np.abs(gram[..., 4, 4] - 1.0 / self.case.l0)))
+                maxima["position_cross_max"].append(np.max(np.abs(gram[..., 4, :4])))
+        return {name: float(np.max(m)) for name, m in maxima.items() if m}
 
 
 def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
@@ -136,13 +148,13 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
             f"frame0 violates the Gram conditions at the base point ({gram_err:.3e})")
 
     spec = coeffs.spec
-    S, T = assemble_connection(coeffs, case)
-    field = FrameField(case, spec, sweep(S, T, frame0, spec))
+    conn = FrameConnection(coeffs, case)
+    field = FrameField(case, spec, conn.sweep(frame0))
 
     report = field.gram_drift(coeffs.lam)
     report["frame0"] = frame0.tolist()
     # the defect of the connection just swept: compatibility_defect(coeffs, case)
-    compat = _curvature_norm(S, T, spec).max_abs()
+    compat = conn.curvature_norm().max_abs()
     report["compatibility_defect"] = compat
     tol = residual_tolerance(spec, coeffs.max_abs())
     if not (compat <= tol):
@@ -159,17 +171,25 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     Tangents come from first differences, lambda from their inner
     product, the normal frame from sign-aligned Gram-Schmidt seeded on
     the canonical ambient axes, and the coefficients from second
-    differences.  The normal gauge is only fixed up to the case's
-    residual freedom, so compare gauge invariants, not raw fields.
-    Returns (CoefficientSet, gauge report).  Raises SignatureError when a
-    tangent or normal has the wrong causal type (a NaN counts as wrong) and
-    NotConformalError when the isothermality defect exceeds its tolerance.
+    differences, one row slab at a time.  The normal gauge is only fixed
+    up to the case's residual freedom, so compare gauge invariants, not raw
+    fields.  Returns (CoefficientSet, gauge report).  Raises OffQuadricError
+    when L0 != 0 and the mesh leaves <x, x> = 1/L0 by more than
+    ``residual_tolerance(spec, 1/|L0|)``, SignatureError when a tangent or
+    normal has the wrong causal type, and NotConformalError when the
+    isothermality defect exceeds its tolerance (a NaN fails each check).
     """
     sig = ambient_signature(case)
     if mesh.dim != sig.dim:
         raise ValueError(f"mesh dimension {mesh.dim} does not match case ({sig.dim})")
     spec = mesh.spec
     F = mesh.positions
+    if case.l0 != 0:
+        off = float(np.max(np.abs(ambient_inner(F, F, sig) - 1.0 / case.l0)))
+        tol = residual_tolerance(spec, 1.0 / abs(case.l0))
+        if not (off <= tol):
+            raise OffQuadricError(f"mesh is off the quadric <x, x> = 1/L0 = {1.0 / case.l0:g}: "
+                                  f"max deviation {off:.3e} > tolerance {tol:.3e}")
 
     T1, T2 = grad(F, spec)
     g1, g2, n1s, n2s = case.frame_signs
@@ -205,7 +225,10 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     def projector(b):
         return b, sg * b, dot(sg * b, b)
 
+    # the blocks are copies: the tangents go once the projectors exist, and
+    # the projectors once the normals do
     projectors = [projector(blocks(b)) for b in (T1, T2, *([F] if case.l0 != 0 else []))]
+    del T1, T2
     el = blocks(np.exp(lam)[..., None])
     base = (0, slice(None), slice(0, 1))
 
@@ -244,24 +267,25 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
 
     N1 = propagate(n1s, seed[:, 2:3], [])
     N2 = propagate(n2s, seed[:, 3:4], [projector(N1)])
-    N1, N2 = (np.ascontiguousarray(np.moveaxis(N, -1, 0)) for N in (N1, N2))
+    del projectors
+    N1 = np.ascontiguousarray(np.moveaxis(N1, -1, 0))
+    N2 = np.ascontiguousarray(np.moveaxis(N2, -1, 0))
 
-    Fuu, Fuv, Fvv = hessian(F, spec, T1)
-    inv1 = n1s / e2l
-    inv2 = n2s / e2l
-    a1 = inv1 * ambient_inner(Fuu, N1, sig)
-    a2 = inv1 * ambient_inner(Fuv, N1, sig)
-    a3 = inv1 * ambient_inner(Fvv, N1, sig)
-    b1 = inv2 * ambient_inner(Fuu, N2, sig)
-    b2 = inv2 * ambient_inner(Fuv, N2, sig)
-    b3 = inv2 * ambient_inner(Fvv, N2, sig)
-    N1u, N1v = grad(N1, spec)
-    m1 = inv2 * ambient_inner(N1u, N2, sig)
-    m2 = inv2 * ambient_inner(N1v, N2, sig)
+    # the second forms of F along the normals, and the normal connection
+    fields = {name: np.empty(spec.shape) for name in COEFF_NAMES[1:]}
+    for slab in row_slabs(spec):
+        rows = slab.rows
+        Fuu, Fuv, Fvv = (x[slab.keep] for x in hessian(F[slab.pad], slab.spec))
+        N1u, N1v = (x[slab.keep] for x in grad(N1[slab.pad], slab.spec))
+        inv1 = n1s / e2l[rows]
+        inv2 = n2s / e2l[rows]
+        for name, inv, d2F, N in (("alpha1", inv1, Fuu, N1), ("alpha2", inv1, Fuv, N1),
+                                  ("alpha3", inv1, Fvv, N1), ("beta1", inv2, Fuu, N2),
+                                  ("beta2", inv2, Fuv, N2), ("beta3", inv2, Fvv, N2),
+                                  ("mu1", inv2, N1u, N2), ("mu2", inv2, N1v, N2)):
+            fields[name][rows] = inv * ambient_inner(d2F, N[rows], sig)
 
-    coeffs = CoefficientSet.from_arrays(
-        spec, lam=lam, alpha1=a1, alpha2=a2, alpha3=a3,
-        beta1=b1, beta2=b2, beta3=b3, mu1=m1, mu2=m2)
+    coeffs = CoefficientSet.from_arrays(spec, lam=lam, **fields)
     report = {
         "isothermality_defect": iso,
         "base_normal1": N1[0, 0].tolist(),

@@ -155,6 +155,27 @@ def test_integrate_reconstruct_cli(torus_file, tmp_path):
     assert np.max(np.abs(rec.lam.values)) <= 1e-3
 
 
+def test_reconstruct_cli_checks_the_quadric(tmp_path, capsys):
+    # a mesh integrated at --l0 1 reconstructs at --l0 1, and is a usage
+    # error at --l0 2, whose quadric <x, x> = 1/2 it is off
+    spec = GridSpec.over_box((-0.5, 0.5), (-0.5, 0.5), 33, 33)
+    U, V = spec.mesh()
+    sphere = tmp_path / "sphere.json"
+    CoefficientSet.from_arrays(spec, lam=np.log(2.0 / (1.0 + U**2 + V**2))).save(sphere)
+    mesh = str(tmp_path / "mesh.json")
+    assert main(["integrate", "--coeffs", str(sphere), "--case", "R", "--l0", "1",
+                 "--out", mesh]) == 0
+    assert main(["reconstruct", "--mesh", mesh, "--case", "R", "--l0", "1",
+                 "--out", str(tmp_path / "rec1.json")]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--mesh", mesh, "--case", "R", "--l0", "2",
+                 "--out", str(tmp_path / "rec2.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("normalflat: mesh is off the quadric <x, x> = 1/L0 = 0.5: max "
+                          "deviation 5.000e-01 > tolerance ") and "Traceback" not in err
+    assert not (tmp_path / "rec2.json").exists()
+
+
 def test_integrate_cli_keeps_compatibility_warning(violation_file, tmp_path):
     report = tmp_path / "int.json"
     rc = main(["integrate", "--coeffs", str(violation_file), "--case", "R",

@@ -13,10 +13,11 @@ from normalflat.gcr import (
     normal_flatness_defect,
     second_form_pseudo_norm,
 )
-from normalflat.grid import _diff2_along, _diff_along
+from normalflat.grid import _diff2_along, _diff_along, residual_tolerance
 from normalflat.integrator import (
     FrameField,
     NotConformalError,
+    OffQuadricError,
     SignatureError,
     SurfaceMesh,
     canonical_frame0,
@@ -334,6 +335,27 @@ def test_reconstruct_nonconformal_rejected():
     mesh = SurfaceMesh(spec, np.stack([U, 2 * V, 0 * U, 0 * U], axis=-1))
     with pytest.raises(NotConformalError):
         reconstruct_coefficients(mesh, CaseSpec("R", 0.0))
+
+
+def test_reconstruct_checks_the_quadric():
+    # the sphere integrated in the L0 = 1 model lies on <x, x> = 1, so it is
+    # off the quadrics of L0 = 2 and L0 = 0.25; a NaN position fails too
+    case = CaseSpec("R", 1.0)
+    spec = GridSpec.over_box((-0.5, 0.5), (-0.5, 0.5), 33, 33)
+    U, V = spec.mesh()
+    sphere = CoefficientSet.from_arrays(spec, lam=np.log(2.0 / (1.0 + U**2 + V**2)))
+    mesh = integrate_frame(sphere, case)[0].mesh()
+    reconstruct_coefficients(mesh, case)
+    for l0, deviation in ((2.0, 0.5), (0.25, 3.0)):
+        with pytest.raises(OffQuadricError) as err:
+            reconstruct_coefficients(mesh, CaseSpec("R", l0))
+        tol = residual_tolerance(spec, 1 / l0)
+        assert str(err.value).startswith(
+            f"mesh is off the quadric <x, x> = 1/L0 = {1 / l0:g}: max deviation "
+            f"{deviation:.3e} > tolerance {tol:.3e}")
+    mesh.positions[7, 3, 1] = np.nan
+    with pytest.raises(OffQuadricError, match="max deviation nan"):
+        reconstruct_coefficients(mesh, case)
 
 
 # --------------------------------------------------------------------------
