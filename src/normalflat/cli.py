@@ -241,7 +241,8 @@ def _cmd_integrate(args) -> int:
                     tuple(int(a) for a in args.obj_axes.split(",")))
     metrics = {k: _metric(v) for k, v in drift.items() if isinstance(v, float)}
     notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []
-    _report(args.report, case, coeffs.spec, metrics, {"frame0": drift["frame0"], "notes": notes})
+    _report(args.report, case, coeffs.spec, metrics,
+            {"frame0": drift["frame0"], "notes": notes, "substeps": drift["substeps"]})
     return 0
 
 

@@ -11,7 +11,7 @@ errors and unknown names carry the byte offset of the offending token.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,34 +43,60 @@ class EvalError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Structural ``==`` and hash of parse trees, as frozen dataclasses give,
+    but walked with an explicit stack: a left-associative chain is as deep
+    as it is long, so recursion would fail on a long sum."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a node's class fixes its number of children, so equal pre-orders
+        # are equal trees
+        return all(a == b for a, b in zip(_preorder(self), _preorder(other)))
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+
+def _preorder(node):
+    """(class, non-node fields) of every node, parents before children."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        values = [getattr(node, f.name) for f in fields(node)]
+        yield node.__class__, tuple(v for v in values if not isinstance(v, _Node))
+        stack.extend(reversed([v for v in values if isinstance(v, _Node)]))
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: object
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Node):
     op: str
     left: object
     right: object
     pos: int = 0
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     fn: str
     arg: object
     pos: int = 0

@@ -16,8 +16,9 @@ system) moves on its own.  ``curvature`` is S_v - T_u - (ST - TS); it
 vanishes exactly when every path from the base corner carries Y to the
 same value, and its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
-classic RK4: four substeps per cell, matrices interpolated by cubics on
-the nearest 4-point stencil.
+classic RK4, matrices interpolated by cubics on the nearest 4-point
+stencil.  A cell takes as many substeps as its matrices need, one to
+four: ceil(h max ||M||_F / 0.1) over its stencil (``_substeps``).
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of and assembles blocks on
@@ -29,6 +30,7 @@ array; every value is bit for bit what the whole-grid matrices give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +168,10 @@ class FrameConnection:
         M[4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
         return np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
 
-    def sweep(self, state0: np.ndarray) -> np.ndarray:
-        """The frame over the grid from state0 at the base corner; T is
-        assembled one column window at a time."""
+    def sweep(self, state0: np.ndarray):
+        """The frame over the grid from state0 at the base corner, and the
+        most substeps a cell took along u and along v; T is assembled one
+        column window at a time."""
         return sweep(self.block(0, lambda x: x[:, 0]),
                      lambda lo, hi: self.block(1, lambda x: x[:, lo:hi].T), state0, self.spec)
 
@@ -202,16 +205,51 @@ def curvature(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> np.ndarray:
     return curl(S, T, spec) - (S @ T - T @ S)
 
 
-_SUBSTEPS = 4
+# the reach one RK4 substep may take, and the most substeps a cell takes
+_REACH = 0.1
+_MAX_SUBSTEPS = 4
 
 
-# cubic Lagrange weights on stencil nodes 0..3 at the 2 * _SUBSTEPS + 1
-# sub-nodes of a cell (substep ends and midpoints), for a cell that is the
-# first, middle or last interval of its stencil: shape (3, 9, 4)
-_SUBNODES = np.arange(3.0)[:, None] + np.arange(2 * _SUBSTEPS + 1) / (2 * _SUBSTEPS)
-_SUBNODE_WEIGHTS = np.stack(
-    [np.prod([(_SUBNODES - b) / (a - b) for b in range(4) if b != a], axis=0) for a in range(4)],
-    axis=-1)
+def _subnode_weights(m: int) -> np.ndarray:
+    """Cubic Lagrange weights on stencil nodes 0..3 at the 2m + 1 sub-nodes
+    of a cell of m substeps (substep ends and midpoints), for a cell that is
+    the first, middle or last interval of its stencil: shape (3, 2m + 1, 4)."""
+    nodes = np.arange(3.0)[:, None] + np.arange(2 * m + 1) / (2 * m)
+    return np.stack(
+        [np.prod([(nodes - b) / (a - b) for b in range(4) if b != a], axis=0) for a in range(4)],
+        axis=-1)
+
+
+_SUBNODE_WEIGHTS = {m: _subnode_weights(m) for m in range(1, _MAX_SUBSTEPS + 1)}
+
+
+def _substeps(h: float, mats: np.ndarray) -> int:
+    """RK4 substeps for a cell of length h over the matrices mats (..., d, d):
+    clamp(ceil(reach / _REACH), 1, 4), where reach = h max ||M||_F.
+
+    Why _REACH = 0.1: for a constant M, a substep of reach x multiplies Y
+    by the degree-4 Taylor polynomial of exp(x M / ||M||_F), so its error
+    is at most x^5 e^x / 120 of ||Y|| (the Frobenius norm is
+    submultiplicative).  A line of total reach R takes R / x substeps, so
+    it gathers at most R x^4 e^x / 120 of ||Y|| (times the growth of the
+    solution): under 1e-6 per unit of reach at x = 0.1.  Varying matrices
+    add terms of the same order in h.  A cell of reach above 0.4 takes four
+    substeps of reach above 0.1, outside that budget.
+
+    The largest entry alone decides most cells, since max|M_ij| <= ||M||_F
+    <= d max|M_ij|; the Frobenius norm is formed only when it cannot.  So
+    a NaN or an inf selects four substeps, and no square can overflow.
+    """
+    d = mats.shape[-1]
+    # h max|M_ij|; both extremes are NaN when any entry is
+    top = h * float(max(mats.max(), -mats.min()))
+    if d * top <= _REACH:
+        return 1
+    if not top <= (_MAX_SUBSTEPS - 1) * _REACH:
+        return _MAX_SUBSTEPS
+    x = h * mats.reshape(-1, d * d)  # entries at most 0.3: the squares stay finite
+    reach = math.sqrt(np.max(np.einsum("ij,ij->i", x, x)))
+    return min(max(math.ceil(reach / _REACH), 1), _MAX_SUBSTEPS)
 
 
 # column steps per window of the v-matrices a sweep holds
@@ -224,18 +262,21 @@ def _stencil(k: int, n: int) -> int:
 
 
 def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int) -> np.ndarray:
-    """One cell of dY/ds = Y M(s), RK4 with four substeps.
+    """One cell of dY/ds = Y M(s), RK4 with ``_substeps(h, mats)`` substeps.
 
     state: (..., r, d); mats: the cell's 4-point stencil of matrices, node
     first (leading axes after it must broadcast against state's), the cell
     being its interval ``at``; k numbers the cell in an overflow message.
+    The count depends on mats alone, so a cell steps the same whichever
+    block of the grid its stencil was read from.
     """
-    # all 9 sub-node matrices at once; einsum, unlike a matmul, calls no
-    # BLAS, so the sums do not depend on the BLAS build
-    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[at], mats)
-    hs = h / _SUBSTEPS
-    for m in range(_SUBSTEPS):
-        M0, Mm, M1 = sub[2 * m:2 * m + 3]
+    m = _substeps(h, mats)
+    # all 2m + 1 sub-node matrices at once; einsum, unlike a matmul, calls
+    # no BLAS, so the sums do not depend on the BLAS build
+    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[m][at], mats)
+    hs = h / m
+    for i in range(m):
+        M0, Mm, M1 = sub[2 * i:2 * i + 3]
         k1 = state @ M0
         k2 = (state + 0.5 * hs * k1) @ Mm
         k3 = (state + 0.5 * hs * k2) @ Mm
@@ -246,13 +287,17 @@ def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int) -> 
     return state
 
 
-def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec) -> np.ndarray:
+def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec):
     """Y over the grid from Y(u0, v0) = state0, base row first, then every column.
 
     row: (nu, d, d), the u-matrices along the base row.  columns(lo, hi):
     the v-matrices of grid columns lo..hi-1, line first and contiguous,
     (hi - lo, nu, d, d); it is asked for _WINDOW column steps at a time
-    plus their stencil overlap.  state0: (r, d).  Returns (nu, nv, r, d).
+    plus their stencil overlap.  state0: (r, d).  Returns Y, (nu, nv, r, d),
+    and the most substeps a cell took along u and along v.  Every matrix
+    of the row and of a window is in some cell's stencil, and the count is
+    monotone in the reach, so the most is the count of the whole row's or
+    window's reach.
     """
     nu, nv = spec.shape
     out = np.empty((nu, nv, *state0.shape))
@@ -263,12 +308,14 @@ def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec) -> np.nd
     # columns, all u-indices at once; each cell's 4-point stencil is one
     # contiguous block of its window
     state = out[:, 0]
+    most_v = 1
     for j0 in range(0, nv - 1, _WINDOW):
         j1 = min(j0 + _WINDOW, nv - 1)
         lo = _stencil(j0, nv)
         window = columns(lo, _stencil(j1 - 1, nv) + 4)
+        most_v = max(most_v, _substeps(spec.dv, window))
         for j in range(j0, j1):
             k0 = _stencil(j, nv) - lo
             state = _advance(state, spec.dv, window[k0:k0 + 4], j - lo - k0, j)
             out[:, j + 1] = state
-    return out
+    return out, (_substeps(spec.du, row), most_v)

@@ -149,10 +149,12 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
 
     spec = coeffs.spec
     conn = FrameConnection(coeffs, case)
-    field = FrameField(case, spec, conn.sweep(frame0))
+    values, (substeps_u, substeps_v) = conn.sweep(frame0)
+    field = FrameField(case, spec, values)
 
     report = field.gram_drift(coeffs.lam)
     report["frame0"] = frame0.tolist()
+    report["substeps"] = {"u": substeps_u, "v": substeps_v}
     # the defect of the connection just swept: compatibility_defect(coeffs, case)
     compat = conn.curvature_norm().max_abs()
     report["compatibility_defect"] = compat
@@ -223,7 +225,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
         return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
     def projector(b):
-        return b, sg * b, dot(sg * b, b)
+        return b, dot(sg * b, b)
 
     # the blocks are copies: the tangents go once the projectors exist, and
     # the projectors once the normals do
@@ -233,8 +235,9 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     base = (0, slice(None), slice(0, 1))
 
     def project_point(cand, idx, extra):
-        for b, sb, bb in (*projectors, *extra):
-            cand = cand - dot(cand, sb[idx]) / bb[idx] * b[idx]
+        # sg is +-1, so sg * cand . b is cand . sg * b bit for bit
+        for b, bb in (*projectors, *extra):
+            cand = cand - dot(sg * cand, b[idx]) / bb[idx] * b[idx]
         return cand
 
     def normalize(cand, idx, want_sign, prev):

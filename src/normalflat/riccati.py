@@ -175,8 +175,8 @@ def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
 
 def _solve_one_order(S, T, spec, t0, bound, interval, transposed):
     """t = p/q from one sweep of [p q] = [t0 1], checked once it is done."""
-    Y = sweep(S[:, 0], lambda lo, hi: np.ascontiguousarray(np.moveaxis(T[:, lo:hi], 1, 0)),
-              np.array([[t0, 1.0]]), spec)
+    Y, _ = sweep(S[:, 0], lambda lo, hi: np.ascontiguousarray(np.moveaxis(T[:, lo:hi], 1, 0)),
+                 np.array([[t0, 1.0]]), spec)
     p, q = Y[..., 0, 0], Y[..., 0, 1]
     if interval is not None:
         lo, hi = interval

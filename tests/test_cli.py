@@ -147,6 +147,8 @@ def test_integrate_reconstruct_cli(torus_file, tmp_path):
     drift = json.loads((tmp_path / "int.json").read_text())
     assert drift["metrics"]["gram_max"]["max"] <= 1e-8
     assert drift["verdicts"]["notes"] == []
+    # h ||M||_F = sqrt(3) / 32 on the 33^2 torus: one substep per cell
+    assert drift["verdicts"]["substeps"] == {"u": 1, "v": 1}
 
     out = tmp_path / "rec.json"
     rc = main(["reconstruct", "--mesh", str(mesh), "--case", "R", "--out", str(out)])
@@ -575,6 +577,10 @@ def test_report_deterministic(torus_file, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r1)])
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r2)])
+    assert r1.read_bytes() == r2.read_bytes()
+    for r in (r1, r2):
+        main(["integrate", "--coeffs", str(torus_file), "--case", "R",
+              "--out", str(tmp_path / "mesh.json"), "--report", str(r)])
     assert r1.read_bytes() == r2.read_bytes()
 
 

@@ -10,6 +10,7 @@ from normalflat.expressions import (
     BinOp,
     Call,
     EvalError,
+    Neg,
     Num,
     ParseError,
     Var,
@@ -186,3 +187,19 @@ def test_long_chain_prints_and_reparses():
         text = to_string(parse_expr(src))
         assert text == src
         assert to_string(parse_expr(text)) == text
+
+
+def test_long_chain_trees_compare_and_hash():
+    # == and hash walk the tree in a loop, as to_string and eval_expr do
+    src = " + ".join(["u"] * 3000)
+    a, b = parse_expr(src), parse_expr(src)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_expr(src + " + u")
+    assert a != parse_expr(src[:-1] + "v")
+    assert a != parse_expr(src.replace("+", "-", 1))
+    assert parse_expr(src + " - 2") != parse_expr(src + " - 2.5")
+    # the fields a frozen dataclass compares: every one, positions included
+    assert parse_expr("u + v") == BinOp("+", Var("u"), Var("v", 4), 2)
+    assert parse_expr("u + v") != BinOp("+", Var("u"), Var("v", 3), 2)
+    assert Neg(Num(1.0)) != Call("abs", Num(1.0))
+    assert len({parse_expr("sin(u) * 2"), parse_expr(" sin(u) * 2"[1:]), Num(1.0)}) == 2

@@ -4,7 +4,7 @@ import sympy as sp
 
 from normalflat import (CaseSpec, CoefficientSet, GridSpec, assemble_connection,
                         compatibility_defect, integrate_frame)
-from normalflat.frames import COEFF_NAMES
+from normalflat.frames import COEFF_NAMES, _advance, _substeps
 
 from conftest import random_coefficients
 
@@ -248,3 +248,53 @@ def test_coefficient_file_roundtrip(tmp_path, flat_torus):
     for name in COEFF_NAMES:
         assert np.array_equal(back.fields()[name].values,
                               flat_torus.fields()[name].values)
+
+
+# --------------------------------------------------------------------------
+# the substep rule: clamp(ceil(h max ||M||_F / 0.1), 1, 4) over a stencil
+# --------------------------------------------------------------------------
+
+def _stencil_with(entry, value, d=5, lines=3):
+    mats = np.zeros((4, lines, d, d))
+    mats[entry] = value
+    return mats
+
+
+@pytest.mark.parametrize("reach, m", [(0.0, 1), (0.05, 1), (0.15, 2), (0.25, 3), (0.35, 4),
+                                      (40.0, 4)])
+def test_substeps_follow_the_frobenius_reach(reach, m):
+    h = 0.01
+    # one nonzero entry: its magnitude is the Frobenius norm; anywhere in
+    # the stencil, on any line
+    assert _substeps(h, _stencil_with((2, 1, 3, 0), -reach / h)) == m
+    assert _substeps(h, _stencil_with((0, 0, 4, 4), reach / h)) == m
+    # a 5x5 diagonal has Frobenius norm sqrt(5) times its largest entry
+    diag = np.broadcast_to(np.eye(5) * reach / np.sqrt(5) / h, (4, 2, 5, 5))
+    assert _substeps(h, diag) == m
+    assert _substeps(h, diag[:, 0]) == m  # a base-row stencil: no line axis
+
+
+def test_substeps_nan_and_overflow_safe():
+    h = 0.01
+    for bad in (np.nan, np.inf, -np.inf):
+        mats = _stencil_with((1, 2, 3, 4), bad) + 0.5
+        assert _substeps(h, mats) == 4
+        state = np.ones((3, 4, 5))
+        if np.isnan(bad):
+            with pytest.raises(OverflowError):
+                _advance(state, h, mats, 1, 7)
+        else:
+            # inf - inf in the matmuls warns; past that the finiteness check fails
+            with np.errstate(all="ignore"), pytest.raises(OverflowError):
+                _advance(state, h, mats, 1, 7)
+    # entries near 1e200: no square is formed, so nothing overflows or warns
+    # (pyproject turns a RuntimeWarning into an error)
+    huge = _stencil_with((1, 2, 3, 4), 1e200)
+    assert _substeps(h, huge) == 4
+    assert _substeps(2e-201, huge) == 2  # reach 0.2: the Frobenius norm decides
+    assert _substeps(1e-203, huge) == 1
+    full = np.full((4, 3, 5, 5), 1e200)
+    assert _substeps(1e-202, full) == 1  # d max|M_ij| h = 0.05
+    assert _substeps(1e-201, full) == 4  # reach 0.5
+    state = _advance(np.ones((3, 4, 5)), 1e-203, full, 1, 7)
+    assert np.all(np.isfinite(state))

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames
 from normalflat.families import NotldPotentials, build_notld_family
 from normalflat.frames import compatibility_defect
 from normalflat.gcr import (
@@ -462,3 +462,21 @@ def test_obj_flat_torus_projection(tmp_path):
     xy = np.array([[float(x) for x in l.split()[1:]] for l in verts])
     # projection to the first circle's plane plus the second circle's cosine
     assert np.max(np.abs(xy[:, 0] ** 2 + xy[:, 1] ** 2 - 1.0)) <= 1e-6
+
+
+def test_substeps_follow_the_torus_reach(tmp_path, monkeypatch):
+    # the 9x9 torus of test_obj_flat_torus_projection reaches
+    # h ||S||_F = sqrt(3) pi / 16 = 0.34 per cell, so it takes four substeps,
+    # and its OBJ is the one of the fixed four-substep kernel, byte for byte;
+    # at 129^2 the reach is 0.021: one substep per cell
+    case = CaseSpec("R", 0.0)
+    for n, substeps in ((129, 1), (9, 4)):
+        spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), n, n)
+        coeffs = CoefficientSet.from_arrays(spec, alpha1=-1.0, beta3=-1.0)
+        field, report = integrate_frame(coeffs, case, _torus_frame0())
+        assert report["substeps"] == {"u": substeps, "v": substeps}
+    export_mesh(field.mesh(), tmp_path / "torus.obj", "obj3d")
+    monkeypatch.setattr(frames, "_substeps", lambda h, mats: 4)
+    field4, _ = integrate_frame(coeffs, case, _torus_frame0())
+    export_mesh(field4.mesh(), tmp_path / "torus4.obj", "obj3d")
+    assert (tmp_path / "torus.obj").read_bytes() == (tmp_path / "torus4.obj").read_bytes()

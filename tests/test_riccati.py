@@ -324,3 +324,20 @@ def test_nt_variant_orderings_cross_check():
                 - xif * (2 * sh * fu * fv - d * ch * (fu**2 + fv**2))
         assert np.max(np.abs(mixed[:, 0])) <= 50 * spec.hmax**2
         assert np.max(np.abs(jac[:, 0])) <= 50 * spec.hmax**2
+
+
+def test_scaled_up_forms_fail_as_floating_point_errors():
+    # cells that reach far above 0.3 take four substeps; the overflow is a
+    # FloatingPointError (exit 2) under the CLI's errstate, and the
+    # finiteness check's OverflowError with floating-point warnings off
+    spec = GridSpec.over_box((0, 1), (0, 1), 17, 17)
+    U, V = spec.mesh()
+    z = np.zeros(spec.shape)
+    for scale in (1e3, 1e100):
+        dpsi = (scale * np.cos(U), -scale * np.sin(V))
+        forms = forms_from_vectors(spec, dpsi, (z, z), dpsi)
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(FloatingPointError):
+            solve_riccati(forms, 0.2)
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            solve_riccati(forms, 0.2)
