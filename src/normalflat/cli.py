@@ -235,6 +235,7 @@ def _cmd_integrate(args) -> int:
     coeffs = CoefficientSet.load(args.coeffs)
     frame0 = _frame0(args.frame0) if args.frame0 and args.frame0 != "auto" else None
     field, drift = integrate_frame(coeffs, case, frame0)
+    tol = drift.pop("compatibility_tolerance")  # a verdict level, not a metric
     save_mesh(args.out, field.mesh())
     if args.export_obj:
         export_mesh(field.mesh(), args.export_obj, "obj3d",
@@ -242,7 +243,8 @@ def _cmd_integrate(args) -> int:
     metrics = {k: _metric(v) for k, v in drift.items() if isinstance(v, float)}
     notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []
     _report(args.report, case, coeffs.spec, metrics,
-            {"frame0": drift["frame0"], "notes": notes, "substeps": drift["substeps"]})
+            {"frame0": drift["frame0"], "notes": notes, "substeps": drift["substeps"],
+             "tolerance": tol})
     return 0
 
 
@@ -278,11 +280,12 @@ def _cmd_riccati(args) -> int:
     fminus = _sample(spec, args.fminus)
     forms = build_forms(fminus, _one_variable(args.xi, "s") if args.xi else 0.0, case)
     verdict, norms = obstruction_verdict(forms)
+    verdicts = {"obstruction": verdict, "tolerance": forms.obstruction_tolerance()}
     metrics = {name: _metric(val) for name, val in norms.items()}
     try:
         sol = solve_riccati(forms, args.t0, case)
     except (RiccatiBlowUpError, RangeConstraintError) as exc:
-        _report(args.report, case, spec, metrics, {"obstruction": verdict, "error": str(exc)})
+        _report(args.report, case, spec, metrics, {**verdicts, "error": str(exc)})
         print(f"riccati: {exc}", file=sys.stderr)
         return 2
     save_fields(args.out, {"t": sol.t})
@@ -290,8 +293,7 @@ def _cmd_riccati(args) -> int:
     metrics["residual_u"] = _metric(ru.values)
     metrics["residual_v"] = _metric(rv.values)
     metrics["path_defect"] = _metric(sol.path_defect)
-    _report(args.report, case, spec, metrics,
-            {"obstruction": verdict, "path_defect": sol.path_defect})
+    _report(args.report, case, spec, metrics, {**verdicts, "path_defect": sol.path_defect})
     return 0
 
 

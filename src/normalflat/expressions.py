@@ -44,50 +44,80 @@ class EvalError(ValueError):
 
 
 class _Node:
-    """Structural ``==`` and hash of parse trees, as frozen dataclasses give,
-    but walked with an explicit stack: a left-associative chain is as deep
-    as it is long, so recursion would fail on a long sum."""
+    """Structural ``==``, hash, ``repr`` and pickling of parse trees, as
+    frozen dataclasses give, but walked with an explicit stack: a
+    left-associative chain is as deep as it is long, so recursion would
+    fail on a long sum."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # a node's class fixes its number of children, so equal pre-orders
-        # are equal trees
+        # a child's place is marked in its parent's fields, so equal
+        # pre-orders are equal trees
         return all(a == b for a, b in zip(_preorder(self), _preorder(other)))
 
     def __hash__(self):
         return hash(tuple(_preorder(self)))
 
+    def __repr__(self):
+        # the dataclass text, written left to right off a stack of nodes and strings
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                parts.append(item)
+                continue
+            todo = [f"{item.__class__.__qualname__}("]
+            for n, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                todo += [f"{', ' if n else ''}{f.name}=",
+                         value if isinstance(value, _Node) else repr(value)]
+            stack.extend(reversed(todo + [")"]))
+        return "".join(parts)
+
+    def __reduce__(self):
+        return _rebuild, (tuple(_preorder(self)),)
+
 
 def _preorder(node):
-    """(class, non-node fields) of every node, parents before children."""
+    """(class, fields) of every node, parents before children; a field that
+    holds a node reads as the class _Node itself (it pickles by reference)."""
     stack = [node]
     while stack:
         node = stack.pop()
         values = [getattr(node, f.name) for f in fields(node)]
-        yield node.__class__, tuple(v for v in values if not isinstance(v, _Node))
+        yield node.__class__, tuple(_Node if isinstance(v, _Node) else v for v in values)
         stack.extend(reversed([v for v in values if isinstance(v, _Node)]))
 
 
-@dataclass(frozen=True, eq=False)
+def _rebuild(preorder):
+    """The tree of a _preorder walk.  Built from the last node back, each
+    node finds its children on top of the stack, leftmost first."""
+    stack = []
+    for cls, values in reversed(preorder):
+        stack.append(cls(*[stack.pop() if v is _Node else v for v in values]))
+    return stack.pop()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
     value: float
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: object
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
     op: str
     left: object
@@ -95,7 +125,7 @@ class BinOp(_Node):
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     fn: str
     arg: object

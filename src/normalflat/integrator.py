@@ -28,7 +28,7 @@ import numpy as np
 from .frames import COEFF_NAMES, CoefficientSet, FrameConnection
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
                    load_fields, residual_tolerance, row_slabs, save_fields)
-from .spaceform import CaseSpec, ambient_inner, ambient_signature
+from .spaceform import CaseSpec, ambient_inner, ambient_signature, quadric_defect
 
 __all__ = [
     "FrameField",
@@ -134,7 +134,9 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     canonical axis-aligned frame.  The frame is never projected onto the
     quadric, so the report's Gram and quadric drift are integration error;
     when the input coefficients violate compatibility, that defect is the
-    expected error floor (warned, not blocked).
+    expected error floor (warned, not blocked).  The report states the
+    defect and the residual level it is warned at, as
+    ``compatibility_defect`` and ``compatibility_tolerance``.
     """
     sig = ambient_signature(case)
     if frame0 is None:
@@ -158,7 +160,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     # the defect of the connection just swept: compatibility_defect(coeffs, case)
     compat = conn.curvature_norm().max_abs()
     report["compatibility_defect"] = compat
-    tol = residual_tolerance(spec, coeffs.max_abs())
+    tol = report["compatibility_tolerance"] = residual_tolerance(spec, coeffs.max_abs())
     if not (compat <= tol):
         # incompatible data is integrated anyway; the drift is the signal
         report["compatibility_warning"] = (
@@ -187,7 +189,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     spec = mesh.spec
     F = mesh.positions
     if case.l0 != 0:
-        off = float(np.max(np.abs(ambient_inner(F, F, sig) - 1.0 / case.l0)))
+        off = float(np.max(np.abs(quadric_defect(F, case))))
         tol = residual_tolerance(spec, 1.0 / abs(case.l0))
         if not (off <= tol):
             raise OffQuadricError(f"mesh is off the quadric <x, x> = 1/L0 = {1.0 / case.l0:g}: "

@@ -85,6 +85,11 @@ class RiccatiForms:
     def omega_scale(self) -> float:
         return max(self.omega0.max_abs(), self.omega1.max_abs(), self.omega2.max_abs())
 
+    def obstruction_tolerance(self) -> float:
+        """The level :func:`obstruction_verdict` judges the 2-forms at: the
+        quadratic level of the omega scale."""
+        return quadratic_tolerance(self.spec, self.omega_scale())
+
     def obstruction_max(self) -> float:
         return max(self.Omega0.max_abs(), self.Omega1.max_abs(), self.Omega2.max_abs())
 
@@ -226,7 +231,7 @@ def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
 def obstruction_verdict(forms: RiccatiForms):
     """('identically-zero' | 'nontrivial', max norms of the three 2-forms),
     judged at the quadratic level of the omega scale."""
-    tol = quadratic_tolerance(forms.spec, forms.omega_scale())
+    tol = forms.obstruction_tolerance()
     norms = {
         "Omega0": forms.Omega0.max_abs(),
         "Omega1": forms.Omega1.max_abs(),

@@ -1,17 +1,34 @@
 import base64
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import text_document
+from conftest import random_coefficients, text_document
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
-from normalflat.cli import main
+from normalflat.cli import CASE_FLAGS, main
 from normalflat.families import NotldPotentials, build_notld_family
 from normalflat.integrator import canonical_frame0
+from normalflat.riccati import build_forms
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_block(after: str, lang: str) -> str:
+    """The first ```lang block of README.md after the text ``after``."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"```{lang}\n", text.index(after)) + len(lang) + 4
+    return text[start:text.index("```", start)]
 
 
 @pytest.fixture
@@ -28,6 +45,37 @@ def violation_file(tmp_path):
     path = tmp_path / "bad.json"
     CoefficientSet.from_arrays(spec, alpha2=1.0).save(path)
     return path
+
+
+def test_readme_chain(tmp_path, monkeypatch, capsys):
+    # the descriptor and the sh chain of README's "Command line" section, read
+    # from README.md itself: every line exits 0 in a temporary directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "product.json").write_text(_readme_block("the flat-torus descriptor", "json"))
+    chain = _readme_block("the subcommands chain as", "sh").replace("\\\n", " ")
+    lines = [shlex.split(line) for line in chain.splitlines() if line.strip()]
+    assert all(argv[0] == "normalflat" for argv in lines), lines
+    assert {argv[1] for argv in lines} == set(CASE_FLAGS)  # all six subcommands
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+def test_entry_points_exit_codes(tmp_path):
+    # the `python -m` entry and, wherever it is on PATH, the installed console
+    # script: a passing run exits 0, a usage error 1 with a normalflat: line
+    src = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    entries = [([sys.executable, "-m", "normalflat.cli"], {**os.environ, "PYTHONPATH": src})]
+    if shutil.which("normalflat"):
+        entries.append(([shutil.which("normalflat")], None))  # the environment as it is
+    riccati = ["riccati", "--fminus", "u", "--case", "R", "--t0", "0.1", "--out", "t.json"]
+    for entry, env in entries:
+        for grid, code in (("0:0:0.1:0.1:9:9", 0), ("0:0:0.1:0.1:9", 1)):
+            run = subprocess.run(entry + riccati + ["--grid", grid], cwd=tmp_path, env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == code, (entry, run.stderr)
+        assert run.stderr == "normalflat: grid must be u0:v0:du:dv:nu:nv\n", entry
+        assert (tmp_path / "t.json").exists()
 
 
 def test_verify_passes_on_torus(torus_file, tmp_path):
@@ -125,17 +173,29 @@ def test_construct_numeric_expression_params(tmp_path):
 
 
 def test_construct_notld_cli(tmp_path):
-    params = tmp_path / "notld.json"
-    params.write_text(json.dumps({
-        "family": "notld", "case": "R", "l0": 0.0,
-        "grid": {"u0": 0, "v0": 0, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41},
-        "params": {"f_minus": "u", "angle": "1.2", "theta_minus": "0.5"}}))
-    out = tmp_path / "notld_coeffs.json"
-    rc = main(["construct", "--params", str(params), "--out", str(out),
-               "--cert", str(tmp_path / "cert.json")])
-    assert rc == 0
-    cert = json.loads((tmp_path / "cert.json").read_text())
-    assert cert["residual_max"] <= 1e-10
+    # the real notld pipeline once per sign of kappa (R: +1, NT: -1), with a
+    # constant and with a varying theta_minus or t_minus: each set certifies
+    # and verifies; a constant theta_minus leaves only round-off in the residuals
+    grid41 = {"u0": 0, "v0": 0, "du": 0.025, "dv": 0.025, "nu": 41, "nv": 41}
+    grid65 = {"u0": 0, "v0": 0, "du": 0.015625, "dv": 0.015625, "nu": 65, "nv": 65}
+    for name, doc, residual in (
+            ("constant", {"family": "notld", "case": "R", "l0": 0.0, "grid": grid41,
+                          "params": {"f_minus": "u", "angle": "1.2", "theta_minus": "0.5"}},
+             1e-10),
+            ("r", {"family": "notld", "case": "R", "l0": 0.0, "grid": grid65,
+                   "params": {"f_minus": "u", "angle": "1.2",
+                              "theta_minus": "0.5 + 0.2*sin(u)"}}, 1e-5),
+            ("nt", {"family": "notld", "case": "NT", "l0": 0.0, "eps": 1, "grid": grid65,
+                    "params": {"f_minus": "u", "angle": "0.7", "t_minus": "0.4 + 0.1*cos(v)",
+                               "eps_prime": 1}}, 1e-5)):
+        params = tmp_path / f"{name}.json"
+        params.write_text(json.dumps(doc))
+        out, cert = tmp_path / f"{name}_coeffs.json", tmp_path / f"{name}_cert.json"
+        assert main(["construct", "--params", str(params), "--out", str(out),
+                     "--cert", str(cert)]) == 0, name
+        cert = json.loads(cert.read_text())
+        assert cert["passed"] is True and cert["residual_max"] <= residual, name
+        assert main(["verify", "--coeffs", str(out), "--case", doc["case"]]) == 0, name
 
 
 def test_integrate_reconstruct_cli(torus_file, tmp_path):
@@ -149,6 +209,8 @@ def test_integrate_reconstruct_cli(torus_file, tmp_path):
     assert drift["verdicts"]["notes"] == []
     # h ||M||_F = sqrt(3) / 32 on the 33^2 torus: one substep per cell
     assert drift["verdicts"]["substeps"] == {"u": 1, "v": 1}
+    # the residual level of the compatibility warning, 10 h^2 (1 + s) with s = 1
+    assert drift["verdicts"]["tolerance"] == pytest.approx(10 * 32.0**-2 * 2, rel=1e-14)
 
     out = tmp_path / "rec.json"
     rc = main(["reconstruct", "--mesh", str(mesh), "--case", "R", "--out", str(out)])
@@ -183,8 +245,10 @@ def test_integrate_cli_keeps_compatibility_warning(violation_file, tmp_path):
     rc = main(["integrate", "--coeffs", str(violation_file), "--case", "R",
                "--out", str(tmp_path / "mesh.json"), "--report", str(report)])
     assert rc == 0
-    notes = json.loads(report.read_text())["verdicts"]["notes"]
+    verdicts = json.loads(report.read_text())["verdicts"]
+    notes = verdicts["notes"]
     assert len(notes) == 1 and "violate integrability" in notes[0]
+    assert f" > {verdicts['tolerance']:.3e});" in notes[0]
 
 
 def test_integrate_overflow_exit_code(tmp_path, capsys):
@@ -210,6 +274,11 @@ def test_riccati_cli(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["verdicts"]["obstruction"] == "identically-zero"
     assert doc["metrics"]["path_defect"]["max"] <= 1e-12
+    # the quadratic level of the omega scale, 10 h^2 (1 + s)^2
+    spec = GridSpec(0.0, 0.0, 0.05, 0.05, 21, 21)
+    forms = build_forms(FieldGrid.from_function(spec, lambda U, V: U), 0.0, CaseSpec("R", 0.0))
+    s = forms.omega_scale()
+    assert doc["verdicts"]["tolerance"] == pytest.approx(10 * 0.05**2 * (1 + s)**2, rel=1e-14)
     from normalflat import load_fields
     t = load_fields(out)["t"]
     assert np.max(np.abs(t.values - 0.3)) <= 1e-12
@@ -578,6 +647,17 @@ def test_report_deterministic(torus_file, tmp_path):
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r1)])
     main(["verify", "--coeffs", str(torus_file), "--case", "R", "--out", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+    # the text encoding of the same doubles verifies to the same report bytes,
+    # for the torus and for a set of doubles that are not short decimals
+    rough = tmp_path / "rough.json"
+    random_coefficients(np.random.default_rng(5), GridSpec.over_box((0, 1), (0, 1), 17, 17)
+                        ).save(rough)
+    for path in (torus_file, rough):
+        text = tmp_path / f"{path.stem}_text.json"
+        text.write_text(json.dumps(text_document(path)))
+        for coeffs, report in ((path, r1), (text, r2)):
+            main(["verify", "--coeffs", str(coeffs), "--case", "R", "--out", str(report)])
+        assert r1.read_bytes() == r2.read_bytes(), path.name
     for r in (r1, r2):
         main(["integrate", "--coeffs", str(torus_file), "--case", "R",
               "--out", str(tmp_path / "mesh.json"), "--report", str(r)])

@@ -1,4 +1,5 @@
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -190,10 +191,15 @@ def test_long_chain_prints_and_reparses():
 
 
 def test_long_chain_trees_compare_and_hash():
-    # == and hash walk the tree in a loop, as to_string and eval_expr do
+    # ==, hash, repr and pickling walk the tree in a loop, as to_string and
+    # eval_expr do
     src = " + ".join(["u"] * 3000)
     a, b = parse_expr(src), parse_expr(src)
     assert a == b and hash(a) == hash(b)
+    assert repr(a).startswith("BinOp(op='+', left=BinOp(op='+', left=")
+    assert repr(a).endswith("right=Var(name='u', pos=11996), pos=11994)")
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and repr(c) == repr(a)
     assert a != parse_expr(src + " + u")
     assert a != parse_expr(src[:-1] + "v")
     assert a != parse_expr(src.replace("+", "-", 1))
@@ -203,3 +209,10 @@ def test_long_chain_trees_compare_and_hash():
     assert parse_expr("u + v") != BinOp("+", Var("u"), Var("v", 3), 2)
     assert Neg(Num(1.0)) != Call("abs", Num(1.0))
     assert len({parse_expr("sin(u) * 2"), parse_expr(" sin(u) * 2"[1:]), Num(1.0)}) == 2
+    # the dataclass text of a small tree, and a pickle round trip of every node class
+    small = parse_expr("-sin(u)^2 + 3*v")
+    assert repr(small) == (
+        "BinOp(op='+', left=Neg(arg=BinOp(op='^', left=Call(fn='sin', arg=Var(name='u', pos=5), "
+        "pos=1), right=Num(value=2.0, pos=8), pos=7), pos=0), right=BinOp(op='*', "
+        "left=Num(value=3.0, pos=12), right=Var(name='v', pos=14), pos=13), pos=10)")
+    assert pickle.loads(pickle.dumps(small)) == small

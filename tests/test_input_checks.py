@@ -1,0 +1,175 @@
+"""The input checks that the other tests do not reach.
+
+Each check raises its documented error class.  Where a command-line input
+reaches it, `main` exits 1 with one `normalflat: ` line and no traceback.
+One check has no input that reaches it:
+`families._notld_real`'s "gradient of f_plus vanishes".  There
+B = f+_u^2 + f+_v^2 is zero only where f+_u = f+_v = 0, where A is zero
+too, and a NaN in B is a NaN in A.  The check before it rejects both.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
+from normalflat.cli import UsageError, _build_parser, main
+from normalflat.expressions import ParseError
+from normalflat.families import (
+    FamilyInputError,
+    NotldPotentials,
+    _sqrt_tracked,
+    angle_link,
+    build_notld_family,
+    rotation_angle,
+)
+from normalflat.gcr import dependence_report
+from normalflat.grid import GridShapeError, field_map
+from normalflat.integrator import SignatureError, export_mesh
+
+GRID = {"u0": 0, "v0": 0, "du": 0.1, "dv": 0.1, "nu": 9, "nv": 9}
+SPEC = GridSpec.from_json(GRID)
+OTHER = GridSpec(0.0, 0.0, 0.2, 0.1, 9, 9)
+U, V = SPEC.mesh()
+TORUS = CoefficientSet.from_arrays(SPEC, alpha1=-1.0, beta3=-1.0)
+NAMES = ("lambda", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2")
+
+
+def _construct(family, case="R", grid=GRID, **params):
+    def argv(d):
+        (d / "d.json").write_text(json.dumps({"family": family, "case": case, "grid": grid,
+                                              "params": params}))
+        return ["construct", "--params", str(d / "d.json"), "--out", str(d / "c.json")]
+    return argv
+
+
+def _riccati(fminus, case="R"):
+    return lambda d: ["riccati", "--fminus", fminus, "--case", case, "--t0", "0.1",
+                      "--grid", "0:0:0.1:0.1:9:9", "--out", str(d / "t.json")]
+
+
+def _reading(command, fields, *flags):
+    """A command reading a field file of the given fields."""
+    def argv(d):
+        save_fields(d / "f.json", fields)
+        flag = "--mesh" if command == "reconstruct" else "--coeffs"
+        return [command, flag, str(d / "f.json"), *flags, "--out", str(d / "o.json")]
+    return argv
+
+
+def _mesh(positions, spec=SPEC):
+    return {f"x{k}": FieldGrid(spec, positions[..., k]) for k in range(positions.shape[-1])}
+
+
+# a base row whose second-order u-tangent is e0 at u-index 0 and e2 at index 1,
+# with T2 = e1 (steps of 1): the normal plane at index 1 holds no component
+# of the normal at index 0
+_STEP = GridSpec(0.0, 0.0, 1.0, 1.0, 5, 5)
+_ROW = np.array([[0, 0, 0, 0], [0.5, 0, 0.5, 0], [0, 0, 2, 0], [2.5, 0, 0.5, 0], [2, 0, 2, 0]])
+_TURN = _ROW[:, None, :] + np.arange(5)[None, :, None] * np.eye(4)[1]
+# in neutral 4-space (+ + - -), the plane of T1 = (1, -1, 1, 0) and T2 = e3 has
+# the null normals (1, 0, 1, 0) and (0, 1, -1, 0) of product 1: every axis
+# projects onto a null or a time-like normal, none onto a space-like one
+_NULL_NORMALS = U[..., None] * np.array([1.0, -1.0, 1.0, 0.0]) + V[..., None] * np.eye(4)[3]
+
+
+def _cli(name, argv, error, message):
+    return pytest.param(argv, None, error, message, id=name)
+
+
+def _call(name, fn, error, message):
+    return pytest.param(None, fn, error, message, id=name)
+
+
+CHECKS = [
+    _cli("product-radius", _construct("product", radius1=-1.0, radius2=-1.0),
+         FamilyInputError, "radii must be positive"),
+    _cli("phi-case", _construct("phi", "NT", phi="u", theta="0.7"),
+         FamilyInputError, "phi family implemented for cases R, NS, LT"),
+    _cli("phi-gradient", _construct("phi", phi="1", theta="0.7"),
+         FamilyInputError, "grad phi must be nonvanishing"),
+    _cli("light-case", _construct("light", gamma="0.3*u"),
+         FamilyInputError, "light-dependent family implemented for case NT, L0=0"),
+    _call("angle-link-angle", lambda d: angle_link(FieldGrid(SPEC, U), None, CaseSpec("R")),
+          ValueError, "real cases need the angle field"),
+    _call("rotation-angle-case", lambda d: rotation_angle(FieldGrid(SPEC, U + 1j * V),
+                                                          CaseSpec("R")),
+          ValueError, "rotation_angle serves the complex cases only"),
+    _cli("notld-complex-inputs", _construct("notld", "LS", sigma=1.0),
+         FamilyInputError, "need the complex potential f and the gauge angle sigma"),
+    _call("notld-real-f", lambda d: build_notld_family(
+        NotldPotentials(f=FieldGrid(SPEC, U), sigma=FieldGrid.constant(SPEC, 1.0)),
+        CaseSpec("LS")), FamilyInputError, "f must be complex-valued"),
+    _cli("notld-reality", _construct("notld", "LS", {**GRID, "u0": 1, "v0": 1}, f_re="u",
+                                     f_im="u*v", sigma=1.0),
+         FamilyInputError, "f_u^2 + f_v^2 is not real-valued (defect 3.600e+00)"),
+    _call("coefficients-grid", lambda d: CoefficientSet(
+        *(FieldGrid(OTHER if n == "lambda" else SPEC, np.zeros(SPEC.shape)) for n in NAMES)),
+        GridShapeError, "coefficient fields live on different grids"),
+    _cli("coefficients-real", _reading("verify", {n: FieldGrid(SPEC, U + 1j * V) for n in NAMES},
+                                       "--case", "R"),
+         ValueError, "coefficient fields must be real"),
+    _call("dependence-variant", lambda d: dependence_report(TORUS, CaseSpec("R"), "bogus"),
+          ValueError, "unknown dependence variant 'bogus'"),
+    _call("field-shape", lambda d: FieldGrid(SPEC, np.zeros(3)),
+          GridShapeError, "values shape (3,) != grid shape (9, 9)"),
+    _call("field-map-empty", lambda d: field_map(np.sin),
+          ValueError, "field_map needs at least one field"),
+    _call("save-nothing", lambda d: save_fields(d / "f.json", {}), ValueError, "nothing to save"),
+    _call("save-two-grids", lambda d: save_fields(d / "f.json", {
+        "f": FieldGrid(SPEC, U), "g": FieldGrid(OTHER, U)}),
+        GridShapeError, "all fields in one file must share a grid"),
+    _cli("normal-causal-type", _reading("reconstruct", _mesh(_TURN, _STEP), "--case", "R"),
+         SignatureError, "normal candidate has the wrong causal type"),
+    _cli("normal-axis", _reading("reconstruct", _mesh(_NULL_NORMALS), "--case", "NT"),
+         SignatureError, "no ambient axis projects to the required normal type"),
+    _call("csv-bare-array", lambda d: export_mesh(np.zeros((5, 5, 4)), d / "m.csv", "csv"),
+          ValueError, "csv export needs a SurfaceMesh (u, v columns)"),
+    _call("mesh-format", lambda d: export_mesh(np.zeros((5, 5, 4)), d / "m.ply", "ply"),
+          ValueError, "unknown mesh format 'ply'"),
+    _cli("riccati-case", _riccati("u", "LS"), ValueError, "no Riccati angle system for case LS"),
+    _cli("case-l0", _reading("verify", dict(zip(NAMES, TORUS.fields().values())),
+                             "--case", "R", "--l0", "nan"), ValueError, "l0 must be finite"),
+    _cli("bad-number", _riccati("1.2.3*u"), ParseError, "bad number '1.2.3' (at offset 0)"),
+    _cli("bad-character", _riccati("u $ v"), ParseError, "unexpected character '$' (at offset 2)"),
+    _cli("trailing-input", _riccati("u v"),
+         ParseError, "unexpected trailing input 'v' (at offset 2)"),
+    _cli("unknown-family", _construct("foo"), UsageError, "unknown family 'foo'"),
+]
+
+
+@pytest.mark.parametrize("argv, call, error, message", CHECKS)
+def test_input_check(tmp_path, capsys, argv, call, error, message):
+    if argv is not None:
+        argv = argv(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"normalflat: {message}\n"
+        args = _build_parser().parse_args(argv)
+
+        def call(d):
+            return args.fn(args)
+
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_sqrt_tracked_flips_the_base_row():
+    # w^2 = e^{i theta} with theta rising through pi down the base column: the
+    # principal root jumps to the other sheet there, and the tracked one
+    # flips it back, so the root stays e^{i theta / 2} on the whole grid
+    theta = np.linspace(2.5, 3.9, 8)[:, None] + np.linspace(0.0, 0.2, 5)[None, :]
+    w2 = np.exp(1j * theta)
+    assert np.max(np.abs(np.sqrt(w2) - np.exp(0.5j * theta))) > 1
+    assert np.max(np.abs(_sqrt_tracked(w2) - np.exp(0.5j * theta))) <= 1e-14
+
+
+def test_detect_notes_a_normal_connection_that_is_not_flat(tmp_path):
+    # mu = (v, 0): (mu1)_v - (mu2)_u = 1 on the whole grid
+    path = tmp_path / "c.json"
+    CoefficientSet.from_arrays(SPEC, alpha1=-1.0, beta3=-1.0, mu1=V).save(path)
+    report = tmp_path / "detect.json"
+    assert main(["detect", "--coeffs", str(path), "--case", "R", "--out", str(report)]) == 0
+    notes = json.loads(report.read_text())["verdicts"]["notes"]
+    assert "normal connection not flat (defect 1.000e+00)" in notes
