@@ -181,7 +181,7 @@ class FrameConnection:
         for slab in row_slabs(self.spec):
             S, T = (self.block(k, lambda x: x[slab.pad]) for k in (0, 1))
             K = curvature(S, T, slab.spec)[slab.keep]
-            out[slab.rows] = np.sqrt(np.sum(K * K, axis=(-2, -1)))
+            out[slab.lines] = np.sqrt(np.sum(K * K, axis=(-2, -1)))
         return FieldGrid(self.spec, out)
 
 

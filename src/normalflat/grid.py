@@ -14,9 +14,10 @@ other module differentiates through these, so this is the one place where
 a step is paired with an axis.  The one exception is the fourth-order
 lambda gradient of the frame connection (``_diff_along4``).
 
-``row_slabs`` cuts a grid into slabs of ``SLAB_ROWS`` rows with a stencil
-halo, so a whole-grid pass can hold one slab's temporaries at a time and
-still give, bit for bit, the whole-grid values.
+``slabs`` cuts a grid into slabs of rows (``row_slabs``: ``SLAB_ROWS`` at a
+time) or of columns with a stencil halo, so a whole-grid pass can hold one
+slab's temporaries at a time and still give, bit for bit, the whole-grid
+values.
 """
 
 from __future__ import annotations
@@ -249,32 +250,43 @@ SLAB_ROWS = 16
 
 
 class Slab(NamedTuple):
-    """One slab of grid rows: ``rows`` of the grid, padded to ``pad`` (a
-    grid of its own, ``spec``), whose rows ``keep`` are ``rows``."""
+    """One slab of grid lines along an axis: ``lines`` of the grid, padded
+    to ``pad`` (a grid of its own, ``spec``), whose lines ``keep`` are
+    ``lines``."""
 
-    rows: slice
+    lines: slice
     pad: slice
     keep: slice
     spec: GridSpec
 
 
-def row_slabs(spec: GridSpec):
-    """The grid's rows in slabs of SLAB_ROWS, each padded by a one-row halo
-    and, at a grid edge, to the five rows a one-sided stencil reads.
+def slabs(spec: GridSpec, axis: int, size: int):
+    """The grid's lines along axis (0: rows, 1: columns) in slabs of size,
+    each padded by a one-line halo and to at least the five lines a
+    one-sided stencil reads.
 
-    A second-order stencil applied to a slab's padded rows (``grad``,
-    ``hessian``, ``curl``) is therefore, on its kept rows, bit for bit the
-    whole-grid result, edge rows included; the central fourth-order stencil
-    reaches two rows and needs the whole grid.
+    A second-order stencil applied to a slab's padded lines (``grad``,
+    ``hessian``, ``curl``) is therefore, on its kept lines, bit for bit
+    the whole-grid result, edge lines included; the central fourth-order
+    stencil reaches two lines and needs the whole grid.
     """
-    nu = spec.nu
-    for r0 in range(0, nu, SLAB_ROWS):
-        r1 = min(r0 + SLAB_ROWS, nu)
-        p0, p1 = max(r0 - 1, 0), min(r1 + 1, nu)
-        if p1 - p0 < 5:  # only a slab at an edge is this short
-            p0, p1 = (0, 5) if p0 == 0 else (nu - 5, nu)
-        yield Slab(slice(r0, r1), slice(p0, p1), slice(r0 - p0, r1 - p0),
-                   GridSpec(spec.u0 + p0 * spec.du, spec.v0, spec.du, spec.dv, p1 - p0, spec.nv))
+    n = spec.shape[axis]
+    for r0 in range(0, n, size):
+        r1 = min(r0 + size, n)
+        p0, p1 = max(r0 - 1, 0), min(r1 + 1, n)
+        if p1 - p0 < 5:  # widened to five lines, inside the grid
+            p0 = min(p0, n - 5)
+            p1 = p0 + 5
+        if axis == 0:
+            part = GridSpec(spec.u0 + p0 * spec.du, spec.v0, spec.du, spec.dv, p1 - p0, spec.nv)
+        else:
+            part = GridSpec(spec.u0, spec.v0 + p0 * spec.dv, spec.du, spec.dv, spec.nu, p1 - p0)
+        yield Slab(slice(r0, r1), slice(p0, p1), slice(r0 - p0, r1 - p0), part)
+
+
+def row_slabs(spec: GridSpec):
+    """The grid's rows in slabs of SLAB_ROWS (``slabs`` along axis 0)."""
+    return slabs(spec, 0, SLAB_ROWS)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ re-orthonormalization is applied; Gram and quadric drift are the
 accuracy diagnostics.  ``reconstruct_coefficients`` inverts
 the frame definitions on a sampled conformal immersion.
 
-Both stream their whole-grid work: the connection is assembled in column
-windows and row slabs (:class:`normalflat.frames.FrameConnection`), the
-Gram drift and the reconstructed coefficients are computed one row slab
-at a time (``grid.row_slabs``), so the largest arrays either holds are
-its input and its output, plus, in reconstruction, the normal frame.
+Both stream their whole-grid work, so the largest arrays either holds
+are its input and its output.  Integration assembles the connection in
+column windows and row slabs (:class:`normalflat.frames.FrameConnection`)
+and computes the Gram drift one row slab at a time (``grid.row_slabs``).
+Reconstruction checks the tangents one row slab at a time, then
+propagates the normals and computes the coefficients one window of
+``_WINDOW`` columns at a time (``grid.slabs``): tangent projectors,
+normals and second differences exist only for the current window and
+its stencil halo.
 
 For L0 = 0 the ambient model is 4-dimensional and the fifth frame column
 is the position itself (affine frame); for L0 != 0 everything lives in
@@ -21,13 +25,14 @@ the flat 5-space containing the quadric model.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import COEFF_NAMES, CoefficientSet, FrameConnection
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
-                   load_fields, residual_tolerance, row_slabs, save_fields)
+                   load_fields, residual_tolerance, row_slabs, save_fields, slabs)
 from .spaceform import CaseSpec, ambient_inner, ambient_signature, quadric_defect
 
 __all__ = [
@@ -87,9 +92,9 @@ class FrameField:
         target = np.diag(self.case.frame_signs)
         maxima = {"gram_max": [], "quadric_max": [], "position_cross_max": []}
         for slab in row_slabs(self.spec):
-            Y = self.values[slab.rows]
+            Y = self.values[slab.lines]
             gram = np.swapaxes(Y * signs, -1, -2) @ Y
-            e2l = np.exp(2 * lam.values[slab.rows])[..., None, None]
+            e2l = np.exp(2 * lam.values[slab.lines])[..., None, None]
             maxima["gram_max"].append(np.max(np.abs(gram[..., :4, :4] - target * e2l) / e2l))
             if self.case.l0 != 0:
                 maxima["quadric_max"].append(np.max(np.abs(gram[..., 4, 4] - 1.0 / self.case.l0)))
@@ -174,14 +179,17 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
 
     Tangents come from first differences, lambda from their inner
     product, the normal frame from sign-aligned Gram-Schmidt seeded on
-    the canonical ambient axes, and the coefficients from second
-    differences, one row slab at a time.  The normal gauge is only fixed
-    up to the case's residual freedom, so compare gauge invariants, not raw
-    fields.  Returns (CoefficientSet, gauge report).  Raises OffQuadricError
-    when L0 != 0 and the mesh leaves <x, x> = 1/L0 by more than
-    ``residual_tolerance(spec, 1/|L0|)``, SignatureError when a tangent or
-    normal has the wrong causal type, and NotConformalError when the
-    isothermality defect exceeds its tolerance (a NaN fails each check).
+    the canonical ambient axes (``_normals``), and the coefficients from
+    second differences, one column window at a time as the normals reach
+    past it.  The normal gauge is only fixed up to the case's residual
+    freedom, so compare gauge invariants, not raw fields.  Returns
+    (CoefficientSet, gauge report).  Raises OffQuadricError when L0 != 0
+    and the mesh leaves <x, x> = 1/L0 by more than
+    ``residual_tolerance(spec, 1/|L0|)``, SignatureError when a tangent
+    has the wrong causal type, NotConformalError when the isothermality
+    defect exceeds its tolerance, and SignatureError when a normal has
+    the wrong causal type, in that order of precedence (a NaN fails each
+    check).
     """
     sig = ambient_signature(case)
     if mesh.dim != sig.dim:
@@ -195,108 +203,241 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
             raise OffQuadricError(f"mesh is off the quadric <x, x> = 1/L0 = {1.0 / case.l0:g}: "
                                   f"max deviation {off:.3e} > tolerance {tol:.3e}")
 
-    T1, T2 = grad(F, spec)
     g1, g2, n1s, n2s = case.frame_signs
-    q11 = g1 * ambient_inner(T1, T1, sig)
-    q22 = g2 * ambient_inner(T2, T2, sig)
+    q11, q22, q12 = (np.empty(spec.shape) for _ in range(3))
+    for slab in row_slabs(spec):
+        T1, T2 = (x[slab.keep] for x in grad(F[slab.pad], slab.spec))
+        q11[slab.lines] = g1 * ambient_inner(T1, T1, sig)
+        q22[slab.lines] = g2 * ambient_inner(T2, T2, sig)
+        q12[slab.lines] = ambient_inner(T1, T2, sig)
     if not (np.all(q11 > 0) and np.all(q22 > 0)):
         raise SignatureError("tangent causal type does not match the case")
     e2l = q11
     lam = 0.5 * np.log(q11)
-    iso = max(float(np.max(np.abs(q11 - q22) / e2l)),
-              float(np.max(np.abs(ambient_inner(T1, T2, sig)) / e2l)))
+    iso = max(float(np.max(np.abs(q11 - q22) / e2l)), float(np.max(np.abs(q12) / e2l)))
+    del q22, q12
     # first differences are O(h^2) accurate, so isothermality can only be
     # checked to that order
     iso_tol = max(1e-6, isothermality_tolerance(spec, float(np.max(np.abs(F)))))
     if not (iso <= iso_tol):
         raise NotConformalError(f"isothermality defect {iso:.3e} exceeds {iso_tol:.3e}")
 
-    # gauge: canonical seed at the base corner, then continuous propagation
-    # (each point re-projects its neighbor's normal into its own normal
-    # space), which keeps the causal type stable across the grid.  Fields
-    # are stored as (nv, dim, nu) blocks, so that a column step reads
-    # contiguous memory; the dot products sum the components in order, as
-    # a per-point sum does, so the normals do not depend on the layout.
-    seed = canonical_frame0(case, 0.0)
-    sg = sig.array()[:, None]
-
-    def dot(x, y):  # (..., dim, m) -> (..., 1, m)
-        return np.sum(x * y, axis=-2, keepdims=True)
-
-    def blocks(x):  # (nu, nv, ...) -> (nv, ..., nu)
-        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-    def projector(b):
-        return b, dot(sg * b, b)
-
-    # the blocks are copies: the tangents go once the projectors exist, and
-    # the projectors once the normals do
-    projectors = [projector(blocks(b)) for b in (T1, T2, *([F] if case.l0 != 0 else []))]
-    del T1, T2
-    el = blocks(np.exp(lam)[..., None])
-    base = (0, slice(None), slice(0, 1))
-
-    def project_point(cand, idx, extra):
-        # sg is +-1, so sg * cand . b is cand . sg * b bit for bit
-        for b, bb in (*projectors, *extra):
-            cand = cand - dot(sg * cand, b[idx]) / bb[idx] * b[idx]
-        return cand
-
-    def normalize(cand, idx, want_sign, prev):
-        sq = dot(sg * cand, cand)
-        if not np.all(want_sign * sq > 0):
-            raise SignatureError("normal candidate has the wrong causal type")
-        cand = cand * (el[idx] / np.sqrt(np.abs(sq)))
-        if prev is not None:
-            cand = np.where(dot(cand, prev) < 0, -cand, cand)
-        return cand
-
-    def base_candidate(preferred, want_sign, extra):
-        # fall back to any ambient axis whose projection has the right type
-        # and is not numerically degenerate (axis nearly tangent)
-        for cand in (preferred, *np.eye(sig.dim)[..., None]):
-            proj = project_point(cand, base, extra)
-            if np.all(want_sign * dot(sg * proj, proj) > 1e-6):
-                return proj
-        raise SignatureError("no ambient axis projects to the required normal type")
-
-    def propagate(want_sign, base_seed, extra):
-        N = np.empty((spec.nv, sig.dim, spec.nu))
-        N[base] = normalize(base_candidate(base_seed, want_sign, extra), base, want_sign, None)
-        for i in range(1, spec.nu):
-            idx, prev = (0, slice(None), slice(i, i + 1)), N[0, :, i - 1:i]
-            N[idx] = normalize(project_point(prev, idx, extra), idx, want_sign, prev)
-        for j in range(1, spec.nv):
-            N[j] = normalize(project_point(N[j - 1], j, extra), j, want_sign, N[j - 1])
-        return N
-
-    N1 = propagate(n1s, seed[:, 2:3], [])
-    N2 = propagate(n2s, seed[:, 3:4], [projector(N1)])
-    del projectors
-    N1 = np.ascontiguousarray(np.moveaxis(N1, -1, 0))
-    N2 = np.ascontiguousarray(np.moveaxis(N2, -1, 0))
-
-    # the second forms of F along the normals, and the normal connection
+    # the second forms of F along the normals, and the normal connection,
+    # one column window at a time as the normals reach past it
     fields = {name: np.empty(spec.shape) for name in COEFF_NAMES[1:]}
-    for slab in row_slabs(spec):
-        rows = slab.rows
-        Fuu, Fuv, Fvv = (x[slab.keep] for x in hessian(F[slab.pad], slab.spec))
-        N1u, N1v = (x[slab.keep] for x in grad(N1[slab.pad], slab.spec))
-        inv1 = n1s / e2l[rows]
-        inv2 = n2s / e2l[rows]
-        for name, inv, d2F, N in (("alpha1", inv1, Fuu, N1), ("alpha2", inv1, Fuv, N1),
-                                  ("alpha3", inv1, Fvv, N1), ("beta1", inv2, Fuu, N2),
-                                  ("beta2", inv2, Fuv, N2), ("beta3", inv2, Fvv, N2),
-                                  ("mu1", inv2, N1u, N2), ("mu2", inv2, N1v, N2)):
-            fields[name][rows] = inv * ambient_inner(d2F, N[rows], sig)
+    base = []
+
+    def second_forms(win, N):
+        cols, keep = win.lines, win.keep
+        if cols.start == 0:
+            base.extend(N[0, :, :, 0].tolist())
+        N1 = np.ascontiguousarray(np.moveaxis(N[:, 0], -1, 0))  # (nu, padded columns, dim)
+        n2 = np.ascontiguousarray(np.moveaxis(N[keep, 1], -1, 0))
+        del N
+        n1 = N1[:, keep]
+        N1u, N1v = (x[:, keep] for x in grad(N1, win.spec))
+        Fuu, Fuv, Fvv = (x[:, keep] for x in hessian(F[:, win.pad], win.spec))
+        inv1 = n1s / e2l[:, cols]
+        inv2 = n2s / e2l[:, cols]
+        for name, inv, d2F, n in (("alpha1", inv1, Fuu, n1), ("alpha2", inv1, Fuv, n1),
+                                  ("alpha3", inv1, Fvv, n1), ("beta1", inv2, Fuu, n2),
+                                  ("beta2", inv2, Fuv, n2), ("beta3", inv2, Fvv, n2),
+                                  ("mu1", inv2, N1u, n2), ("mu2", inv2, N1v, n2)):
+            fields[name][:, cols] = inv * ambient_inner(d2F, n, sig)
+
+    el = np.exp(lam)
+    try:
+        _normals(F, spec, case, el, (n1s, n2s), second_forms)
+    except SignatureError:
+        # N1's failure anywhere on the grid comes before N2's: N1 alone
+        # raises it, or N2's error stands
+        _normals(F, spec, case, el, (n1s,), lambda win, N: None)
+        raise
 
     coeffs = CoefficientSet.from_arrays(spec, lam=lam, **fields)
     report = {
         "isothermality_defect": iso,
-        "base_normal1": N1[0, 0].tolist(),
-        "base_normal2": N2[0, 0].tolist(),
+        "base_normal1": base[0],
+        "base_normal2": base[1],
     }
     return coeffs, report
+
+
+# columns per reconstruction window: the tangent and quadric projectors,
+# the normals and the second differences exist for one window and its
+# stencil halo at a time
+_WINDOW = 32
+
+_WRONG_TYPE = "normal candidate has the wrong causal type"
+
+
+def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray, wants: tuple,
+             window_done) -> None:
+    """The gauge normals N1 (and N2) of a mesh F, one column window at a time.
+
+    Calls window_done(window, N) for each ``grid.slabs(spec, 1, _WINDOW)``
+    window in turn, as soon as the normals reach its last padded column;
+    N is (padded columns, len(wants), dim, nu).
+
+    Sign-aligned Gram-Schmidt, point by point: the base corner projects
+    the canonical seed (or, failing that, the first ambient axis that
+    projects to a normal of sign wants[k] above 1e-6), every other point
+    its neighbor's normals, one step along u on the base row and along v
+    elsewhere.  A step takes the normals' components along T1, T2 (and F
+    for L0 != 0) off, then, normal by normal, the component along the new
+    N1 (for N2), scales to length e^lambda = el and flips the sign where
+    the normal turns against its neighbor's; a normal of the wrong causal
+    type (a NaN too) raises SignatureError.
+
+    The base row steps in Python floats, each column all of u at once on
+    preallocated buffers.  Every sum runs over the ambient components left
+    to right from +0.0, as numpy's sum over a short axis does, and both
+    paths form the same products in the same order, so the normals do not
+    depend on the blocking.  The projector blocks are built from F per
+    window with its stencil halo, and a column's normals are dropped once
+    no window's padding reads them, so no whole-grid tangent or normal is
+    held.
+    """
+    sig = ambient_signature(case)
+    sg = sig.array()[:, None]
+    nu, nv = spec.shape
+    shape = (len(wants), sig.dim, nu)
+    seeds = canonical_frame0(case, 0.0)[:, 2:2 + len(wants)].T.tolist()
+    prod = np.empty(shape)
+    dots = np.empty((len(wants), 1, nu))
+    t, q = np.empty(shape[1:]), np.empty((1, nu))
+    flip = np.empty((1, nu), dtype=bool)
+
+    def normalize(c, el, want, prev):
+        # c (dim, nu) in place: scaled to el, sign-aligned with prev
+        np.multiply(sg, c, out=t)
+        np.multiply(t, c, out=t)
+        np.add.reduce(t, axis=0, keepdims=True, out=q)
+        if not (q.min() > 0 if want > 0 else q.max() < 0):
+            raise SignatureError(_WRONG_TYPE)
+        np.abs(q, out=q)
+        np.sqrt(q, out=q)
+        np.divide(el, q, out=q)
+        np.multiply(c, q, out=c)
+        np.multiply(c, prev, out=t)
+        np.add.reduce(t, axis=0, keepdims=True, out=q)
+        np.less(q, 0, out=flip)
+        np.negative(c, out=c, where=flip)
+
+    def project(c, b, sgb, bb, out, prod, dots):
+        # out = c - (c . sg * b) / bb * b, for c (..., dim, nu)
+        np.multiply(c, sgb, out=prod)
+        np.add.reduce(prod, axis=-2, keepdims=True, out=dots)
+        np.divide(dots, bb, out=dots)
+        np.multiply(dots, b, out=prod)
+        np.subtract(c, prod, out=out)
+
+    def column_step(prev, projectors, el):
+        out = np.empty(shape)
+        cand = prev
+        for b, sgb, bb in projectors:
+            project(cand, b, sgb, bb, out, prod, dots)
+            cand = out
+        for k, want in enumerate(wants):
+            if k:  # N2 against the new N1
+                n1 = out[0]
+                np.multiply(sg, n1, out=t)
+                np.multiply(t, n1, out=prod[k])
+                np.add.reduce(prod[k], axis=0, keepdims=True, out=q)
+                project(out[k], n1, t, q, out[k], prod[k], dots[k])
+            normalize(out[k], el, want, prev[k])
+        return out
+
+    windows = list(slabs(spec, 1, _WINDOW))
+    normals = {}  # column -> (len(wants), dim, nu), while a window to come reads it
+    done = 0
+    for win in windows:
+        cols = win.lines
+        T1, T2 = (x[:, win.keep] for x in grad(F[:, win.pad], win.spec))
+        blocks = []
+        for x in (T1, T2, *([F[:, cols]] if case.l0 != 0 else [])):
+            b = np.ascontiguousarray(np.moveaxis(x, 0, -1))  # (columns, dim, nu)
+            sgb = sg * b  # sg is +-1, so c . sg * b is sg * c . b bit for bit
+            blocks.append((b, sgb, np.add.reduce(sgb * b, axis=-2, keepdims=True)))
+        del T1, T2
+        elw = np.ascontiguousarray(el[:, cols].T)[:, None]
+        for j, col in enumerate(range(cols.start, cols.stop)):
+            projectors = [(b[j], sgb[j], bb[j]) for b, sgb, bb in blocks]
+            if col == 0:
+                normals[0] = _base_row(projectors, elw[0, 0].tolist(), wants, seeds, sig)
+            else:
+                normals[col] = column_step(normals[col - 1], projectors, elw[j])
+        del blocks, projectors, elw
+        # padding ends and starts never decrease from one window to the next
+        while done < len(windows) and windows[done].pad.stop <= cols.stop:
+            pad = windows[done].pad
+            window_done(windows[done], np.stack([normals[c] for c in range(pad.start, pad.stop)]))
+            done += 1
+            first = windows[done].pad.start if done < len(windows) else nv
+            for c in [c for c in normals if c < first]:
+                del normals[c]
+
+
+def _dot(x, y) -> float:
+    """sum_a x[a] * y[a], left to right from +0.0."""
+    s = 0.0
+    for a, b in zip(x, y):
+        s += a * b
+    return s
+
+
+def _base_row(projectors, el, wants, seeds, sig) -> np.ndarray:
+    """The normals along the base row, (len(wants), dim, nu), in Python
+    floats; projectors: (b, sg * b, <b, b>) per projector, at each point."""
+    sg = sig.signs
+    points = [list(zip(b.T.tolist(), sgb.T.tolist(), bb[0].tolist()))
+              for b, sgb, bb in projectors]
+
+    def project(c, projectors):
+        for b, sgb, bb in projectors:
+            # a zero <b, b> (F at the origin) divides as numpy does: inf or
+            # NaN, or the floating-point error that errstate asks for
+            k = _dot(c, sgb) / bb if bb else np.divide(_dot(c, sgb), bb)
+            c = [x - k * y for x, y in zip(c, b)]
+        return c
+
+    def square(c):
+        return _dot(c, [s * x for s, x in zip(sg, c)])
+
+    def normalize(c, el, want, prev):
+        sq = square(c)
+        if not want * sq > 0:
+            raise SignatureError(_WRONG_TYPE)
+        f = el / math.sqrt(abs(sq))
+        c = [x * f for x in c]
+        return [-x for x in c] if prev is not None and _dot(c, prev) < 0 else c
+
+    row = []
+    for i, el_i in enumerate(el):
+        here = [p[i] for p in points]
+        normals = []
+        for k, want in enumerate(wants):
+            if k:
+                n1 = normals[0]
+                sgn1 = [s * x for s, x in zip(sg, n1)]
+                extra = [(n1, sgn1, _dot(sgn1, n1))]
+            else:
+                extra = []
+            if i:
+                cand = project(row[-1][k], here + extra)
+            else:
+                # fall back to any ambient axis whose projection has the
+                # right type and is not numerically degenerate (axis nearly
+                # tangent)
+                for cand in (seeds[k], *np.eye(sig.dim).tolist()):
+                    cand = project(cand, here + extra)
+                    if want * square(cand) > 1e-6:
+                        break
+                else:
+                    raise SignatureError("no ambient axis projects to the required normal type")
+            normals.append(normalize(cand, el_i, want, row[-1][k] if i else None))
+        row.append(normals)
+    return np.array(row).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

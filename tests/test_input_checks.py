@@ -64,7 +64,8 @@ def _mesh(positions, spec=SPEC):
 
 # a base row whose second-order u-tangent is e0 at u-index 0 and e2 at index 1,
 # with T2 = e1 (steps of 1): the normal plane at index 1 holds no component
-# of the normal at index 0
+# of the normal at index 0.  Transposed, the turn is along v, and the first
+# column step is the one that finds no normal
 _STEP = GridSpec(0.0, 0.0, 1.0, 1.0, 5, 5)
 _ROW = np.array([[0, 0, 0, 0], [0.5, 0, 0.5, 0], [0, 0, 2, 0], [2.5, 0, 0.5, 0], [2, 0, 2, 0]])
 _TURN = _ROW[:, None, :] + np.arange(5)[None, :, None] * np.eye(4)[1]
@@ -121,6 +122,9 @@ CHECKS = [
         "f": FieldGrid(SPEC, U), "g": FieldGrid(OTHER, U)}),
         GridShapeError, "all fields in one file must share a grid"),
     _cli("normal-causal-type", _reading("reconstruct", _mesh(_TURN, _STEP), "--case", "R"),
+         SignatureError, "normal candidate has the wrong causal type"),
+    _cli("normal-causal-type-v", _reading("reconstruct", _mesh(np.swapaxes(_TURN, 0, 1), _STEP),
+                                          "--case", "R"),
          SignatureError, "normal candidate has the wrong causal type"),
     _cli("normal-axis", _reading("reconstruct", _mesh(_NULL_NORMALS), "--case", "NT"),
          SignatureError, "no ambient axis projects to the required normal type"),

@@ -3,9 +3,10 @@
 The defect, the Gram drift, the frame sweep and reconstruction work one
 row slab (``grid.SLAB_ROWS`` rows plus a halo) or one column window at a
 time.  On grids whose rows end before, at and just past a slab boundary,
-and whose columns cross sweep windows, every output must equal what the
-whole-grid formula gives, and the round trip's peak memory must stay near
-its output.
+and whose columns cross sweep and reconstruction windows, every output
+must equal what the whole-grid formula gives (reconstruction's normals:
+what Gram-Schmidt one point at a time gives), and the round trip's peak
+memory must stay near its output.
 """
 
 import tracemalloc
@@ -13,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, grid
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, grid, integrator
 from normalflat.families import build_product_family
 from normalflat.frames import _advance, assemble_connection, compatibility_defect, curvature
-from normalflat.integrator import integrate_frame, reconstruct_coefficients
+from normalflat.integrator import canonical_frame0, integrate_frame, reconstruct_coefficients
 from normalflat.riccati import _connection, build_forms, solve_riccati
-from normalflat.spaceform import ambient_signature
+from normalflat.spaceform import ambient_inner, ambient_signature
 
 from conftest import random_coefficients
 
@@ -52,6 +53,61 @@ def _whole_grid_sweep(S, T, state0, spec):
     return out
 
 
+def _per_point_reconstruction(mesh, case):
+    """Reconstruction with whole-grid calculus and the normals propagated
+    one point at a time: sign-aligned Gram-Schmidt against T1, T2 (and F
+    for L0 != 0), N1 over the whole grid first, then N2 also against N1;
+    the base row along u, then each column along v."""
+    sig = ambient_signature(case)
+    spec, F = mesh.spec, mesh.positions
+    sg = sig.array()
+    g1, g2, n1s, n2s = case.frame_signs
+    T1, T2 = grid.grad(F, spec)
+    e2l = g1 * ambient_inner(T1, T1, sig)
+    q22 = g2 * ambient_inner(T2, T2, sig)
+    lam = 0.5 * np.log(e2l)
+    el = np.exp(lam)
+
+    def dot(x, y):
+        return np.sum(x * y)
+
+    N = np.empty((2, *F.shape))
+    for k, want in enumerate((n1s, n2s)):
+        def project(c, i, j):
+            for b in (T1[i, j], T2[i, j], *([F[i, j]] if case.l0 != 0 else []),
+                      *([N[0, i, j]] if k else [])):
+                c = c - dot(sg * c, b) / dot(sg * b, b) * b
+            return c
+
+        def normalize(c, i, j, prev=None):
+            sq = dot(sg * c, c)
+            assert want * sq > 0
+            c = c * (el[i, j] / np.sqrt(np.abs(sq)))
+            return -c if prev is not None and dot(c, prev) < 0 else c
+
+        # the canonical seed, or the first ambient axis of the right type
+        seeds = (project(a, 0, 0) for a in (canonical_frame0(case)[:, 2 + k], *np.eye(sig.dim)))
+        N[k, 0, 0] = normalize(next(c for c in seeds if want * dot(sg * c, c) > 1e-6), 0, 0)
+        for i in range(1, spec.nu):
+            N[k, i, 0] = normalize(project(N[k, i - 1, 0], i, 0), i, 0, N[k, i - 1, 0])
+        for j in range(1, spec.nv):
+            for i in range(spec.nu):
+                N[k, i, j] = normalize(project(N[k, i, j - 1], i, j), i, j, N[k, i, j - 1])
+
+    Fuu, Fuv, Fvv = grid.hessian(F, spec)
+    N1u, N1v = grid.grad(N[0], spec)
+    inv1, inv2 = n1s / e2l, n2s / e2l
+    fields = {name: inv * ambient_inner(d2F, n, sig) for name, inv, d2F, n in (
+        ("alpha1", inv1, Fuu, N[0]), ("alpha2", inv1, Fuv, N[0]), ("alpha3", inv1, Fvv, N[0]),
+        ("beta1", inv2, Fuu, N[1]), ("beta2", inv2, Fuv, N[1]), ("beta3", inv2, Fvv, N[1]),
+        ("mu1", inv2, N1u, N[1]), ("mu2", inv2, N1v, N[1]))}
+    iso = max(float(np.max(np.abs(e2l - q22) / e2l)),
+              float(np.max(np.abs(ambient_inner(T1, T2, sig)) / e2l)))
+    gauge = {"isothermality_defect": iso, "base_normal1": N[0, 0, 0].tolist(),
+             "base_normal2": N[1, 0, 0].tolist()}
+    return CoefficientSet.from_arrays(spec, lam=lam, **fields), gauge
+
+
 def _whole_grid_gram_drift(values, lam, case):
     signs = ambient_signature(case).array()
     e2l = np.exp(2 * lam)
@@ -72,6 +128,13 @@ def _geodesic(case, spec):
     g1, g2 = case.g_signs
     return CoefficientSet.from_arrays(
         spec, lam=np.log(2.0 / (1.0 + case.l0 * (g1 * U**2 + g2 * V**2))))
+
+
+def _surface_mesh(case, spec):
+    """The integrated flat torus (L0 = 0) or totally geodesic surface."""
+    coeffs = (CoefficientSet.from_arrays(spec, alpha1=-1.0, beta3=-1.0) if case.l0 == 0
+              else _geodesic(case, spec))
+    return integrate_frame(coeffs, case)[0].mesh()
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -97,21 +160,38 @@ def test_defect_frame_and_drift_match_the_whole_grid(case, shape):
                                                                              lam, case)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.case_id}{c.l0:g}")
-def test_reconstruction_matches_one_slab(case, shape, monkeypatch):
-    # with the whole grid one slab, every stencil reads the whole grid: the
-    # whole-grid formula
+# reconstruction windows of the default length, of one column and of the
+# whole grid; the default keeps the ids of case and shape alone
+@pytest.mark.parametrize("case, shape, window", [
+    pytest.param(case, shape, window, id=f"{case.case_id}{case.l0:g}-shape{n}"
+                 + ("" if window is None else f"-window-{window}"))
+    for case in CASES for n, shape in enumerate(SHAPES) for window in (None, 1, "nv")])
+def test_reconstruction_matches_one_slab(case, shape, window, monkeypatch):
+    # with the whole grid one slab and one column window, every stencil
+    # reads the whole grid: the whole-grid formula.  Windows of one column
+    # put a window edge next to every column
     spec = _spec(shape)
-    coeffs = (CoefficientSet.from_arrays(spec, alpha1=-1.0, beta3=-1.0) if case.l0 == 0
-              else _geodesic(case, spec))
-    field, _ = integrate_frame(coeffs, case)
-    rec, gauge = reconstruct_coefficients(field.mesh(), case)
+    mesh = _surface_mesh(case, spec)
+    if window is not None:
+        monkeypatch.setattr(integrator, "_WINDOW", spec.nv if window == "nv" else window)
+    rec, gauge = reconstruct_coefficients(mesh, case)
     monkeypatch.setattr(grid, "SLAB_ROWS", spec.nu)
-    whole, whole_gauge = reconstruct_coefficients(field.mesh(), case)
+    monkeypatch.setattr(integrator, "_WINDOW", spec.nv)
+    whole, whole_gauge = reconstruct_coefficients(mesh, case)
     assert gauge == whole_gauge
     for name, f in rec.fields().items():
         assert np.array_equal(f.values, whole.fields()[name].values), name
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.case_id}{c.l0:g}")
+def test_reconstruction_matches_the_per_point_reference(case, shape):
+    mesh = _surface_mesh(case, _spec(shape))
+    rec, gauge = reconstruct_coefficients(mesh, case)
+    ref, ref_gauge = _per_point_reconstruction(mesh, case)
+    assert gauge == ref_gauge
+    for name, f in rec.fields().items():
+        assert np.array_equal(f.values, ref.fields()[name].values), name
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -128,7 +208,8 @@ def test_riccati_solve_matches_the_whole_grid(shape):
 
 def test_round_trip_peak_memory():
     # 256^2 product torus: the frame sweep holds its output plus slabs and
-    # windows, and reconstruction a handful of mesh-sized arrays
+    # windows, and reconstruction its output (2.25 meshes), lambda's
+    # exponentials and the arrays of a few column windows (measured 5.09x)
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), 256, 256)
     coeffs = build_product_family(1.0, 1.0, case, spec).coeffs
@@ -146,5 +227,5 @@ def test_round_trip_peak_memory():
         tracemalloc.stop()
     frame_bytes = 256 * 256 * 4 * 5 * 8
     assert integrate_peak <= 2.5 * frame_bytes, integrate_peak / frame_bytes
-    assert reconstruct_peak - held <= 11 * mesh.positions.nbytes, \
+    assert reconstruct_peak - held <= 5.85 * mesh.positions.nbytes, \
         (reconstruct_peak - held) / mesh.positions.nbytes
