@@ -236,9 +236,10 @@ def _cmd_integrate(args) -> int:
     frame0 = _frame0(args.frame0) if args.frame0 and args.frame0 != "auto" else None
     field, drift = integrate_frame(coeffs, case, frame0)
     tol = drift.pop("compatibility_tolerance")  # a verdict level, not a metric
-    save_mesh(args.out, field.mesh())
+    mesh = field.mesh()
+    save_mesh(args.out, mesh)
     if args.export_obj:
-        export_mesh(field.mesh(), args.export_obj, "obj3d",
+        export_mesh(mesh, args.export_obj, "obj3d",
                     tuple(int(a) for a in args.obj_axes.split(",")))
     metrics = {k: _metric(v) for k, v in drift.items() if isinstance(v, float)}
     notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []

@@ -441,8 +441,6 @@ def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     require_nonzero(FamilyInputError, "degenerate potentials: A or A' vanishes", A, Ap,
                     floor=DEGENERACY_FLOOR)
     checks = {}
-    if kappa > 0 and not (np.min(B) > 0):
-        raise FamilyInputError("gradient of f_plus vanishes")
     if kappa < 0:
         require_nonzero(FamilyInputError, "B vanishes: input gradient is light-like somewhere", B,
                         floor=DEGENERACY_FLOOR)

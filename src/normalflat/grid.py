@@ -162,9 +162,6 @@ class FieldGrid:
     def constant(cls, spec: GridSpec, value) -> "FieldGrid":
         return cls(spec, np.full(spec.shape, value))
 
-    def copy(self) -> "FieldGrid":
-        return FieldGrid(self.spec, self.values.copy())
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

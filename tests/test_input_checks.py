@@ -2,10 +2,6 @@
 
 Each check raises its documented error class.  Where a command-line input
 reaches it, `main` exits 1 with one `normalflat: ` line and no traceback.
-One check has no input that reaches it:
-`families._notld_real`'s "gradient of f_plus vanishes".  There
-B = f+_u^2 + f+_v^2 is zero only where f+_u = f+_v = 0, where A is zero
-too, and a NaN in B is a NaN in A.  The check before it rejects both.
 """
 
 import json
