@@ -23,9 +23,10 @@ four: ceil(h max ||M||_F / 0.1) over its stencil (``_substeps``).
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of and assembles blocks on
 demand.  The sweep reads T in windows of 32 columns plus the stencil
-overlap, and the defect assembles S and T per row slab with a one-row
-halo (``grid.row_slabs``), so neither holds a whole-grid (nu, nv, 5, 5)
-array; every value is bit for bit what the whole-grid matrices give.
+overlap, so it holds no whole-grid (nu, nv, 5, 5) array, and every value
+is bit for bit what the whole-grid matrices give.  The defect assembles
+no matrix: it takes the curvature's norm in closed form from the eleven
+fields, one slab of 64 rows with a one-row halo at a time (``grid.slabs``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along4, curl, load_fields,
-                   row_slabs, save_fields)
+from .grid import (FieldGrid, GridShapeError, GridSpec, _diff_along4, curl, grad, load_fields,
+                   save_fields, slabs)
 from .spaceform import CaseSpec
 
 __all__ = ["CoefficientSet", "assemble_connection", "compatibility_defect"]
@@ -113,15 +114,20 @@ class CoefficientSet:
         return cls(*(fields[n] for n in COEFF_NAMES))
 
 
+# grid rows per slab of the closed-form curvature norm: a slab's dozen
+# temporaries on a 1024-column grid are about 7 MB
+_DEFECT_ROWS = 64
+
+
 class FrameConnection:
     """The frame connection of a coefficient set, assembled block by block.
 
     Every entry of S and T is a pointwise function of eleven (nu, nv)
     arrays: the nine coefficients and the two lambda gradients.  Those are
     held; any block of S or T is assembled from them on demand, so the
-    sweep and the curvature each hold a few blocks, never a whole-grid
-    (nu, nv, 5, 5) array, and every block is bit for bit the same part of
-    the whole-grid matrices.
+    sweep holds a few blocks, never a whole-grid (nu, nv, 5, 5) array, and
+    every block is bit for bit the same part of the whole-grid matrices.
+    The curvature norm reads the eleven arrays directly.
 
     The lambda gradients are fourth order: the RK4 sweep would otherwise be
     throttled by their truncation, and the curvature, which differentiates
@@ -176,13 +182,44 @@ class FrameConnection:
                      lambda lo, hi: self.block(1, lambda x: x[:, lo:hi].T), state0, self.spec)
 
     def curvature_norm(self) -> FieldGrid:
-        """Frobenius norm per grid point of the curvature, one row slab at a time."""
+        """Frobenius norm per grid point of the curvature S_v - T_u - (ST - TS),
+        in closed form, one slab of ``_DEFECT_ROWS`` rows at a time; every
+        slab is bit for bit the whole grid's."""
         out = np.empty(self.spec.shape)
-        for slab in row_slabs(self.spec):
-            S, T = (self.block(k, lambda x: x[slab.pad]) for k in (0, 1))
-            K = curvature(S, T, slab.spec)[slab.keep]
-            out[slab.lines] = np.sqrt(np.sum(K * K, axis=(-2, -1)))
+        for slab in slabs(self.spec, 0, _DEFECT_ROWS):
+            sq = sum(w * (t * t) for w, t in self._curvature_terms(slab))
+            out[slab.lines] = np.sqrt(sq[slab.keep])
         return FieldGrid(self.spec, out)
+
+    def _curvature_terms(self, slab):
+        """(multiplicity, value) on the slab's padded rows of the nine scalars
+        whose signed copies are the curvature's 18 nonzero entries: the
+        lambda-gradient curl on the diagonal of the (T1 T2 N1 N2) block, the
+        Gauss term on K01/K10, the Codazzi terms on K20/K02, K21/K12, K30/K03
+        and K31/K13, the Ricci term on K32/K23, and on K40 and K41 the
+        gradient of E = L0 e^{2 lambda} against 2 E grad lambda.
+
+        The derivatives are ``grad`` and ``curl`` of the arrays the matrices
+        hold, so the weighted sum of squares is the matrix form's up to the
+        order in which products are summed.
+        """
+        g0, g1, n1, n2 = self.case.frame_signs
+        k, p = g0 * g1, n1 * n2
+        spec = slab.spec
+        lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = (x[slab.pad] for x in self.inputs)
+        E = g0 * self.case.l0 * np.exp(2 * lam)  # g0 E: the sign K01 gives it
+        (lu_u, lu_v), (lv_u, lv_v) = grad(lu, spec), grad(lv, spec)
+        yield 4, lu_v - lv_u
+        yield 2, (lu_u + k * lv_v + E + (g1 * n1) * (a1 * a3 - a2 * a2)
+                  + (g1 * n2) * (b1 * b3 - b2 * b2))
+        yield 2, curl(a1, a2, spec) - (a2 * lu + k * a3 * lv + p * (b1 * m2 - b2 * m1))
+        yield 2, curl(a2, a3, spec) + (k * a1 * lu + a2 * lv - p * (b2 * m2 - b3 * m1))
+        yield 2, curl(b1, b2, spec) - (b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2)
+        yield 2, curl(b2, b3, spec) + (k * b1 * lu + b2 * lv + a2 * m2 - a3 * m1)
+        yield 2, curl(m1, m2, spec) - n1 * (g0 * (a1 * b2 - a2 * b1) + g1 * (a2 * b3 - a3 * b2))
+        E_u, E_v = grad(E, spec)
+        yield 1, E_v - 2 * E * lv
+        yield 1, E_u - 2 * E * lu
 
 
 def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
@@ -192,7 +229,8 @@ def assemble_connection(coeffs: CoefficientSet, case: CaseSpec):
 
 
 def compatibility_defect(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    """Frobenius norm per grid point of the frame connection's curvature."""
+    """Frobenius norm per grid point of the frame connection's curvature, in
+    closed form (``FrameConnection.curvature_norm``)."""
     return FrameConnection(coeffs, case).curvature_norm()
 
 

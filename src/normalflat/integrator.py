@@ -9,8 +9,9 @@ the frame definitions on a sampled conformal immersion.
 
 Both stream their whole-grid work, so the largest arrays either holds
 are its input and its output.  Integration assembles the connection in
-column windows and row slabs (:class:`normalflat.frames.FrameConnection`)
-and computes the Gram drift one row slab at a time (``grid.row_slabs``).
+column windows (:class:`normalflat.frames.FrameConnection`), takes the
+compatibility defect in closed form one row slab at a time, and computes
+the Gram drift one row slab at a time (``grid.row_slabs``).
 Reconstruction checks the tangents one row slab at a time, then
 propagates the normals and computes the coefficients one window of
 ``_WINDOW`` columns at a time (``grid.slabs``): tangent projectors,
@@ -33,7 +34,7 @@ import numpy as np
 from .frames import COEFF_NAMES, CoefficientSet, FrameConnection
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
                    load_fields, residual_tolerance, row_slabs, save_fields, slabs)
-from .spaceform import CaseSpec, ambient_inner, ambient_signature, quadric_defect
+from .spaceform import CaseSpec, ambient_inner, ambient_signature
 
 __all__ = [
     "FrameField",
@@ -185,7 +186,8 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     freedom, so compare gauge invariants, not raw fields.  Returns
     (CoefficientSet, gauge report).  Raises OffQuadricError when L0 != 0
     and the mesh leaves <x, x> = 1/L0 by more than
-    ``residual_tolerance(spec, 1/|L0|)``, SignatureError when a tangent
+    ``residual_tolerance(spec, 1/|L0|)`` or has a point with L0 <x, x> <= 0
+    (the origin, say), SignatureError when a tangent
     has the wrong causal type, NotConformalError when the isothermality
     defect exceeds its tolerance, and SignatureError when a normal has
     the wrong causal type, in that order of precedence (a NaN fails each
@@ -197,11 +199,18 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     spec = mesh.spec
     F = mesh.positions
     if case.l0 != 0:
-        off = float(np.max(np.abs(quadric_defect(F, case))))
+        xx = ambient_inner(F, F, sig)
+        off = float(np.max(np.abs(xx - 1.0 / case.l0)))
         tol = residual_tolerance(spec, 1.0 / abs(case.l0))
+        where = f"mesh is off the quadric <x, x> = 1/L0 = {1.0 / case.l0:g}"
         if not (off <= tol):
-            raise OffQuadricError(f"mesh is off the quadric <x, x> = 1/L0 = {1.0 / case.l0:g}: "
-                                  f"max deviation {off:.3e} > tolerance {tol:.3e}")
+            raise OffQuadricError(f"{where}: max deviation {off:.3e} > tolerance {tol:.3e}")
+        # a coarse grid's tolerance can admit the origin, where the
+        # projection onto F would divide by <F, F> = 0
+        least = float(np.min(case.l0 * xx))
+        if not (least > 0):
+            raise OffQuadricError(f"{where}: min L0 <x, x> = {least:.3e} <= 0")
+        del xx
 
     g1, g2, n1s, n2s = case.frame_signs
     q11, q22, q12 = (np.empty(spec.shape) for _ in range(3))

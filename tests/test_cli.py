@@ -243,8 +243,9 @@ def test_reconstruct_cli_checks_the_quadric(tmp_path, capsys):
 @pytest.mark.parametrize("point", [(2, 0), (2, 3)], ids=["base-row", "column"])
 def test_reconstruct_cli_mesh_through_the_origin(tmp_path, capsys, point):
     # at --l0 1 on a grid of step 1 the quadric tolerance (20) admits a mesh
-    # point at the origin, where the projection onto F divides by
-    # <F, F> = 0: a floating-point failure, on the base row as in a column
+    # point at the origin, where the projection onto F would divide by
+    # <F, F> = 0; the gate refuses any point with L0 <x, x> <= 0, on the
+    # base row as in a column
     spec = GridSpec(0.0, 0.0, 1.0, 1.0, 5, 5)
     U, V = spec.mesh()
     F = np.stack([0.3 * U, 0.3 * V, 0 * U, 0 * U, 1 + 0 * U], axis=-1)
@@ -252,9 +253,10 @@ def test_reconstruct_cli_mesh_through_the_origin(tmp_path, capsys, point):
     mesh = tmp_path / "mesh.json"
     save_fields(mesh, {f"x{k}": FieldGrid(spec, F[..., k]) for k in range(5)})
     assert main(["reconstruct", "--mesh", str(mesh), "--case", "R", "--l0", "1",
-                 "--out", str(tmp_path / "rec.json")]) == 2
-    assert capsys.readouterr().err == ("normalflat: floating-point failure: "
-                                       "invalid value encountered in divide\n")
+                 "--out", str(tmp_path / "rec.json")]) == 1
+    assert capsys.readouterr().err == ("normalflat: mesh is off the quadric <x, x> = 1/L0 = 1: "
+                                       "min L0 <x, x> = 0.000e+00 <= 0\n")
+    assert not (tmp_path / "rec.json").exists()
 
 
 def test_integrate_cli_keeps_compatibility_warning(violation_file, tmp_path):

@@ -4,7 +4,8 @@ import sympy as sp
 
 from normalflat import (CaseSpec, CoefficientSet, GridSpec, assemble_connection,
                         compatibility_defect, integrate_frame)
-from normalflat.frames import COEFF_NAMES, _advance, _substeps
+from normalflat.frames import COEFF_NAMES, FrameConnection, _advance, _substeps
+from normalflat.grid import _diff_along4, grad, slabs
 
 from conftest import random_coefficients
 
@@ -97,14 +98,23 @@ def _sym_scalar_equations(case_id):
     }
 
 
-def _formal_derivative(expr, which):
+def _formal_derivative(expr, which, stencil=False):
+    """d/du or d/dv of expr by the chain rule, in the continuum: the lambda
+    gradients differentiate to the symmetric hessian (l_uu, l_uv, l_vv) and
+    E to 2 E l_u or 2 E l_v.  With stencil=True, l_u, l_v and E each take
+    derivative symbols of their own (lu_v, lv_u, E_v, ...), since the grid's
+    stencils keep neither identity."""
     base = [_l, _a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2]
     d = {}
     for s in base:
         d[s] = sp.Symbol(f"{s}_{which}")
-    d[_lu] = sp.Symbol("l_uu") if which == "u" else sp.Symbol("l_uv")
-    d[_lv] = sp.Symbol("l_uv") if which == "u" else sp.Symbol("l_vv")
-    d[_E] = 2 * (d[_l]) * _E
+    if stencil:
+        for s, name in ((_lu, "lu"), (_lv, "lv"), (_E, "E")):
+            d[s] = sp.Symbol(f"{name}_{which}")
+    else:
+        d[_lu] = sp.Symbol("l_uu") if which == "u" else sp.Symbol("l_uv")
+        d[_lv] = sp.Symbol("l_uv") if which == "u" else sp.Symbol("l_vv")
+        d[_E] = 2 * (d[_l]) * _E
     out = sp.Integer(0)
     for s in expr.free_symbols:
         if s in d:
@@ -137,7 +147,6 @@ def test_assemble_matches_symbolic_tables(case_id):
     S_num, T_num = assemble_connection(coeffs, case)
 
     S_sym, T_sym = _sym_matrices(case_id)
-    from normalflat.grid import _diff_along4
     lam = coeffs.lam.values
     env = dict(zip([_a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2],
                    [coeffs.alpha1.values, coeffs.alpha2.values, coeffs.alpha3.values,
@@ -157,6 +166,49 @@ def test_assemble_matches_symbolic_tables(case_id):
             val = sp.lambdify(list(env), sym, "numpy")(*env.values()) \
                 if sym.free_symbols else float(sym)
             assert np.allclose(T_num[..., i, j], val, atol=1e-13), ("T", i, j)
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_defect_is_the_symbolic_curvature_norm(case_id):
+    """compatibility_defect^2 is sum K_ij^2 of K = S_v - T_u - (ST - TS),
+    formed in sympy from the symbolic tables, with every derivative symbol
+    bound to the grid's stencil value of its field; L0 != 0, so the
+    e^{2 lambda} rows count."""
+    S, T = _sym_matrices(case_id)
+    K = (S.applyfunc(lambda e: _formal_derivative(e, "v", stencil=True))
+         - T.applyfunc(lambda e: _formal_derivative(e, "u", stencil=True)) - (S * T - T * S))
+    sq = sum(k**2 for k in K)
+
+    spec = GridSpec.over_box((0, 1), (0, 1), 9, 8)
+    coeffs = random_coefficients(np.random.default_rng(11), spec)
+    lam = coeffs.lam.values
+    lu, lv, E = _diff_along4(lam, spec.du, 0), _diff_along4(lam, spec.dv, 1), np.exp(2 * lam)
+    env = {_L0: 0.7, _lu: lu, _lv: lv, _E: E,
+           **dict(zip([_a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2], coeffs.alravel()[1:]))}
+    for name, f in [*((str(s), env[s]) for s in (_a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2)),
+                    ("lu", lu), ("lv", lv), ("E", E)]:
+        env[sp.Symbol(f"{name}_u")], env[sp.Symbol(f"{name}_v")] = grad(f, spec)
+    assert sq.free_symbols <= set(env)
+    want = sp.lambdify(list(env), sq, "numpy")(*env.values())
+    got = compatibility_defect(coeffs, CaseSpec(case_id, 0.7)).values ** 2
+    assert np.max(want) > 1.0
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (3, 2)], ids=["corner", "interior"])
+@pytest.mark.parametrize("name", COEFF_NAMES)
+def test_defect_is_nan_on_a_nan_field(name, at):
+    """A NaN in any one field is a NaN in the squared curvature norm at its
+    point; the defect's FieldGrid, which holds only finite values, refuses it."""
+    spec = GridSpec.over_box((0, 1), (0, 1), 7, 6)
+    for case in (CaseSpec("R", 0.0), CaseSpec("LT", 0.7)):
+        coeffs = random_coefficients(np.random.default_rng(2), spec)
+        coeffs.fields()[name].values[at] = np.nan
+        whole = next(slabs(spec, 0, spec.nu))
+        sq = sum(w * (t * t) for w, t in FrameConnection(coeffs, case)._curvature_terms(whole))
+        assert np.isnan(sq[at]), case
+        with pytest.raises(ValueError, match="field values must be finite"):
+            compatibility_defect(coeffs, case)
 
 
 # --------------------------------------------------------------------------

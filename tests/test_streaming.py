@@ -1,12 +1,14 @@
 """The streamed passes against whole-grid references, bit for bit.
 
-The defect, the Gram drift, the frame sweep and reconstruction work one
-row slab (``grid.SLAB_ROWS`` rows plus a halo) or one column window at a
-time.  On grids whose rows end before, at and just past a slab boundary,
-and whose columns cross sweep and reconstruction windows, every output
-must equal what the whole-grid formula gives (reconstruction's normals:
-what Gram-Schmidt one point at a time gives), and the round trip's peak
-memory must stay near its output.
+The Gram drift, the frame sweep and reconstruction work one row slab
+(``grid.SLAB_ROWS`` rows plus a halo) or one column window at a time,
+and the closed-form defect one slab of ``frames._DEFECT_ROWS`` rows.  On
+grids whose rows end before, at and just past a slab boundary, and whose
+columns cross sweep and reconstruction windows, every output must equal
+what the whole-grid formula gives (the defect's: the closed form over the
+whole grid, itself the matrix form to round-off; reconstruction's
+normals: what Gram-Schmidt one point at a time gives), and the round
+trip's peak memory must stay near its output.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, grid, integrator
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, grid, integrator
 from normalflat.families import build_product_family
 from normalflat.frames import _advance, assemble_connection, compatibility_defect, curvature
 from normalflat.integrator import canonical_frame0, integrate_frame, reconstruct_coefficients
@@ -24,6 +26,7 @@ from normalflat.spaceform import ambient_inner, ambient_signature
 from conftest import random_coefficients
 
 SLAB = grid.SLAB_ROWS
+DEFECT = frames._DEFECT_ROWS
 # (nu, nv): rows ending inside, at and past a slab; columns within one sweep
 # window, ending at one, and crossing two
 SHAPES = [(5, 7), (6, 37), (SLAB - 1, 9), (SLAB, 34), (SLAB + 1, 69), (2 * SLAB + 3, 6)]
@@ -137,16 +140,25 @@ def _surface_mesh(case, spec):
     return integrate_frame(coeffs, case)[0].mesh()
 
 
+def _whole_grid_defect(coeffs, case, monkeypatch):
+    """The closed-form defect with the whole grid as its one slab."""
+    with monkeypatch.context() as m:
+        m.setattr(frames, "_DEFECT_ROWS", coeffs.spec.nu)
+        return compatibility_defect(coeffs, case).values
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.case_id}{c.l0:g}")
-def test_defect_frame_and_drift_match_the_whole_grid(case, shape):
+def test_defect_frame_and_drift_match_the_whole_grid(case, shape, monkeypatch):
     spec = _spec(shape)
     coeffs = random_coefficients(np.random.default_rng(shape[0] * 100 + shape[1]), spec)
-    S, T = assemble_connection(coeffs, case)
-    K = curvature(S, T, spec)
-    defect = np.sqrt(np.sum(K * K, axis=(-2, -1)))
-    assert np.array_equal(compatibility_defect(coeffs, case).values, defect)
+    defect = _whole_grid_defect(coeffs, case, monkeypatch)
+    # slabs of SLAB rows, so that these shapes end inside, at and past one
+    with monkeypatch.context() as m:
+        m.setattr(frames, "_DEFECT_ROWS", SLAB)
+        assert np.array_equal(compatibility_defect(coeffs, case).values, defect)
 
+    S, T = assemble_connection(coeffs, case)
     field, report = integrate_frame(coeffs, case)
     frame0 = np.array(report["frame0"])
     assert np.array_equal(field.values, _whole_grid_sweep(S, T, frame0, spec))
@@ -158,6 +170,42 @@ def test_defect_frame_and_drift_match_the_whole_grid(case, shape):
     lam = coeffs.alpha1.values
     assert field.gram_drift(FieldGrid(spec, lam)) == _whole_grid_gram_drift(field.values,
                                                                              lam, case)
+
+
+@pytest.mark.parametrize("nu", [DEFECT - 1, DEFECT, DEFECT + 1, 2 * DEFECT + 3])
+def test_defect_slabs_of_the_default_height(nu, monkeypatch):
+    spec = _spec((nu, 6))
+    coeffs = random_coefficients(np.random.default_rng(nu), spec)
+    for case in (CaseSpec("R", 0.7), CaseSpec("LT", -0.6)):
+        assert np.array_equal(compatibility_defect(coeffs, case).values,
+                              _whole_grid_defect(coeffs, case, monkeypatch))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.case_id}{c.l0:g}")
+def test_defect_is_the_matrix_form_to_round_off(case, shape):
+    # the closed form sums the products of S and T in another order than
+    # the matmuls: at most 16 eps (1 + m)^2 apart, m the largest |entry|
+    # (measured: 1.0 eps (1 + m)^2)
+    spec = _spec(shape)
+    coeffs = random_coefficients(np.random.default_rng(shape[0] * 100 + shape[1]), spec)
+    S, T = assemble_connection(coeffs, case)
+    K = curvature(S, T, spec)
+    matrix = np.sqrt(np.sum(K * K, axis=(-2, -1)))
+    m = max(np.max(np.abs(S)), np.max(np.abs(T)))
+    diff = np.max(np.abs(compatibility_defect(coeffs, case).values - matrix))
+    assert diff <= 16 * np.finfo(float).eps * (1 + m) ** 2, diff
+
+
+def test_defect_assembles_no_matrices(monkeypatch):
+    def block(self, k, view):
+        raise AssertionError("the defect assembled a block of S or T")
+
+    monkeypatch.setattr(frames.FrameConnection, "block", block)
+    spec = _spec(SHAPES[4])
+    coeffs = random_coefficients(np.random.default_rng(4), spec)
+    for case in CASES:
+        compatibility_defect(coeffs, case)
 
 
 # reconstruction windows of the default length, of one column and of the
@@ -229,3 +277,21 @@ def test_round_trip_peak_memory():
     assert integrate_peak <= 2.5 * frame_bytes, integrate_peak / frame_bytes
     assert reconstruct_peak - held <= 5.85 * mesh.positions.nbytes, \
         (reconstruct_peak - held) / mesh.positions.nbytes
+
+
+def test_defect_peak_memory():
+    # the closed form holds its output and one slab's terms: measured 4.38
+    # grid arrays at 256^2 above the connection's inputs, 12.0 with the
+    # whole grid as one slab
+    spec = GridSpec.over_box((0, 1), (0, 1), 256, 256)
+    conn = frames.FrameConnection(random_coefficients(np.random.default_rng(1), spec),
+                                  CaseSpec("LT", 0.7))
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        conn.curvature_norm()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 256 * 256 * 8
+    assert peak - held <= 6 * grid_bytes, (peak - held) / grid_bytes
