@@ -33,7 +33,8 @@ from .families import (
 )
 from .frames import CoefficientSet, compatibility_defect
 from .gcr import VARIANTS, detect_parallel_normal, gcr_residuals
-from .grid import FieldGrid, GridSpec, _float, load_fields, residual_tolerance, save_fields
+from .grid import (FieldGrid, GridSpec, _float, load_fields, max_mean, residual_tolerance,
+                   save_fields)
 from .integrator import (
     export_mesh,
     integrate_frame,
@@ -59,11 +60,6 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(message)
-
-
-def _metric(values) -> dict:
-    a = np.abs(np.asarray(values))
-    return {"max": float(np.max(a)), "mean": float(np.mean(a))}
 
 
 def _report(path, case: CaseSpec, spec: GridSpec, metrics: dict, verdicts: dict):
@@ -166,8 +162,8 @@ def _cmd_verify(args) -> int:
     tol = _env_tol(args.tol)
     if tol is None:
         tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
-    metrics = {**res.metrics(), "flatness": _metric(res.flatness.values),
-               "compatibility": _metric(compat.values)}
+    metrics = {**res.metrics(), "flatness": max_mean(res.flatness.values),
+               "compatibility": max_mean(compat.values)}
     verdicts = {"tolerance": tol, "passed": res.passed(tol)}
     _report(args.out, case, coeffs.spec, metrics, verdicts)
     return 0 if verdicts["passed"] else 2
@@ -224,7 +220,7 @@ def _cmd_construct(args) -> int:
     with open(cert_path, "w") as fh:
         json.dump(result.certificate, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    metrics = {"residual_max": _metric(result.certificate["residual_max"])}
+    metrics = {"residual_max": max_mean(result.certificate["residual_max"])}
     _report(args.report, case, spec, metrics,
             {"family": family, "certificate_passed": result.certificate["passed"]})
     return 0 if result.certificate["passed"] else 2
@@ -241,7 +237,7 @@ def _cmd_integrate(args) -> int:
     if args.export_obj:
         export_mesh(mesh, args.export_obj, "obj3d",
                     tuple(int(a) for a in args.obj_axes.split(",")))
-    metrics = {k: _metric(v) for k, v in drift.items() if isinstance(v, float)}
+    metrics = {k: max_mean(v) for k, v in drift.items() if isinstance(v, float)}
     notes = [drift["compatibility_warning"]] if "compatibility_warning" in drift else []
     _report(args.report, case, coeffs.spec, metrics,
             {"frame0": drift["frame0"], "notes": notes, "substeps": drift["substeps"],
@@ -254,7 +250,7 @@ def _cmd_reconstruct(args) -> int:
     mesh = load_mesh(args.mesh)
     coeffs, gauge = reconstruct_coefficients(mesh, case)
     coeffs.save(args.out)
-    metrics = {"isothermality": _metric(gauge["isothermality_defect"])}
+    metrics = {"isothermality": max_mean(gauge["isothermality_defect"])}
     _report(args.report, case, mesh.spec, metrics, {"gauge": gauge})
     return 0
 
@@ -265,9 +261,9 @@ def _cmd_detect(args) -> int:
     tol = _env_tol(args.tol)
     rep = detect_parallel_normal(coeffs, case, args.variant, tol)
     metrics = {
-        "dependence_defect": _metric(rep.ld.defect.values),
-        "k_minus_l0": _metric(rep.k_equals_l0_defect),
-        "gamma_angle_spread": _metric(rep.gamma_angle_defect),
+        "dependence_defect": max_mean(rep.ld.defect.values),
+        "k_minus_l0": max_mean(rep.k_equals_l0_defect),
+        "gamma_angle_spread": max_mean(rep.gamma_angle_defect),
     }
     _report(args.out, case, coeffs.spec, metrics, {**rep.verdict_json(), "tolerance": rep.ld.tol})
     return 0
@@ -282,7 +278,7 @@ def _cmd_riccati(args) -> int:
     forms = build_forms(fminus, _one_variable(args.xi, "s") if args.xi else 0.0, case)
     verdict, norms = obstruction_verdict(forms)
     verdicts = {"obstruction": verdict, "tolerance": forms.obstruction_tolerance()}
-    metrics = {name: _metric(val) for name, val in norms.items()}
+    metrics = {name: max_mean(val) for name, val in norms.items()}
     try:
         sol = solve_riccati(forms, args.t0, case)
     except (RiccatiBlowUpError, RangeConstraintError) as exc:
@@ -291,9 +287,9 @@ def _cmd_riccati(args) -> int:
         return 2
     save_fields(args.out, {"t": sol.t})
     ru, rv = riccati_residual(forms, sol.t)
-    metrics["residual_u"] = _metric(ru.values)
-    metrics["residual_v"] = _metric(rv.values)
-    metrics["path_defect"] = _metric(sol.path_defect)
+    metrics["residual_u"] = max_mean(ru.values)
+    metrics["residual_v"] = max_mean(rv.values)
+    metrics["path_defect"] = max_mean(sol.path_defect)
     _report(args.report, case, spec, metrics, {**verdicts, "path_defect": sol.path_defect})
     return 0
 

@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import CoefficientSet
+from .frames import CoefficientSet, gauss_equation
 from .gcr import (
     NonIntegrableError,
     closed_potential,
     curvature_minus_l0,
     dependence_minors,
-    gauss_lhs,
     gcr_residuals,
+    lambda_lap,
 )
 from .grid import (DEGENERACY_FLOOR, EXCLUSION_MARGIN, ROUND_OFF_TOL, FieldGrid, GridSpec,
                    angle_link_tolerance, family_tolerance, grad, hessian, require_nonzero,
@@ -175,7 +175,9 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     scale = 1.0 + inp.lam.max_abs() + inp.phi.max_abs()
     tol = family_tolerance(spec, scale)
     # a second form with K = L0 leaves the Gauss equation with its conformal side only
-    bg = float(np.max(np.abs(gauss_lhs(inp.lam, case))))
+    lam = inp.lam.values
+    lap = lambda_lap(lam, inp.lam.spec, case)
+    bg = float(np.max(np.abs(gauss_equation(lam, lap, 0.0, case))))
     if not (bg <= tol):
         raise FamilyInputError(f"conformal factor violates its curvature equation ({bg:.3e})")
     phi_res = phi_equation_residual(inp.phi, inp.lam).max_abs()

@@ -27,12 +27,17 @@ overlap, so it holds no whole-grid (nu, nv, 5, 5) array, and every value
 is bit for bit what the whole-grid matrices give.  The defect assembles
 no matrix: it takes the curvature's norm in closed form from the eleven
 fields, one slab of 64 rows with a one-row halo at a time (``grid.slabs``).
+
+The Gauss, Codazzi and Ricci equations are stated once, in
+``gcr_equations``: ``gcr``'s residuals and the defect's six middle terms
+are that function fed different lambda derivatives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -112,6 +117,44 @@ class CoefficientSet:
             raise ValueError(f"{path} is not a coefficient file: expected the fields "
                              f"{', '.join(COEFF_NAMES)} and no other, got {sorted(fields)}")
         return cls(*(fields[n] for n in COEFF_NAMES))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Codazzi-Ricci equations of the nine coefficient arrays (fields,
+# in COEFF_NAMES order); a residual is the left side minus the right side
+# ---------------------------------------------------------------------------
+
+def gauss_quadratic(fields, case: CaseSpec) -> np.ndarray:
+    """The Gauss equation's quadratic side; where the equation holds, it
+    vanishes exactly where K = L0."""
+    _, a1, a2, a3, b1, b2, b3, _, _ = fields
+    g1, g2, n1, n2 = case.frame_signs
+    s = -g1 * g2
+    return s * n1 * (a1 * a3) + s * n2 * (b1 * b3) - s * n1 * a2**2 - s * n2 * b2**2
+
+
+def gauss_equation(lam, lap, quad, case: CaseSpec, q=None) -> np.ndarray:
+    """The Gauss residual lap + L0 e^{2 lambda} - quad, lap = lambda_uu + k
+    lambda_vv; q is L0 e^{2 lambda} if the caller holds it."""
+    return lap + (case.l0 * np.exp(2 * lam) if q is None else q) - quad
+
+
+def gcr_equations(fields, lu, lv, lap, case: CaseSpec, spec: GridSpec, q=None):
+    """Yields the Gauss residual, the four Codazzi residuals, the Ricci residual
+    and the flatness (mu1)_v - (mu2)_u, Ricci's left side, one at a time, from
+    the caller's lambda gradient lu, lv and lap (and q) as for
+    ``gauss_equation``."""
+    lam, a1, a2, a3, b1, b2, b3, m1, m2 = fields
+    g1, g2, n1, n2 = case.frame_signs
+    k, p = g1 * g2, n1 * n2
+    yield gauss_equation(lam, lap, gauss_quadratic(fields, case), case, q)
+    yield curl(a1, a2, spec) - (a2 * lu + k * a3 * lv - p * b2 * m1 + p * b1 * m2)
+    yield curl(a2, a3, spec) - (-k * a1 * lu - a2 * lv - p * b3 * m1 + p * b2 * m2)
+    yield curl(b1, b2, spec) - (b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2)
+    yield curl(b2, b3, spec) - (-k * b1 * lu - b2 * lv + a3 * m1 - a2 * m2)
+    flat = curl(m1, m2, spec)
+    yield flat - n1 * ((a1 * b2 - a2 * b1) + k * (a2 * b3 - a3 * b2))
+    yield flat
 
 
 # grid rows per slab of the closed-form curvature norm: a slab's dozen
@@ -195,28 +238,22 @@ class FrameConnection:
         """(multiplicity, value) on the slab's padded rows of the nine scalars
         whose signed copies are the curvature's 18 nonzero entries: the
         lambda-gradient curl on the diagonal of the (T1 T2 N1 N2) block, the
-        Gauss term on K01/K10, the Codazzi terms on K20/K02, K21/K12, K30/K03
-        and K31/K13, the Ricci term on K32/K23, and on K40 and K41 the
-        gradient of E = L0 e^{2 lambda} against 2 E grad lambda.
-
-        The derivatives are ``grad`` and ``curl`` of the arrays the matrices
-        hold, so the weighted sum of squares is the matrix form's up to the
-        order in which products are summed.
+        Gauss residual on K01/K10, the Codazzi residuals on K20/K02, K21/K12,
+        K30/K03 and K31/K13, the Ricci residual on K32/K23, and on K40 and
+        K41 the gradient of E = L0 e^{2 lambda} against 2 E grad lambda.
+        The residuals are ``gcr_equations`` fed the matrices' lambda
+        gradients and their ``grad``.
         """
-        g0, g1, n1, n2 = self.case.frame_signs
-        k, p = g0 * g1, n1 * n2
         spec = slab.spec
-        lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = (x[slab.pad] for x in self.inputs)
-        E = g0 * self.case.l0 * np.exp(2 * lam)  # g0 E: the sign K01 gives it
+        *fields, lu, lv = (x[slab.pad] for x in self.inputs)
         (lu_u, lu_v), (lv_u, lv_v) = grad(lu, spec), grad(lv, spec)
         yield 4, lu_v - lv_u
-        yield 2, (lu_u + k * lv_v + E + (g1 * n1) * (a1 * a3 - a2 * a2)
-                  + (g1 * n2) * (b1 * b3 - b2 * b2))
-        yield 2, curl(a1, a2, spec) - (a2 * lu + k * a3 * lv + p * (b1 * m2 - b2 * m1))
-        yield 2, curl(a2, a3, spec) + (k * a1 * lu + a2 * lv - p * (b2 * m2 - b3 * m1))
-        yield 2, curl(b1, b2, spec) - (b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2)
-        yield 2, curl(b2, b3, spec) + (k * b1 * lu + b2 * lv + a2 * m2 - a3 * m1)
-        yield 2, curl(m1, m2, spec) - n1 * (g0 * (a1 * b2 - a2 * b1) + g1 * (a2 * b3 - a3 * b2))
+        lap = lu_u + self.case.kappa * lv_v
+        del lu_u, lu_v, lv_u, lv_v  # read no further: freed, they lower the slab's peak
+        E = self.case.l0 * np.exp(2 * fields[0])
+        residuals = gcr_equations(fields, lu, lv, lap, self.case, spec, q=E)
+        for t in islice(residuals, 6):  # not the flatness
+            yield 2, t
         E_u, E_v = grad(E, spec)
         yield 1, E_v - 2 * E * lv
         yield 1, E_u - 2 * E * lu

@@ -4,6 +4,9 @@ vector-field decision procedure.
 
 All residuals are LHS - RHS of the active case's equation, evaluated
 pointwise with the finite-difference calculus of :mod:`normalflat.grid`.
+The equations are ``frames.gcr_equations`` (the Gauss line alone:
+``frames.gauss_equation``) fed the grid's second-order lambda derivatives;
+fed the frame connection's, they are the defect's six middle terms.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import CoefficientSet
-from .grid import (FieldGrid, curl, grad, quadratic_tolerance, residual_tolerance,
+from .frames import CoefficientSet, gauss_equation, gauss_quadratic, gcr_equations
+from .grid import (FieldGrid, curl, grad, max_mean, quadratic_tolerance, residual_tolerance,
                    second_derivatives)
 from .spaceform import CaseSpec
 
@@ -39,54 +42,23 @@ class NonIntegrableError(ValueError):
     """A candidate gradient field failed its curl test."""
 
 
-def gauss_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
-    """Quadratic side of the active Gauss equation.
-
-    Vanishing of this form is exactly K = L0 once the equation holds.
-    """
-    _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    g1, g2, n1, n2 = case.frame_signs
-    s = -g1 * g2
-    return s * n1 * (a1 * a3) + s * n2 * (b1 * b3) - s * n1 * a2**2 - s * n2 * b2**2
-
-
-def gauss_lhs(lam: FieldGrid, case: CaseSpec) -> np.ndarray:
-    """Conformal side of the Gauss equation, lambda_uu + g1 g2 lambda_vv + L0 e^{2 lambda}."""
-    g1, g2 = case.g_signs
-    l_uu, l_vv = second_derivatives(lam.values, lam.spec)
-    return l_uu + g1 * g2 * l_vv + case.l0 * np.exp(2 * lam.values)
+def lambda_lap(lam: np.ndarray, spec, case: CaseSpec) -> np.ndarray:
+    """The Gauss equation's lap, lambda_uu + k lambda_vv, with the grid's stencils."""
+    l_uu, l_vv = second_derivatives(lam, spec)
+    return l_uu + case.kappa * l_vv
 
 
 def gauss_residual(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    return FieldGrid(coeffs.spec, gauss_lhs(coeffs.lam, case) - gauss_quadratic(coeffs, case))
+    return gcr_residuals(coeffs, case).gauss
 
 
 def codazzi_residual(coeffs: CoefficientSet, case: CaseSpec) -> list[FieldGrid]:
     """The four Codazzi residuals of the active case."""
-    lam, a1, a2, a3, b1, b2, b3, m1, m2 = coeffs.alravel()
-    spec = coeffs.spec
-    lu, lv = grad(lam, spec)
-    g1, g2, n1, n2 = case.frame_signs
-    k, p = g1 * g2, n1 * n2
-    rhs = [a2 * lu + k * a3 * lv - p * b2 * m1 + p * b1 * m2,
-           -k * a1 * lu - a2 * lv - p * b3 * m1 + p * b2 * m2,
-           b2 * lu + k * b3 * lv + a2 * m1 - a1 * m2,
-           -k * b1 * lu - b2 * lv + a3 * m1 - a2 * m2]
-    lhs = [curl(x, y, spec) for x, y in ((a1, a2), (a2, a3), (b1, b2), (b2, b3))]
-    return [FieldGrid(spec, L - R) for L, R in zip(lhs, rhs)]
-
-
-def ricci_quadratic(coeffs: CoefficientSet, case: CaseSpec) -> np.ndarray:
-    _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
-    m13 = a1 * b2 - a2 * b1
-    m23 = a2 * b3 - a3 * b2
-    g1, g2, n1, _ = case.frame_signs
-    return n1 * (m13 + g1 * g2 * m23)
+    return gcr_residuals(coeffs, case).codazzi
 
 
 def ricci_residual(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
-    flat = normal_flatness_defect(coeffs).values
-    return FieldGrid(coeffs.spec, flat - ricci_quadratic(coeffs, case))
+    return gcr_residuals(coeffs, case).ricci
 
 
 @dataclass
@@ -107,14 +79,16 @@ class GcrResiduals:
     def metrics(self) -> dict:
         named = {"gauss": self.gauss, "ricci": self.ricci,
                  **{f"codazzi{i+1}": c for i, c in enumerate(self.codazzi)}}
-        return {name: {"max": f.max_abs(), "mean": float(np.mean(np.abs(f.values)))}
-                for name, f in named.items()}
+        return {name: max_mean(f.values) for name, f in named.items()}
 
 
 def gcr_residuals(coeffs: CoefficientSet, case: CaseSpec) -> GcrResiduals:
-    flat = normal_flatness_defect(coeffs)
-    ricci = FieldGrid(coeffs.spec, flat.values - ricci_quadratic(coeffs, case))
-    return GcrResiduals(gauss_residual(coeffs, case), codazzi_residual(coeffs, case), ricci, flat)
+    """``frames.gcr_equations`` fed the grid's second-order lambda derivatives."""
+    fields, spec = coeffs.alravel(), coeffs.spec
+    lu, lv = grad(fields[0], spec)
+    gauss, *codazzi, ricci, flat = (FieldGrid(spec, x) for x in gcr_equations(
+        fields, lu, lv, lambda_lap(fields[0], spec, case), case, spec))
+    return GcrResiduals(gauss, codazzi, ricci, flat)
 
 
 def normal_flatness_defect(coeffs: CoefficientSet) -> FieldGrid:
@@ -128,7 +102,7 @@ def curvature_minus_l0(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
 
     When the Gauss equation holds, K - L0 = -e^{-2 lambda} * quadratic.
     """
-    return _curvature_minus_l0(coeffs, gauss_quadratic(coeffs, case))
+    return _curvature_minus_l0(coeffs, gauss_quadratic(coeffs.alravel(), case))
 
 
 def _curvature_minus_l0(coeffs: CoefficientSet, q: np.ndarray) -> FieldGrid:
@@ -374,8 +348,9 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
         notes.append(f"normal connection not flat (defect {flat.max_abs():.3e})")
     gamma = FieldGrid(spec, integrate_gradient(spec, coeffs.mu1.values, coeffs.mu2.values))
 
-    q = gauss_quadratic(coeffs, case)
-    gauss = float(np.max(np.abs(gauss_lhs(coeffs.lam, case) - q)))
+    lam = coeffs.lam.values
+    q = gauss_quadratic(coeffs.alravel(), case)
+    gauss = float(np.max(np.abs(gauss_equation(lam, lambda_lap(lam, spec, case), q, case))))
     if not (gauss <= ld.tol):
         notes.append(f"Gauss equation fails at L0 = {case.l0:g} (residual {gauss:.3e})")
     kml = _curvature_minus_l0(coeffs, q).values

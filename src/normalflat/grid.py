@@ -144,8 +144,12 @@ class FieldGrid:
             values = values.astype(np.complex128, copy=False)
         else:
             values = values.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            bad = values.size - np.count_nonzero(finite)
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), values.shape))
+            raise ValueError(f"field values must be finite: {bad} of {values.size} values "
+                             f"are NaN or infinite, the first at {at}")
         self.spec = spec
         self.values = values
 
@@ -164,6 +168,12 @@ class FieldGrid:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def max_mean(values) -> dict:
+    """{max, mean} of |values|: how a report summarizes a field."""
+    a = np.abs(np.asarray(values))
+    return {"max": float(np.max(a)), "mean": float(np.mean(a))}
 
 
 def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -434,7 +444,11 @@ def load_fields(path) -> dict[str, FieldGrid]:
     if encoding not in (TEXT, BASE64):
         raise ValueError(f"field encoding must be {TEXT!r} or {BASE64!r}, "
                          f"got {json.dumps(encoding)}")
-    return {
-        name: FieldGrid(spec, _decode(name, data, spec, kind, encoding))
-        for name, data in doc["fields"].items()
-    }
+    fields = {}
+    for name, data in doc["fields"].items():
+        values = _decode(name, data, spec, kind, encoding)
+        try:
+            fields[name] = FieldGrid(spec, values)
+        except ValueError as exc:  # values of the grid's shape: only a non-finite one
+            raise ValueError(f"{exc}, in field {name!r} of {path}") from None
+    return fields

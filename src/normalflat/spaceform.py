@@ -21,12 +21,11 @@ lambda, a = alpha, b = beta:
 * S (frames): S02 = -g1 n1 a1, S03 = -g1 n2 b1, S12 = -g2 n1 a2, S13 = -g2 n2 b2,
   S10 = -k l_v, S23 = -p mu1, S40 = -g1 q; T the same with the a, b, mu
   indices raised by one, T01 = -k l_u, T41 = -g2 q;
-* Gauss (gcr): l_uu + k l_vv + q = -k n1 (a1 a3 - a2^2) - k n2 (b1 b3 - b2^2);
-* Codazzi: a1_v - a2_u = a2 l_u + k a3 l_v - p b2 mu1 + p b1 mu2,
-  a2_v - a3_u = -k a1 l_u - a2 l_v - p b3 mu1 + p b2 mu2,
-  b1_v - b2_u = b2 l_u + k b3 l_v + a2 mu1 - a1 mu2,
-  b2_v - b3_u = -k b1 l_u - b2 l_v + a3 mu1 - a2 mu2;
-* Ricci: mu1_v - mu2_u = n1 (a1 b2 - a2 b1 + k (a2 b3 - a3 b2));
+* Gauss, Codazzi and Ricci: written once, in ``frames.gcr_equations``
+  (the Gauss line alone: ``frames.gauss_equation``).  ``gcr``'s residuals
+  and the compatibility defect's six middle terms are that function fed
+  different lambda derivatives: the grid's second-order ones, or the
+  frame connection's fourth-order gradient and its ``grad``;
 * frame Gram target diag(g1, g2, n1, n2) e^{2 lambda}; the flat model has
   one minus sign per -1 among (g1, g2, n1, n2);
 * angle pipelines (families, riccati): the parity k p = -1 takes the

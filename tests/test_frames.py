@@ -3,9 +3,9 @@ import pytest
 import sympy as sp
 
 from normalflat import (CaseSpec, CoefficientSet, GridSpec, assemble_connection,
-                        compatibility_defect, integrate_frame)
+                        compatibility_defect, frames, gcr, gcr_residuals, integrate_frame)
 from normalflat.frames import COEFF_NAMES, FrameConnection, _advance, _substeps
-from normalflat.grid import _diff_along4, grad, slabs
+from normalflat.grid import _diff_along4, grad, second_derivatives, slabs
 
 from conftest import random_coefficients
 
@@ -193,6 +193,74 @@ def test_defect_is_the_symbolic_curvature_norm(case_id):
     got = compatibility_defect(coeffs, CaseSpec(case_id, 0.7)).values ** 2
     assert np.max(want) > 1.0
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_gcr_residuals_are_the_symbolic_equations(case_id):
+    """Each of gcr's six residuals, sign included, is its derivative symbol
+    minus what the hand-written table of that case solves it for, with
+    every symbol bound to the grid's second-order stencil value; L0 != 0."""
+    spec = GridSpec.over_box((0, 1), (0, 1), 9, 8)
+    coeffs = random_coefficients(np.random.default_rng(5), spec)
+    lam, *rest = coeffs.alravel()
+    l_uu, l_vv = second_derivatives(lam, spec)
+    env = {_L0: 0.7, _E: np.exp(2 * lam), sp.Symbol("l_uu"): l_uu, sp.Symbol("l_vv"): l_vv}
+    env[_lu], env[_lv] = grad(lam, spec)
+    for s, f in zip([_a1, _a2, _a3, _b1, _b2, _b3, _m1, _m2], rest):
+        env[s] = f
+        env[sp.Symbol(f"{s}_u")], env[sp.Symbol(f"{s}_v")] = grad(f, spec)
+    res = gcr_residuals(coeffs, CaseSpec(case_id, 0.7))
+    got = [res.gauss, *res.codazzi, res.ricci]
+    for (lead, rhs), field in zip(_sym_scalar_equations(case_id).items(), got):
+        expr = lead - rhs
+        assert expr.free_symbols <= set(env)
+        want = sp.lambdify(list(env), expr, "numpy")(*env.values())
+        assert np.max(np.abs(want)) > 0.1, lead
+        assert np.allclose(field.values, want, rtol=1e-13, atol=1e-13), (case_id, lead)
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_defect_is_the_residuals(case_id):
+    """With L0 = 0 and a quadratic lambda, both lambda stencils are exact, the
+    lambda-gradient curl and the e^{2 lambda} rows vanish, and the squared
+    defect is twice the sum of squares of gcr's six residuals."""
+    spec = GridSpec.over_box((-0.3, 0.6), (-0.2, 0.5), 19, 23)
+    U, V = spec.mesh()
+    coeffs = random_coefficients(np.random.default_rng(6), spec)
+    fields = dict(zip(("lam", *COEFF_NAMES[1:]), coeffs.alravel()))
+    fields["lam"] = 0.3 + 0.2 * U - 0.4 * V + 0.5 * U * U - 0.3 * U * V + 0.7 * V * V
+    coeffs = CoefficientSet.from_arrays(spec, **fields)
+    case = CaseSpec(case_id, 0.0)
+    res = gcr_residuals(coeffs, case)
+    want = 2 * sum(f.values ** 2 for f in (res.gauss, *res.codazzi, res.ricci))
+    got = compatibility_defect(coeffs, case).values ** 2
+    assert np.min(want) > 1e-3
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_one_statement_of_the_equations(monkeypatch):
+    """The residuals, the defect and the detector all read the Gauss line
+    of frames; the detector alone computes no Codazzi or Ricci term."""
+    spec = GridSpec.over_box((0, 1), (0, 1), 9, 8)
+    coeffs = random_coefficients(np.random.default_rng(7), spec)
+    case = CaseSpec("LT", 0.7)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the GCR statement was called")
+
+    with monkeypatch.context() as m:
+        for module in (frames, gcr):
+            m.setattr(module, "gauss_equation", boom)
+        for call in (gcr_residuals, compatibility_defect, gcr.detect_parallel_normal):
+            with pytest.raises(AssertionError, match="GCR statement"):
+                call(coeffs, case)
+    with monkeypatch.context() as m:
+        for module in (frames, gcr):
+            m.setattr(module, "gcr_equations", boom)
+        for call in (gcr_residuals, compatibility_defect):
+            with pytest.raises(AssertionError, match="GCR statement"):
+                call(coeffs, case)
+        gcr.detect_parallel_normal(coeffs, case)
 
 
 @pytest.mark.parametrize("at", [(0, 0), (3, 2)], ids=["corner", "interior"])

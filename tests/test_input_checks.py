@@ -4,6 +4,7 @@ Each check raises its documented error class.  Where a command-line input
 reaches it, `main` exits 1 with one `normalflat: ` line and no traceback.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -173,3 +174,25 @@ def test_detect_notes_a_normal_connection_that_is_not_flat(tmp_path):
     assert main(["detect", "--coeffs", str(path), "--case", "R", "--out", str(report)]) == 0
     notes = json.loads(report.read_text())["verdicts"]["notes"]
     assert "normal connection not flat (defect 1.000e+00)" in notes
+
+
+def test_non_finite_value_names_file_field_and_point(tmp_path, capsys):
+    # a NaN at alpha2[3, 4] of a 9^2 coefficient file
+    path = tmp_path / "c.json"
+    TORUS.save(path)
+    doc = json.loads(path.read_text())
+    alpha2 = np.zeros(SPEC.shape)
+    alpha2[3, 4] = np.nan
+    doc["fields"]["alpha2"] = base64.b64encode(alpha2.astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    message = (
+        "field values must be finite: 1 of 81 values are NaN or infinite, the first at (3, 4)")
+    assert main(["verify", "--coeffs", str(path), "--case", "R"]) == 1
+    assert capsys.readouterr().err == f"normalflat: {message}, in field 'alpha2' of {path}\n"
+    with pytest.raises(ValueError) as raised:
+        FieldGrid(SPEC, alpha2)
+    assert str(raised.value) == message
+    alpha2[6, 0] = alpha2[0, 7] = -np.inf
+    with pytest.raises(ValueError, match="3 of 81 values are NaN or infinite, the first at "
+                                         r"\(0, 7\)$"):
+        FieldGrid(SPEC, alpha2)

@@ -280,8 +280,8 @@ def test_round_trip_peak_memory():
 
 
 def test_defect_peak_memory():
-    # the closed form holds its output and one slab's terms: measured 4.38
-    # grid arrays at 256^2 above the connection's inputs, 12.0 with the
+    # the closed form holds its output and one slab's terms: measured 3.86
+    # grid arrays at 256^2 above the connection's inputs, 11.0 with the
     # whole grid as one slab
     spec = GridSpec.over_box((0, 1), (0, 1), 256, 256)
     conn = frames.FrameConnection(random_coefficients(np.random.default_rng(1), spec),
