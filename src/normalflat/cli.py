@@ -204,7 +204,7 @@ def _cmd_construct(args) -> int:
         pot = NotldPotentials(
             f_minus=field("f_minus"), angle=field("angle"), theta_minus=field("theta_minus"),
             t_minus=field("t_minus"), sigma=field("sigma"),
-            xi_tilde=_one_variable(p.pop("xi_tilde", None), "s"),
+            xi_tilde=_one_variable(p.pop("xi_tilde", None) if case.parity < 0 else None, "s"),
             eps_prime=int(eps_prime), lam=field("lambda"))
         if "f_re" in p:
             f_re = field("f_re")

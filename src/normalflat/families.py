@@ -323,8 +323,8 @@ class NotldPotentials:
     rho (NT), plus the free angle theta_minus (R/NS: k- = tan theta_-)
     or t_minus (NT: k- through the eps'-branch exponential formula).
     Complex cases (LS/LT): the complex potential f and the gauge angle
-    sigma placing k on its admissible circle.  xi_tilde feeds the gamma
-    gradient; extras["gamma"], whose gradient is mu, is 0 at the base corner.
+    sigma placing k on its admissible circle; xi_tilde feeds their gamma
+    gradient.  extras["gamma"], whose gradient is mu, is 0 at the base corner.
     """
 
     f_minus: FieldGrid | None = None
@@ -333,7 +333,7 @@ class NotldPotentials:
     t_minus: FieldGrid | None = None        # NT
     f: FieldGrid | None = None              # LS/LT, complex
     sigma: FieldGrid | None = None          # LS/LT gauge angle
-    xi_tilde: object = None                 # one-variable callable or None
+    xi_tilde: object = None                 # LS/LT: one-variable callable or None
     eps_prime: int = 1
     lam: FieldGrid | None = None            # default: identically zero
 

@@ -12,9 +12,9 @@ the case's sign table (see :mod:`normalflat.spaceform`).
 The kernel serves any connection dY = Y (S du + T dv).  States are rows:
 Y is (r, d) and the d x d matrices act from the right, so each row (an
 ambient coordinate of the frame, or the single row [p q] of the angle
-system) moves on its own.  ``curvature`` is S_v - T_u - (ST - TS); it
-vanishes exactly when every path from the base corner carries Y to the
-same value, and its Frobenius norm is the compatibility defect.
+system) moves on its own.  The curvature S_v - T_u - (ST - TS) vanishes
+exactly when every path from the base corner carries Y to the same
+value; its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
 classic RK4, matrices interpolated by cubics on the nearest 4-point
 stencil.  A cell takes as many substeps as its matrices need, one to
@@ -274,11 +274,6 @@ def compatibility_defect(coeffs: CoefficientSet, case: CaseSpec) -> FieldGrid:
 # ---------------------------------------------------------------------------
 # the linear-connection kernel
 # ---------------------------------------------------------------------------
-
-def curvature(S: np.ndarray, T: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """S_v - T_u - (ST - TS) per grid point, for (nu, nv, d, d) matrices."""
-    return curl(S, T, spec) - (S @ T - T @ S)
-
 
 # the reach one RK4 substep may take, and the most substeps a cell takes
 _REACH = 0.1

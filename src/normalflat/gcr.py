@@ -164,7 +164,7 @@ class DependenceReport:
     variant: str
     defect: FieldGrid
     satisfied: bool
-    angle: FieldGrid | None = None      # theta or t_pm (unused for light)
+    angle: FieldGrid | None = None      # theta or t_pm; None unless satisfied, and for light
     eps: int | None = None              # light variant only
     degenerate_fraction: float = 0.0    # fraction of points with alpha = beta = 0
     tol: float = 0.0
@@ -184,13 +184,15 @@ def _unwrap_angle_mod_pi(theta: np.ndarray) -> np.ndarray:
 
 def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "auto",
                       tol: float | None = None) -> DependenceReport:
-    """Test the linearly dependent condition and recover the angle field.
+    """Test the linearly dependent condition; where it holds, recover the angle.
 
     variant: "generic" (trig theta; cases R/NS/LT), "space"/"time"
     (hyperbolic t_pm; cases NT/LS), "light" (alpha + eps*beta = 0), or
     "auto" to classify from the data.  tol defaults to the quadratic level
     10 h^2 (1 + s)^2, s the largest coefficient magnitude.
     """
+    if variant != "auto" and variant not in VARIANTS:
+        raise ValueError(f"unknown dependence variant {variant!r}")
     spec = coeffs.spec
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
     if tol is None:
@@ -201,15 +203,7 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     bnorm2 = b1 * b1 + b2 * b2 + b3 * b3
     both_zero = (anorm2 + bnorm2) <= (tol * tol)
     degenerate_fraction = float(np.mean(both_zero))
-    dependent = bool(np.max(defect.values) <= tol)
-
-    # component pair with the largest magnitude carries the angle recovery
-    comps_a = np.stack([a1, a2, a3], axis=-1)
-    comps_b = np.stack([b1, b2, b3], axis=-1)
-    weight = comps_a**2 + comps_b**2
-    j = np.argmax(weight, axis=-1)
-    aj = np.take_along_axis(comps_a, j[..., None], axis=-1)[..., 0]
-    bj = np.take_along_axis(comps_b, j[..., None], axis=-1)[..., 0]
+    satisfied = bool(np.max(defect.values) <= tol) and not bool(np.all(both_zero))
 
     n1, n2 = case.n_signs
     # a definite normal bundle rotates by a trigonometric angle; a Lorentzian
@@ -217,7 +211,14 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     req = "generic" if variant == "auto" and n1 == n2 else variant
     if req == "auto" and np.all(both_zero):
         req = "space"  # no ratio to classify; the report is degenerate anyway
-    elif req == "auto":
+    if req == "auto" or (satisfied and req != "light"):
+        # the component pair of largest magnitude carries the ratio and the angle
+        comps_a = np.stack([a1, a2, a3], axis=-1)
+        comps_b = np.stack([b1, b2, b3], axis=-1)
+        j = np.argmax(comps_a**2 + comps_b**2, axis=-1)[..., None]
+        aj = np.take_along_axis(comps_a, j, axis=-1)[..., 0]
+        bj = np.take_along_axis(comps_b, j, axis=-1)[..., 0]
+    if req == "auto":
         # NT / LS: classify by the proportionality ratio beta = c * alpha
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(np.abs(aj) > 0, bj / np.where(aj == 0, 1.0, aj), np.inf)
@@ -231,22 +232,7 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
 
     angle = None
     eps = None
-    satisfied = dependent and not bool(np.all(both_zero))
-    if req == "generic":
-        theta = np.arctan2(-aj, bj)
-        theta = np.where(both_zero, 0.0, theta)
-        angle = FieldGrid(spec, _unwrap_angle_mod_pi(np.mod(theta, np.pi)))
-    elif req in ("space", "time"):
-        # space: cosh(t+) alpha_j + sinh(t+) beta_j = 0  =>  tanh(t+) = -alpha_j/beta_j
-        # time:  sinh(t-) alpha_j + cosh(t-) beta_j = 0  =>  tanh(t-) = -beta_j/alpha_j
-        num, den = (aj, bj) if req == "space" else (bj, aj)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(np.abs(den) > 0, -num / np.where(den == 0, 1.0, den), 0.0)
-        solvable = np.abs(r) < 1.0
-        satisfied = satisfied and bool(np.all(solvable | both_zero))
-        r = np.clip(r, -1 + 1e-15, 1 - 1e-15)
-        angle = FieldGrid(spec, np.arctanh(np.where(both_zero, 0.0, r)))
-    elif req == "light":
+    if req == "light":
         best_eps, best = None, np.inf
         for cand in (1, -1):
             dev = max(np.max(np.abs(a1 + cand * b1)), np.max(np.abs(a2 + cand * b2)),
@@ -255,8 +241,21 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
                 best, best_eps = dev, cand
         eps = best_eps
         satisfied = bool(satisfied and best <= tol)
-    else:
-        raise ValueError(f"unknown dependence variant {req!r}")
+    elif satisfied:  # the angle is read only where the condition holds
+        if req == "generic":
+            theta = np.arctan2(-aj, bj)
+            theta = np.where(both_zero, 0.0, theta)
+            angle = FieldGrid(spec, _unwrap_angle_mod_pi(np.mod(theta, np.pi)))
+        else:
+            # space: cosh(t+) alpha_j + sinh(t+) beta_j = 0  =>  tanh(t+) = -alpha_j/beta_j
+            # time:  sinh(t-) alpha_j + cosh(t-) beta_j = 0  =>  tanh(t-) = -beta_j/alpha_j
+            num, den = (aj, bj) if req == "space" else (bj, aj)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(np.abs(den) > 0, -num / np.where(den == 0, 1.0, den), 0.0)
+            satisfied = bool(np.all((np.abs(r) < 1.0) | both_zero))
+            if satisfied:
+                r = np.clip(r, -1 + 1e-15, 1 - 1e-15)
+                angle = FieldGrid(spec, np.arctanh(np.where(both_zero, 0.0, r)))
 
     return DependenceReport(req, defect, satisfied, angle, eps, degenerate_fraction, tol)
 

@@ -241,7 +241,7 @@ def second_derivatives(f: np.ndarray, spec: GridSpec):
 
 
 def curl(gu: np.ndarray, gv: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(gu)_v - (gv)_u: the du^dv coefficient of d(gu du + gv dv)."""
+    """(gu)_v - (gv)_u: minus the du^dv coefficient of d(gu du + gv dv)."""
     return _diff_along(gu, spec.dv, 1) - _diff_along(gv, spec.du, 0)
 
 
@@ -384,24 +384,24 @@ def _encode(values: np.ndarray, kind: str) -> str:
     return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _decode(name: str, data, spec: GridSpec, kind: str, encoding: str) -> np.ndarray:
+def _decode(what: str, data, spec: GridSpec, kind: str, encoding: str) -> np.ndarray:
+    """The values of one field; what names it and its file in an error."""
     n = spec.nu * spec.nv * (2 if kind == "complex" else 1)
     if encoding == BASE64:
         if not isinstance(data, str):
-            raise ValueError(f"field {name!r} must be a base64 string")
+            raise ValueError(f"{what} must be a base64 string")
         try:
             raw = base64.b64decode(data, validate=True)
         except ValueError:  # binascii.Error
-            raise ValueError(f"field {name!r} is not valid base64") from None
+            raise ValueError(f"{what} is not valid base64") from None
         if len(raw) != 8 * n:
-            raise ValueError(f"field {name!r} holds {len(raw)} bytes, not the {8 * n} "
-                             f"of {n} doubles")
+            raise ValueError(f"{what} holds {len(raw)} bytes, not the {8 * n} of {n} doubles")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # writable, native order
     else:
         if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
-            raise ValueError(f"field {name!r} must be a flat list of numbers")
+            raise ValueError(f"{what} must be a flat list of numbers")
         if len(data) != n:
-            raise ValueError(f"field {name!r} holds {len(data)} numbers, not {n}")
+            raise ValueError(f"{what} holds {len(data)} numbers, not {n}")
         arr = np.asarray(data, dtype=np.float64)
     # viewing [re, im, ...] as complex keeps the sign of every zero
     return (arr.view(np.complex128) if kind == "complex" else arr).reshape(spec.shape)
@@ -446,7 +446,7 @@ def load_fields(path) -> dict[str, FieldGrid]:
                          f"got {json.dumps(encoding)}")
     fields = {}
     for name, data in doc["fields"].items():
-        values = _decode(name, data, spec, kind, encoding)
+        values = _decode(f"field {name!r} of {path}", data, spec, kind, encoding)
         try:
             fields[name] = FieldGrid(spec, values)
         except ValueError as exc:  # values of the grid's shape: only a non-finite one

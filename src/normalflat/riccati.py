@@ -11,9 +11,9 @@ two-dimensional system is governed by the obstruction 2-forms
 
     O0 = d w0 + w0 ^ w1,   O1 = d w1 + 2 w0 ^ w2,   O2 = d w2 + w1 ^ w2,
 
-through O0 + t O1 + t^2 O2 = 0, the t-expansion of d(dt) = 0; they are
-the entries [[-O1/2, O2], [-O0, O1/2]] of the connection's curvature.
-The row/column path-order swap defect is the solver's diagnostic.
+through O0 + t O1 + t^2 O2 = 0, the t-expansion of d(dt) = 0.  They are
+computed as written; the connection's curvature [[-O1/2, O2], [-O0, O1/2]]
+agrees to a few ulps.  The path-order swap defect is the solver's diagnostic.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import curvature, sweep
-from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, grad, hessian,
+from .frames import sweep
+from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, curl, grad, hessian,
                    quadratic_tolerance, require_nonzero, wedge)
 from .spaceform import CaseSpec
 
@@ -90,9 +90,6 @@ class RiccatiForms:
         quadratic level of the omega scale."""
         return quadratic_tolerance(self.spec, self.omega_scale())
 
-    def obstruction_max(self) -> float:
-        return max(self.Omega0.max_abs(), self.Omega1.max_abs(), self.Omega2.max_abs())
-
 
 def _connection(w0: OneForm, w1: OneForm, w2: OneForm):
     """S, T of d[p q] = [p q] (S du + T dv): A^T along du and along dv."""
@@ -101,13 +98,14 @@ def _connection(w0: OneForm, w1: OneForm, w2: OneForm):
 
 
 def forms_from_vectors(spec: GridSpec, vec0, vec1, vec2) -> RiccatiForms:
-    """Assemble RiccatiForms from three (coeff_u, coeff_v) pairs."""
+    """Assemble RiccatiForms from three (coeff_u, coeff_v) pairs; the 2-forms
+    are their equations, d w = -curl(w.cu, w.cv) taken first (a lower peak)."""
     w0 = OneForm(spec, *vec0)
     w1 = OneForm(spec, *vec1)
     w2 = OneForm(spec, *vec2)
-    K = curvature(*_connection(w0, w1, w2), spec)  # [[-O1/2, O2], [-O0, O1/2]]
-    return RiccatiForms(w0, w1, w2, FieldGrid(spec, -K[..., 1, 0]),
-                        FieldGrid(spec, -2 * K[..., 0, 0]), FieldGrid(spec, K[..., 0, 1]))
+    return RiccatiForms(w0, w1, w2, FieldGrid(spec, -curl(w0.cu, w0.cv, spec) + w0.wedge(w1)),
+                        FieldGrid(spec, -curl(w1.cu, w1.cv, spec) + 2 * w0.wedge(w2)),
+                        FieldGrid(spec, -curl(w2.cu, w2.cv, spec) + w1.wedge(w2)))
 
 
 def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
@@ -163,7 +161,6 @@ def build_forms(f_minus: FieldGrid, xi_tilde, case: CaseSpec) -> RiccatiForms:
 class RiccatiSolution:
     t: FieldGrid
     path_defect: float
-    obstruction_max: float
 
 
 def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
@@ -225,7 +222,7 @@ def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
     t_cr = _solve_one_order(T.swapaxes(0, 1), S.swapaxes(0, 1), swapped,
                             t0, bound, interval, True).T
     defect = float(np.max(np.abs(t_rc - t_cr)))
-    return RiccatiSolution(FieldGrid(spec, t_rc), defect, forms.obstruction_max())
+    return RiccatiSolution(FieldGrid(spec, t_rc), defect)
 
 
 def obstruction_verdict(forms: RiccatiForms):

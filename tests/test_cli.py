@@ -469,12 +469,16 @@ def test_usage_errors_exit_one(tmp_path, torus_file, monkeypatch, capsys):
     assert "grid size 'nu' must be an integral number, got 34.7" in err
     assert "normalflat: grid entry 'du' must be a number, got \"0.1\"" in err
     assert "normalflat: field kind must be 'real' or 'complex', got \"foo\"" in err
-    assert err.count("normalflat: field 'lambda' must be a flat list of numbers") == 2
+    for name in ("object_field", "wrapped_field"):
+        assert (f"normalflat: field 'lambda' of {tmp_path}/{name}.json must be a flat list of "
+                "numbers") in err
     assert "normalflat: grid entry 'du' is too large for a double" in err
     assert "normalflat: field encoding must be 'text' or 'base64-f64le', got \"foo\"" in err
-    assert "normalflat: field 'lambda' must be a base64 string" in err
-    assert "normalflat: field 'lambda' is not valid base64" in err
-    assert "normalflat: field 'lambda' holds 8704 bytes, not the 8712 of 1089 doubles" in err
+    assert (f"normalflat: field 'lambda' of {tmp_path}/list_payload.json must be a base64 "
+            "string") in err
+    assert f"normalflat: field 'lambda' of {tmp_path}/bad_char.json is not valid base64" in err
+    assert (f"normalflat: field 'lambda' of {tmp_path}/short_payload.json holds 8704 bytes, not "
+            "the 8712 of 1089 doubles") in err
     assert "normalflat: case entry 'l0' must be a number, got \"0.5\"" in err
     assert "normalflat: case entry 'eps' must be 1 or -1, got 1.5" in err
     assert "normalflat: case entry 'l0' is too large for a double" in err

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, gcr
 from normalflat.families import build_nt_light_family
 from normalflat.gcr import (
     NonIntegrableError,
@@ -206,6 +206,58 @@ def test_degenerate_report(unit_spec, case_r):
     coeffs = CoefficientSet.from_arrays(unit_spec)
     rep = dependence_report(coeffs, case_r)
     assert rep.degenerate
+
+
+def test_dependence_angle_is_recovered_only_where_the_condition_holds(
+        flat_torus, unit_spec, case_r, monkeypatch):
+    def unwrap(theta):
+        raise AssertionError("an angle was recovered on a failing set")
+
+    monkeypatch.setattr(gcr, "_unwrap_angle_mod_pi", unwrap)
+    random = random_coefficients(np.random.default_rng(5), unit_spec)
+    for coeffs, case, variant in ((flat_torus, case_r, "auto"), (random, case_r, "auto"),
+                                  (random, CaseSpec("NT", 0.0), "space"),
+                                  (random, CaseSpec("LS", 0.0), "time")):
+        rep = dependence_report(coeffs, case, variant)
+        assert not rep.satisfied and rep.angle is None
+
+
+def _dependent_rows(unit_spec, variant):
+    """alpha = p x, beta = q x with (p, q) = (-sin, cos) of theta = 3u + 2v
+    (generic), (-sinh, cosh) of t+ (space) or (cosh, -sinh) of t- (time);
+    x has no zero, and theta spans more than pi, so that it unwraps."""
+    U, V = unit_spec.mesh()
+    t = 3 * U + 2 * V if variant == "generic" else 0.3 + 0.5 * U - 0.4 * V
+    p, q = {"generic": (-np.sin(t), np.cos(t)), "space": (-np.sinh(t), np.cosh(t)),
+            "time": (np.cosh(t), -np.sinh(t))}[variant]
+    x = (1 + 0.2 * U, 0.5 + 0 * U, 0.3 + V)
+    return CoefficientSet.from_arrays(unit_spec, **{f"alpha{k + 1}": p * x[k] for k in range(3)},
+                                      **{f"beta{k + 1}": q * x[k] for k in range(3)})
+
+
+@pytest.mark.parametrize("variant, case", [("generic", CaseSpec("R", 0.0)),
+                                           ("space", CaseSpec("NT", 0.0)),
+                                           ("time", CaseSpec("LS", 0.0))])
+def test_dependence_angle_where_the_condition_holds(unit_spec, variant, case):
+    # the angle of the component pair of largest alpha_j^2 + beta_j^2:
+    # arctan2 taken mod pi and unwrapped along the base column, then along
+    # every row (generic), or arctanh of -alpha_j / beta_j (space) and
+    # -beta_j / alpha_j (time), bit for bit
+    coeffs = _dependent_rows(unit_spec, variant)
+    rep = dependence_report(coeffs, case)
+    assert rep.variant == variant and rep.satisfied
+    _, *ab, _, _ = coeffs.alravel()
+    a, b = np.stack(ab[:3], axis=-1), np.stack(ab[3:], axis=-1)
+    j = np.argmax(a**2 + b**2, axis=-1)[..., None]
+    aj, bj = np.take_along_axis(a, j, axis=-1)[..., 0], np.take_along_axis(b, j, axis=-1)[..., 0]
+    if variant == "generic":
+        two = 2.0 * np.mod(np.arctan2(-aj, bj), np.pi)
+        two[:, 0] = np.unwrap(two[:, 0])
+        want = 0.5 * np.unwrap(two, axis=1)
+        assert np.ptp(want) > np.pi  # theta mod pi wrapped
+    else:
+        want = np.arctanh(-aj / bj if variant == "space" else -bj / aj)
+    assert np.array_equal(rep.angle.values, want)
 
 
 # --------------------------------------------------------------------------

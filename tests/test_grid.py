@@ -2,6 +2,7 @@ import base64
 import importlib
 import json
 import pkgutil
+import re
 import struct
 
 import numpy as np
@@ -269,17 +270,18 @@ def test_field_file_base64_payload_checks(tmp_path, unit_spec):
     doc, text = json.loads(path.read_text()), text_document(path)
     data = doc["fields"]["f"]
     n = unit_spec.nu * unit_spec.nv
+    field = re.escape(f"field 'f' of {path}")
     for bad, message in (({**doc, "encoding": "base64"}, "field encoding must be"),
                          ({**doc, "encoding": None}, "field encoding must be"),
-                         ({**doc, "fields": {"f": [1.0] * n}}, "'f' must be a base64 string"),
+                         ({**doc, "fields": {"f": [1.0] * n}}, f"{field} must be a base64 string"),
                          ({**doc, "fields": {"f": data[:8] + "*" + data[8:]}}, "not valid base64"),
-                         ({**doc, "fields": {"f": data[:-1]}}, "'f' is not valid base64"),
+                         ({**doc, "fields": {"f": data[:-1]}}, f"{field} is not valid base64"),
                          ({**doc, "fields": {"f": data[:-4]}}, f"holds {8 * n - 3} bytes"),
                          ({**doc, "fields": {"f": base64.b64encode(bytes(8 * n - 8)).decode()}},
-                          f"field 'f' holds {8 * n - 8} bytes, not the {8 * n} of {n} doubles"),
+                          f"{field} holds {8 * n - 8} bytes, not the {8 * n} of {n} doubles"),
                          ({**doc, "kind": "complex"}, f"not the {16 * n} of {2 * n} doubles"),
                          ({**text, "fields": {"f": [1.0] * (n - 1)}},
-                          f"field 'f' holds {n - 1} numbers, not {n}")):
+                          f"{field} holds {n - 1} numbers, not {n}")):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=message):
             load_fields(path)

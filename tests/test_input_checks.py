@@ -99,6 +99,11 @@ CHECKS = [
     _call("notld-real-f", lambda d: build_notld_family(
         NotldPotentials(f=FieldGrid(SPEC, U), sigma=FieldGrid.constant(SPEC, 1.0)),
         CaseSpec("LS")), FamilyInputError, "f must be complex-valued"),
+    # a case-R set that builds without xi_tilde, which only LS and LT read
+    _cli("notld-real-xi-tilde",
+         _construct("notld", "R", {**GRID, "du": 1 / 32, "dv": 1 / 32, "nu": 33, "nv": 33},
+                    f_minus="u", angle="1.2", theta_minus="0.5", xi_tilde="0.3*s"),
+         UsageError, "family 'notld' reads no param 'xi_tilde'"),
     _cli("notld-reality", _construct("notld", "LS", {**GRID, "u0": 1, "v0": 1}, f_re="u",
                                      f_im="u*v", sigma=1.0),
          FamilyInputError, "f_u^2 + f_v^2 is not real-valued (defect 3.600e+00)"),
@@ -174,6 +179,21 @@ def test_detect_notes_a_normal_connection_that_is_not_flat(tmp_path):
     assert main(["detect", "--coeffs", str(path), "--case", "R", "--out", str(report)]) == 0
     notes = json.loads(report.read_text())["verdicts"]["notes"]
     assert "normal connection not flat (defect 1.000e+00)" in notes
+
+
+def test_undecodable_field_names_file_and_field(tmp_path, capsys):
+    # the base64 of alpha2 in a 9^2 coefficient file, cut by 8 characters
+    path = tmp_path / "c.json"
+    TORUS.save(path)
+    doc = json.loads(path.read_text())
+    doc["fields"]["alpha2"] = doc["fields"]["alpha2"][:-8]
+    path.write_text(json.dumps(doc))
+    message = f"field 'alpha2' of {path} holds 642 bytes, not the 648 of 81 doubles"
+    assert main(["verify", "--coeffs", str(path), "--case", "R"]) == 1
+    assert capsys.readouterr().err == f"normalflat: {message}\n"
+    with pytest.raises(ValueError) as raised:
+        CoefficientSet.load(path)
+    assert str(raised.value) == message
 
 
 def test_non_finite_value_names_file_field_and_point(tmp_path, capsys):

@@ -8,7 +8,9 @@ columns cross sweep and reconstruction windows, every output must equal
 what the whole-grid formula gives (the defect's: the closed form over the
 whole grid, itself the matrix form to round-off; reconstruction's
 normals: what Gram-Schmidt one point at a time gives), and the round
-trip's peak memory must stay near its output.
+trip's peak memory must stay near its output.  The matrix curvature of
+whole-grid S and T is the oracle of both closed forms: the frame's defect
+and the angle system's obstruction 2-forms.
 """
 
 import tracemalloc
@@ -18,9 +20,10 @@ import pytest
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, grid, integrator
 from normalflat.families import build_product_family
-from normalflat.frames import _advance, assemble_connection, compatibility_defect, curvature
+from normalflat.frames import _advance, assemble_connection, compatibility_defect
+from normalflat.grid import curl
 from normalflat.integrator import canonical_frame0, integrate_frame, reconstruct_coefficients
-from normalflat.riccati import _connection, build_forms, solve_riccati
+from normalflat.riccati import _connection, build_forms, forms_from_vectors, solve_riccati
 from normalflat.spaceform import ambient_inner, ambient_signature
 
 from conftest import random_coefficients
@@ -36,6 +39,11 @@ CASES = [CaseSpec("R", 0.0), CaseSpec("R", 0.7), CaseSpec("NS", -0.6), CaseSpec(
 
 def _spec(shape):
     return GridSpec.over_box((-0.3, 0.4), (-0.2, 0.5), *shape)
+
+
+def _curvature(S, T, spec):
+    """S_v - T_u - (ST - TS) per grid point, for (nu, nv, d, d) matrices."""
+    return curl(S, T, spec) - (S @ T - T @ S)
 
 
 def _whole_grid_sweep(S, T, state0, spec):
@@ -190,11 +198,37 @@ def test_defect_is_the_matrix_form_to_round_off(case, shape):
     spec = _spec(shape)
     coeffs = random_coefficients(np.random.default_rng(shape[0] * 100 + shape[1]), spec)
     S, T = assemble_connection(coeffs, case)
-    K = curvature(S, T, spec)
+    K = _curvature(S, T, spec)
     matrix = np.sqrt(np.sum(K * K, axis=(-2, -1)))
     m = max(np.max(np.abs(S)), np.max(np.abs(T)))
     diff = np.max(np.abs(compatibility_defect(coeffs, case).values - matrix))
     assert diff <= 16 * np.finfo(float).eps * (1 + m) ** 2, diff
+
+
+# random 1-forms (None), then the angle system of R, NS and the four NT (eps, delta)
+FORMS_CASES = [None, CaseSpec("R", 0.0), CaseSpec("NS", 0.0)] + [
+    CaseSpec("NT", 0.0, eps=e, delta=d) for e in (1, -1) for d in (1, -1)]
+
+
+@pytest.mark.parametrize("case", FORMS_CASES, ids=lambda c: "random" if c is None
+                         else f"{c.case_id}{c.eps:+d}{c.delta:+d}")
+def test_obstruction_forms_are_the_matrix_curvature_to_round_off(case):
+    # Omega0, Omega1, Omega2 from their three equations against the entries
+    # [[-O1/2, O2], [-O0, O1/2]] of the curvature of A^T du, A^T dv: the
+    # products are summed in another order, at most 4 ulps of max |Omega|
+    # apart (measured: 2)
+    spec = GridSpec.over_box((0.1, 1.1), (0.1, 1.1), 65, 65)
+    if case is None:
+        rng = np.random.default_rng(65)
+        forms = forms_from_vectors(spec, *(rng.uniform(-1, 1, (2, *spec.shape)) for _ in range(3)))
+    else:
+        U, V = spec.mesh()
+        forms = build_forms(FieldGrid(spec, U + 0.3 * V**2), lambda s: 0.2 * s, case)
+    K = _curvature(*_connection(forms.omega0, forms.omega1, forms.omega2), spec)
+    for got, want in ((forms.Omega0, -K[..., 1, 0]), (forms.Omega1, -2 * K[..., 0, 0]),
+                      (forms.Omega2, K[..., 0, 1])):
+        ulp = np.spacing(np.max(np.abs(want)))
+        assert np.max(np.abs(got.values - want)) <= 4 * ulp
 
 
 def test_defect_assembles_no_matrices(monkeypatch):
