@@ -198,17 +198,26 @@ def _cmd_construct(args) -> int:
         result = build_nt_light_family(spec, _sample(spec, p.pop("gamma", 0.0)),
                                        _one_variable(p.pop("profile", "1"), "u"), case)
     elif family == "notld":
-        eps_prime = p.pop("eps_prime", 1)
-        if isinstance(eps_prime, bool) or eps_prime not in (1, -1):
-            raise UsageError(f"param 'eps_prime' must be 1 or -1, got {json.dumps(eps_prime)}")
-        pot = NotldPotentials(
-            f_minus=field("f_minus"), angle=field("angle"), theta_minus=field("theta_minus"),
-            t_minus=field("t_minus"), sigma=field("sigma"),
-            xi_tilde=_one_variable(p.pop("xi_tilde", None) if case.parity < 0 else None, "s"),
-            eps_prime=int(eps_prime), lam=field("lambda"))
-        if "f_re" in p:
-            f_re = field("f_re")
-            pot.f = FieldGrid(spec, f_re.values + 1j * _sample(spec, p.pop("f_im")).values)
+        # each case pops only the params its constructor reads
+        pot = NotldPotentials()
+        if case.parity < 0:  # LS, LT
+            pot.sigma = field("sigma")
+            pot.xi_tilde = _one_variable(p.pop("xi_tilde", None), "s")
+            if "f_re" in p:
+                f_re = field("f_re")
+                pot.f = FieldGrid(spec, f_re.values + 1j * _sample(spec, p.pop("f_im")).values)
+        else:
+            pot.f_minus, pot.angle = field("f_minus"), field("angle")
+            if case.kappa > 0:  # R, NS
+                pot.theta_minus = field("theta_minus")
+            else:  # NT
+                pot.t_minus = field("t_minus")
+                eps_prime = p.pop("eps_prime", 1)
+                if isinstance(eps_prime, bool) or eps_prime not in (1, -1):
+                    raise UsageError(f"param 'eps_prime' must be 1 or -1, "
+                                     f"got {json.dumps(eps_prime)}")
+                pot.eps_prime = int(eps_prime)
+        pot.lam = field("lambda")
         result = build_notld_family(pot, case)
     else:
         raise UsageError(f"unknown family {family!r}")

@@ -18,7 +18,12 @@ value; its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
 classic RK4, matrices interpolated by cubics on the nearest 4-point
 stencil.  A cell takes as many substeps as its matrices need, one to
-four: ceil(h max ||M||_F / 0.1) over its stencil (``_substeps``).
+four: ceil(h max ||M||_F / 0.1) over its stencil (``_substeps``); where
+the base row's or a column window's count is 1, no cell of it is
+counted again.  A cell's end matrices are its stencil nodes, only the
+inner sub-nodes are interpolated, and the RK4 stages run in one
+preallocated work array per pass; a window's column states are written
+to the output once per window.
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of and assembles blocks on
@@ -194,28 +199,27 @@ class FrameConnection:
         lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = map(view, self.inputs)
         *g, n1, n2 = self.case.frame_signs
         # T repeats S with every alpha/beta/mu index raised by one and the
-        # lambda roles swapped.  The block is filled entry-major, so that
-        # every entry is one contiguous write, then copied once to the
-        # (a, b, 5, 5) layout the sweep reads
+        # lambda roles swapped.  The block is filled in the (a, b, 5, 5)
+        # layout the sweep reads, one strided write per entry
         l_own, l_other = (lu, lv) if k == 0 else (lv, lu)
         alpha = (a1, a2, a3)[k:k + 2]
         beta = (b1, b2, b3)[k:k + 2]
         mu = (m1, m2)[k]
-        M = np.zeros((5, 5, *lam.shape))
+        M = np.zeros((*lam.shape, 5, 5))
         for i in range(4):
-            M[i, i] = l_own
-        M[k, 1 - k] = l_other
-        M[1 - k, k] = -g[0] * g[1] * l_other
+            M[..., i, i] = l_own
+        M[..., k, 1 - k] = l_other
+        M[..., 1 - k, k] = -g[0] * g[1] * l_other
         for i in range(2):
-            M[i, 2] = -g[i] * n1 * alpha[i]
-            M[i, 3] = -g[i] * n2 * beta[i]
-            M[2, i] = alpha[i]
-            M[3, i] = beta[i]
-        M[2, 3] = -n1 * n2 * mu
-        M[3, 2] = mu
-        M[k, 4] = 1.0
-        M[4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
-        return np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
+            M[..., i, 2] = -g[i] * n1 * alpha[i]
+            M[..., i, 3] = -g[i] * n2 * beta[i]
+            M[..., 2, i] = alpha[i]
+            M[..., 3, i] = beta[i]
+        M[..., 2, 3] = -n1 * n2 * mu
+        M[..., 3, 2] = mu
+        M[..., k, 4] = 1.0
+        M[..., 4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
+        return M
 
     def sweep(self, state0: np.ndarray):
         """The frame over the grid from state0 at the base corner, and the
@@ -331,30 +335,57 @@ def _stencil(k: int, n: int) -> int:
     return min(max(k - 1, 0), n - 4)
 
 
-def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int) -> np.ndarray:
-    """One cell of dY/ds = Y M(s), RK4 with ``_substeps(h, mats)`` substeps.
+def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: int | None = None,
+             work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """One cell of dY/ds = Y M(s), RK4 with m substeps, ``_substeps(h, mats)``
+    unless the caller knows the count.
 
     state: (..., r, d); mats: the cell's 4-point stencil of matrices, node
     first (leading axes after it must broadcast against state's), the cell
     being its interval ``at``; k numbers the cell in an overflow message.
-    The count depends on mats alone, so a cell steps the same whichever
-    block of the grid its stencil was read from.
+    The stages live in work, (6, *state.shape), and the new state goes to
+    out (it may be state itself); either is allocated when not given.
+    Returns out.  The count depends on mats alone, and every sub-node
+    matrix is made contiguous, so a cell steps the same, bit for bit,
+    whichever block of the grid its stencil was read from.
     """
-    m = _substeps(h, mats)
-    # all 2m + 1 sub-node matrices at once; einsum, unlike a matmul, calls
-    # no BLAS, so the sums do not depend on the BLAS build
-    sub = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[m][at], mats)
+    if m is None:
+        m = _substeps(h, mats)
+    if work is None:
+        work = np.empty((6, *state.shape))
+    if out is None:
+        out = np.empty(state.shape)
+    k1, k2, k3, k4, y, acc = work
+    # the cell's ends are stencil nodes, where the weights are exactly 1 and
+    # +-0: the matrices there, but for the sign of a zero, which no matmul
+    # result sees; the 2m - 1 inner sub-nodes at once.  einsum, unlike a
+    # matmul, calls no BLAS, so the sums do not depend on the BLAS build.
+    # A matmul rounds otherwise on a matrix that is not contiguous (it skips
+    # BLAS), and einsum's output follows its input's layout, so every
+    # sub-node is made contiguous
+    inner = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[m][at, 1:-1], mats)
+    sub = (np.ascontiguousarray(mats[at]), *np.ascontiguousarray(inner),
+           np.ascontiguousarray(mats[at + 1]))
     hs = h / m
     for i in range(m):
         M0, Mm, M1 = sub[2 * i:2 * i + 3]
-        k1 = state @ M0
-        k2 = (state + 0.5 * hs * k1) @ Mm
-        k3 = (state + 0.5 * hs * k2) @ Mm
-        k4 = (state + hs * k3) @ M1
-        state = state + hs / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(state)):
+        # k1 = Y M0, k2 = (Y + hs/2 k1) Mm, k3 = (Y + hs/2 k2) Mm, k4 = (Y + hs k3) M1,
+        # Y + hs/6 ((k1 + 2 k2) + 2 k3 + k4), every operation in that order
+        np.matmul(state, M0, out=k1)
+        for k_in, c, M, k_out in ((k1, 0.5 * hs, Mm, k2), (k2, 0.5 * hs, Mm, k3), (k3, hs, M1, k4)):
+            np.multiply(c, k_in, out=y)
+            np.add(state, y, out=y)
+            np.matmul(y, M, out=k_out)
+        np.multiply(2, k2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(2, k3, out=y)
+        np.add(acc, y, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(hs / 6.0, acc, out=acc)
+        state = np.add(state, acc, out=out)
+    if not np.all(np.isfinite(out)):
         raise OverflowError(f"linear propagation left the finite range near cell {k}")
-    return state
+    return out
 
 
 def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec):
@@ -367,25 +398,35 @@ def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec):
     and the most substeps a cell took along u and along v.  Every matrix
     of the row and of a window is in some cell's stencil, and the count is
     monotone in the reach, so the most is the count of the whole row's or
-    window's reach.
+    window's reach; where that is 1, every cell of it takes 1 substep
+    without a count of its own.  The stages run in one work array per
+    pass, and a window's column states go to a buffer, line first, that is
+    written to Y once per window.
     """
     nu, nv = spec.shape
     out = np.empty((nu, nv, *state0.shape))
     out[0, 0] = state0
+    most_u = _substeps(spec.du, row)
+    work = np.empty((6, *state0.shape))
     for i in range(nu - 1):
         k0 = _stencil(i, nu)
-        out[i + 1, 0] = _advance(out[i, 0], spec.du, row[k0:k0 + 4], i - k0, i)
+        _advance(out[i, 0], spec.du, row[k0:k0 + 4], i - k0, i, 1 if most_u == 1 else None,
+                 work, out[i + 1, 0])
     # columns, all u-indices at once; each cell's 4-point stencil is one
     # contiguous block of its window
+    work = np.empty((6, nu, *state0.shape))
+    states = np.empty((min(_WINDOW, nv - 1), nu, *state0.shape))
     state = out[:, 0]
     most_v = 1
     for j0 in range(0, nv - 1, _WINDOW):
         j1 = min(j0 + _WINDOW, nv - 1)
         lo = _stencil(j0, nv)
         window = columns(lo, _stencil(j1 - 1, nv) + 4)
-        most_v = max(most_v, _substeps(spec.dv, window))
+        m = _substeps(spec.dv, window)
+        most_v = max(most_v, m)
         for j in range(j0, j1):
             k0 = _stencil(j, nv) - lo
-            state = _advance(state, spec.dv, window[k0:k0 + 4], j - lo - k0, j)
-            out[:, j + 1] = state
-    return out, (_substeps(spec.du, row), most_v)
+            state = _advance(state, spec.dv, window[k0:k0 + 4], j - lo - k0, j,
+                             1 if m == 1 else None, work, states[j - j0])
+        out[:, j0 + 1:j1 + 1] = states[:j1 - j0].swapaxes(0, 1)
+    return out, (most_u, most_v)

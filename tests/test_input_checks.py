@@ -31,6 +31,15 @@ OTHER = GridSpec(0.0, 0.0, 0.2, 0.1, 9, 9)
 U, V = SPEC.mesh()
 TORUS = CoefficientSet.from_arrays(SPEC, alpha1=-1.0, beta3=-1.0)
 NAMES = ("lambda", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2")
+# a notld set per case that builds on NOTLD_GRID, with the params that case reads
+NOTLD_GRID = {**GRID, "du": 1 / 32, "dv": 1 / 32, "nu": 33, "nv": 33}
+NOTLD_SETS = {
+    "R": {"f_minus": "u", "angle": "1.2", "theta_minus": "0.5"},
+    "NS": {"f_minus": "u", "angle": "1.2", "theta_minus": "0.5"},
+    "NT": {"f_minus": "u", "angle": "0.7", "t_minus": "0.4", "eps_prime": 1},
+    "LS": {"f_re": "u + 1.4142*v", "f_im": "u - 0.7071*v", "sigma": 1.5708},
+    "LT": {"f_re": "u + 1.4142*v", "f_im": "u + 0.7071*v", "sigma": 1.5708},
+}
 
 
 def _construct(family, case="R", grid=GRID, **params):
@@ -100,10 +109,16 @@ CHECKS = [
         NotldPotentials(f=FieldGrid(SPEC, U), sigma=FieldGrid.constant(SPEC, 1.0)),
         CaseSpec("LS")), FamilyInputError, "f must be complex-valued"),
     # a case-R set that builds without xi_tilde, which only LS and LT read
-    _cli("notld-real-xi-tilde",
-         _construct("notld", "R", {**GRID, "du": 1 / 32, "dv": 1 / 32, "nu": 33, "nv": 33},
-                    f_minus="u", angle="1.2", theta_minus="0.5", xi_tilde="0.3*s"),
+    _cli("notld-real-xi-tilde", _construct("notld", "R", NOTLD_GRID, **NOTLD_SETS["R"],
+                                           xi_tilde="0.3*s"),
          UsageError, "family 'notld' reads no param 'xi_tilde'"),
+    # every case's set builds; a param that only another case reads is refused
+    *(_cli(f"notld-foreign-{case}", _construct("notld", case, NOTLD_GRID, **NOTLD_SETS[case],
+                                               **{name: value}),
+           UsageError, f"family 'notld' reads no param {name!r}")
+      for case, name, value in (("R", "eps_prime", 1), ("NS", "sigma", 1.0),
+                                ("NT", "theta_minus", "0.5"), ("LS", "t_minus", "0.4"),
+                                ("LT", "f_minus", "u"))),
     _cli("notld-reality", _construct("notld", "LS", {**GRID, "u0": 1, "v0": 1}, f_re="u",
                                      f_im="u*v", sigma=1.0),
          FamilyInputError, "f_u^2 + f_v^2 is not real-valued (defect 3.600e+00)"),
