@@ -128,6 +128,9 @@ def _sample(spec: GridSpec, source):
         fields = load_fields(path)
         if not name and len(fields) != 1:
             raise UsageError(f"{path} holds several fields; use @{path}:name")
+        if name and name not in fields:
+            raise UsageError(f"{path} holds no field {name!r}; its fields are "
+                             + ", ".join(map(repr, sorted(fields))))
         field = fields[name] if name else next(iter(fields.values()))
         if field.spec != spec:
             raise UsageError(f"{path} lives on {field.spec}, not on the command's {spec}")
@@ -186,12 +189,17 @@ def _cmd_construct(args) -> int:
     def field(key):
         return _sample(spec, p.pop(key)) if key in p else None
 
+    def needed(key):
+        if key not in p:
+            raise UsageError(f"family {family!r} needs param {key!r}")
+        return _sample(spec, p.pop(key))
+
     if family == "product":
         result = build_product_family(float(p.pop("radius1", 1.0)),
                                       float(p.pop("radius2", 1.0)), case, spec)
     elif family == "phi":
         inp = PhiFamilyInput(lam=_sample(spec, p.pop("lambda", 0.0)),
-                             phi=_sample(spec, p.pop("phi")), theta=_sample(spec, p.pop("theta")),
+                             phi=needed("phi"), theta=needed("theta"),
                              xi=_one_variable(p.pop("xi", None), "s"))
         result = build_phi_family(inp, case)
     elif family == "light":
@@ -205,7 +213,7 @@ def _cmd_construct(args) -> int:
             pot.xi_tilde = _one_variable(p.pop("xi_tilde", None), "s")
             if "f_re" in p:
                 f_re = field("f_re")
-                pot.f = FieldGrid(spec, f_re.values + 1j * _sample(spec, p.pop("f_im")).values)
+                pot.f = FieldGrid(spec, f_re.values + 1j * needed("f_im").values)
         else:
             pot.f_minus, pot.angle = field("f_minus"), field("angle")
             if case.kappa > 0:  # R, NS

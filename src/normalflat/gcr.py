@@ -7,6 +7,8 @@ pointwise with the finite-difference calculus of :mod:`normalflat.grid`.
 The equations are ``frames.gcr_equations`` (the Gauss line alone:
 ``frames.gauss_equation``) fed the grid's second-order lambda derivatives;
 fed the frame connection's, they are the defect's six middle terms.
+The dependence condition and its angle are read off |alpha|^2, |beta|^2
+and alpha.beta, never off a chosen component.
 """
 
 from __future__ import annotations
@@ -174,22 +176,16 @@ class DependenceReport:
         return self.degenerate_fraction >= 1.0
 
 
-def _unwrap_angle_mod_pi(theta: np.ndarray) -> np.ndarray:
-    """Make a mod-pi angle field continuous along the row/column sweep."""
-    two = 2.0 * theta
-    two[:, 0] = np.unwrap(two[:, 0])
-    two = np.unwrap(two, axis=1)
-    return 0.5 * two
-
-
 def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "auto",
                       tol: float | None = None) -> DependenceReport:
     """Test the linearly dependent condition; where it holds, recover the angle.
 
     variant: "generic" (trig theta; cases R/NS/LT), "space"/"time"
     (hyperbolic t_pm; cases NT/LS), "light" (alpha + eps*beta = 0), or
-    "auto" to classify from the data.  tol defaults to the quadratic level
-    10 h^2 (1 + s)^2, s the largest coefficient magnitude.
+    "auto": generic on R/NS/LT; on NT/LS light, space or time as the median
+    |beta| / |alpha| is within 5% of 1, above or below it.  The angle is read
+    off |alpha|^2, |beta|^2 and alpha.beta.  tol defaults to the quadratic
+    level 10 h^2 (1 + s)^2, s the largest coefficient magnitude.
     """
     if variant != "auto" and variant not in VARIANTS:
         raise ValueError(f"unknown dependence variant {variant!r}")
@@ -211,18 +207,10 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     req = "generic" if variant == "auto" and n1 == n2 else variant
     if req == "auto" and np.all(both_zero):
         req = "space"  # no ratio to classify; the report is degenerate anyway
-    if req == "auto" or (satisfied and req != "light"):
-        # the component pair of largest magnitude carries the ratio and the angle
-        comps_a = np.stack([a1, a2, a3], axis=-1)
-        comps_b = np.stack([b1, b2, b3], axis=-1)
-        j = np.argmax(comps_a**2 + comps_b**2, axis=-1)[..., None]
-        aj = np.take_along_axis(comps_a, j, axis=-1)[..., 0]
-        bj = np.take_along_axis(comps_b, j, axis=-1)[..., 0]
     if req == "auto":
-        # NT / LS: classify by the proportionality ratio beta = c * alpha
+        # NT / LS: classify by |beta| / |alpha|, which is |c| where beta = c * alpha
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.abs(aj) > 0, bj / np.where(aj == 0, 1.0, aj), np.inf)
-        med = np.nanmedian(np.abs(np.where(both_zero, np.nan, ratio)))
+            med = np.median(np.sqrt(bnorm2 / anorm2)[~both_zero])
         if abs(med - 1.0) <= 0.05:
             req = "light"
         elif med > 1.0:
@@ -242,20 +230,23 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
         eps = best_eps
         satisfied = bool(satisfied and best <= tol)
     elif satisfied:  # the angle is read only where the condition holds
+        dot = a1 * b1 + a2 * b2 + a3 * b3
         if req == "generic":
-            theta = np.arctan2(-aj, bj)
-            theta = np.where(both_zero, 0.0, theta)
-            angle = FieldGrid(spec, _unwrap_angle_mod_pi(np.mod(theta, np.pi)))
+            # cos(theta) alpha + sin(theta) beta = 0  =>  2 theta is the direction
+            # (|beta|^2 - |alpha|^2, -2 alpha.beta), taken mod 2 pi and unwrapped
+            two = np.mod(np.arctan2(-2.0 * dot, bnorm2 - anorm2), 2.0 * np.pi)
+            two = np.where(both_zero, 0.0, two)
+            two[:, 0] = np.unwrap(two[:, 0])
+            angle = FieldGrid(spec, 0.5 * np.unwrap(two, axis=1))
         else:
-            # space: cosh(t+) alpha_j + sinh(t+) beta_j = 0  =>  tanh(t+) = -alpha_j/beta_j
-            # time:  sinh(t-) alpha_j + cosh(t-) beta_j = 0  =>  tanh(t-) = -beta_j/alpha_j
-            num, den = (aj, bj) if req == "space" else (bj, aj)
+            # space: cosh(t+) alpha + sinh(t+) beta = 0  =>  tanh(t+) = -alpha.beta / |beta|^2
+            # time:  sinh(t-) alpha + cosh(t-) beta = 0  =>  tanh(t-) = -alpha.beta / |alpha|^2
+            # a 0/0 is NaN and fails: no t solves the equation there
             with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(np.abs(den) > 0, -num / np.where(den == 0, 1.0, den), 0.0)
-            satisfied = bool(np.all((np.abs(r) < 1.0) | both_zero))
+                r = np.where(both_zero, 0.0, -dot / (bnorm2 if req == "space" else anorm2))
+            satisfied = bool(np.all(np.abs(r) < 1.0))
             if satisfied:
-                r = np.clip(r, -1 + 1e-15, 1 - 1e-15)
-                angle = FieldGrid(spec, np.arctanh(np.where(both_zero, 0.0, r)))
+                angle = FieldGrid(spec, np.arctanh(r))
 
     return DependenceReport(req, defect, satisfied, angle, eps, degenerate_fraction, tol)
 

@@ -210,10 +210,12 @@ def test_degenerate_report(unit_spec, case_r):
 
 def test_dependence_angle_is_recovered_only_where_the_condition_holds(
         flat_torus, unit_spec, case_r, monkeypatch):
-    def unwrap(theta):
+    def recover(*args, **kwargs):
         raise AssertionError("an angle was recovered on a failing set")
 
-    monkeypatch.setattr(gcr, "_unwrap_angle_mod_pi", unwrap)
+    # the generic angle is unwrapped, the hyperbolic ones are an arctanh
+    monkeypatch.setattr(gcr.np, "unwrap", recover)
+    monkeypatch.setattr(gcr.np, "arctanh", recover)
     random = random_coefficients(np.random.default_rng(5), unit_spec)
     for coeffs, case, variant in ((flat_torus, case_r, "auto"), (random, case_r, "auto"),
                                   (random, CaseSpec("NT", 0.0), "space"),
@@ -225,39 +227,99 @@ def test_dependence_angle_is_recovered_only_where_the_condition_holds(
 def _dependent_rows(unit_spec, variant):
     """alpha = p x, beta = q x with (p, q) = (-sin, cos) of theta = 3u + 2v
     (generic), (-sinh, cosh) of t+ (space) or (cosh, -sinh) of t- (time);
-    x has no zero, and theta spans more than pi, so that it unwraps."""
+    x has no zero, and theta spans more than pi, so that it unwraps.
+    Returns (the angle, the coefficients)."""
     U, V = unit_spec.mesh()
     t = 3 * U + 2 * V if variant == "generic" else 0.3 + 0.5 * U - 0.4 * V
     p, q = {"generic": (-np.sin(t), np.cos(t)), "space": (-np.sinh(t), np.cosh(t)),
             "time": (np.cosh(t), -np.sinh(t))}[variant]
     x = (1 + 0.2 * U, 0.5 + 0 * U, 0.3 + V)
-    return CoefficientSet.from_arrays(unit_spec, **{f"alpha{k + 1}": p * x[k] for k in range(3)},
-                                      **{f"beta{k + 1}": q * x[k] for k in range(3)})
+    return t, CoefficientSet.from_arrays(unit_spec,
+                                         **{f"alpha{k + 1}": p * x[k] for k in range(3)},
+                                         **{f"beta{k + 1}": q * x[k] for k in range(3)})
+
+
+def _angle_error(angle, want, generic):
+    """max |angle - want| in units of the spacing of max |want|, after the
+    constant multiple of pi a generic angle may differ by."""
+    diff = angle - want
+    if generic:
+        diff = diff - np.pi * np.round(diff[0, 0] / np.pi)
+    return np.max(np.abs(diff)) / np.spacing(np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("variant, case", [("generic", CaseSpec("R", 0.0)),
                                            ("space", CaseSpec("NT", 0.0)),
                                            ("time", CaseSpec("LS", 0.0))])
 def test_dependence_angle_where_the_condition_holds(unit_spec, variant, case):
-    # the angle of the component pair of largest alpha_j^2 + beta_j^2:
-    # arctan2 taken mod pi and unwrapped along the base column, then along
-    # every row (generic), or arctanh of -alpha_j / beta_j (space) and
-    # -beta_j / alpha_j (time), bit for bit
-    coeffs = _dependent_rows(unit_spec, variant)
+    # the recovered angle is the one the rows were built from: theta mod pi
+    # (a constant multiple of pi once unwrapped), t+ or t-
+    t, coeffs = _dependent_rows(unit_spec, variant)
     rep = dependence_report(coeffs, case)
     assert rep.variant == variant and rep.satisfied
-    _, *ab, _, _ = coeffs.alravel()
-    a, b = np.stack(ab[:3], axis=-1), np.stack(ab[3:], axis=-1)
-    j = np.argmax(a**2 + b**2, axis=-1)[..., None]
-    aj, bj = np.take_along_axis(a, j, axis=-1)[..., 0], np.take_along_axis(b, j, axis=-1)[..., 0]
     if variant == "generic":
-        two = 2.0 * np.mod(np.arctan2(-aj, bj), np.pi)
-        two[:, 0] = np.unwrap(two[:, 0])
-        want = 0.5 * np.unwrap(two, axis=1)
-        assert np.ptp(want) > np.pi  # theta mod pi wrapped
-    else:
-        want = np.arctanh(-aj / bj if variant == "space" else -bj / aj)
-    assert np.array_equal(rep.angle.values, want)
+        assert np.ptp(t) > np.pi  # theta mod pi wrapped
+    assert _angle_error(rep.angle.values, t, variant == "generic") <= 4
+
+
+def _dependent_patch(kind):
+    """beta = -alpha / 2 (time) or alpha = -beta / 2 (space), except on a 4x4
+    patch where the larger row is 0 and the other is (0.4, 0, -0.4): the
+    rows are dependent everywhere, but no t- (t+) solves the condition there."""
+    spec = GridSpec.over_box((0.0, 1.0), (0.0, 1.0), 33, 33)
+    U, _ = spec.mesh()
+    s = 1 + 0.3 * U
+    big = np.stack([s, 0 * s, 0.5 * s])
+    small = -big / 2
+    patch = (slice(None), slice(10, 14), slice(20, 24))
+    big[patch] = 0.0
+    small[patch] = np.array([0.4, 0.0, -0.4])[:, None, None]
+    a, b = (big, small) if kind == "time" else (small, big)
+    return CoefficientSet.from_arrays(spec, **{f"alpha{k + 1}": a[k] for k in range(3)},
+                                      **{f"beta{k + 1}": b[k] for k in range(3)})
+
+
+@pytest.mark.parametrize("kind", ["time", "space"])
+@pytest.mark.parametrize("case_id", ["NT", "LS"])
+def test_dependence_fails_where_the_dividing_row_vanishes_alone(kind, case_id):
+    # on the patch tanh(t) would be 0/0: the condition fails instead of
+    # reading t = 0 there
+    coeffs, case = _dependent_patch(kind), CaseSpec(case_id, 0.0)
+    assert np.max(dependence_minors(coeffs).values) == 0.0
+    rep = dependence_report(coeffs, case)
+    assert rep.variant == kind and not rep.satisfied and rep.angle is None
+    with np.errstate(all="raise"):  # the CLI's floating-point state
+        det = detect_parallel_normal(coeffs, case)
+    assert det.verdict == "none" and det.field_kind == ""
+
+
+def _transform(coeffs, case, phi):
+    """(alpha, beta) -> (c alpha + s beta, -s alpha + c beta) with (c, s) =
+    (cos, sin) of phi on a definite normal bundle, or (alpha, beta) ->
+    (c alpha + s beta, s alpha + c beta) with (cosh, sinh) on NT and LS."""
+    d = coeffs.arrays()
+    n1, n2 = case.n_signs
+    c, s, k = (np.cos(phi), np.sin(phi), -1) if n1 == n2 else (np.cosh(phi), np.sinh(phi), 1)
+    rows = {}
+    for i in (1, 2, 3):
+        a, b = d[f"alpha{i}"], d[f"beta{i}"]
+        rows[f"alpha{i}"], rows[f"beta{i}"] = c * a + s * b, k * s * a + c * b
+    return CoefficientSet.from_arrays(coeffs.spec, lam=d["lambda"], mu1=d["mu1"], mu2=d["mu2"],
+                                      **rows)
+
+
+@pytest.mark.parametrize("variant, case_id", [("generic", "R"), ("generic", "NS"),
+                                              ("generic", "LT"), ("space", "NT"),
+                                              ("time", "NT"), ("space", "LS"), ("time", "LS")])
+def test_dependence_angle_is_gauge_covariant(unit_spec, variant, case_id):
+    # a constant rotation (boost) of the normal frame by phi keeps the
+    # variant and the verdict, and shifts the angle by -phi
+    _, coeffs = _dependent_rows(unit_spec, variant)
+    case, phi = CaseSpec(case_id, 0.0), 0.3
+    rep = dependence_report(coeffs, case)
+    moved = dependence_report(_transform(coeffs, case, phi), case)
+    assert rep.variant == moved.variant == variant and rep.satisfied and moved.satisfied
+    assert _angle_error(moved.angle.values, rep.angle.values - phi, variant == "generic") <= 4
 
 
 # --------------------------------------------------------------------------

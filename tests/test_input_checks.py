@@ -96,6 +96,10 @@ CHECKS = [
          FamilyInputError, "phi family implemented for cases R, NS, LT"),
     _cli("phi-gradient", _construct("phi", phi="1", theta="0.7"),
          FamilyInputError, "grad phi must be nonvanishing"),
+    _cli("phi-needs-phi", _construct("phi", theta="0.7"),
+         UsageError, "family 'phi' needs param 'phi'"),
+    _cli("phi-needs-theta", _construct("phi", phi="u"),
+         UsageError, "family 'phi' needs param 'theta'"),
     _cli("light-case", _construct("light", gamma="0.3*u"),
          FamilyInputError, "light-dependent family implemented for case NT, L0=0"),
     _call("angle-link-angle", lambda d: angle_link(FieldGrid(SPEC, U), None, CaseSpec("R")),
@@ -119,6 +123,10 @@ CHECKS = [
       for case, name, value in (("R", "eps_prime", 1), ("NS", "sigma", 1.0),
                                 ("NT", "theta_minus", "0.5"), ("LS", "t_minus", "0.4"),
                                 ("LT", "f_minus", "u"))),
+    _cli("notld-needs-f-im", _construct("notld", "LS", NOTLD_GRID,
+                                        **{k: v for k, v in NOTLD_SETS["LS"].items()
+                                           if k != "f_im"}),
+         UsageError, "family 'notld' needs param 'f_im'"),
     _cli("notld-reality", _construct("notld", "LS", {**GRID, "u0": 1, "v0": 1}, f_re="u",
                                      f_im="u*v", sigma=1.0),
          FamilyInputError, "f_u^2 + f_v^2 is not real-valued (defect 3.600e+00)"),
@@ -231,3 +239,14 @@ def test_non_finite_value_names_file_field_and_point(tmp_path, capsys):
     with pytest.raises(ValueError, match="3 of 81 values are NaN or infinite, the first at "
                                          r"\(0, 7\)$"):
         FieldGrid(SPEC, alpha2)
+
+
+def test_missing_field_reference_names_file_and_fields(tmp_path, capsys):
+    # an @file:name reference to a field the file does not hold
+    path = tmp_path / "t.json"
+    save_fields(path, {"t": FieldGrid(SPEC, U), "s": FieldGrid(SPEC, V)})
+    message = f"{path} holds no field 'alpha9'; its fields are 's', 't'"
+    assert main(["riccati", "--fminus", f"@{path}:alpha9", "--case", "R", "--t0", "0.1",
+                 "--grid", "0:0:0.1:0.1:9:9", "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"normalflat: {message}\n"
+    assert not (tmp_path / "o.json").exists()

@@ -3,7 +3,8 @@ import pytest
 import sympy as sp
 
 from normalflat import CaseSpec, FieldGrid, GridSpec
-from normalflat.grid import _diff_along
+from normalflat.families import _rotation
+from normalflat.grid import _diff_along, curl, grad, wedge
 from normalflat.riccati import (
     RangeConstraintError,
     RiccatiBlowUpError,
@@ -112,6 +113,68 @@ def test_forms_match_symbolic_oracle():
     for got, want in ((forms.Omega0, d0), (forms.Omega1, (dp - dm) / 2),
                       (forms.Omega2, (dp + dm) / 2 - d0)):
         assert np.max(np.abs(got.values - want)) <= 10 * spec.hmax**2
+
+
+def _rotation_derivative(case, psi):
+    """(r00, r01, r10, r11) of dR/dpsi for the rotation R(psi) that carries
+    grad f- to grad f+: trigonometric on R/NS, hyperbolic on NT."""
+    if case.kappa > 0:
+        s, c = np.sin(psi), np.cos(psi)
+        return -c, -s, -s, c
+    ch, sh = np.cosh(psi), case.delta * np.sinh(psi)
+    if case.eps == 1:
+        return sh, -ch, ch, -sh
+    return ch, -sh, sh, -ch
+
+
+def _identity_defects(case, n):
+    """max |(I1)| and max |(I2)| on an n^2 grid for an angle field psi that
+    solves no angle system: with t = tan psi (R/NS) or tanh psi (NT),
+    r = riccati_residual, g = R(psi) grad f- and h = R'(psi) grad f-,
+
+    (I1)  curl g = (dpsi/dt) (h_u r_v - h_v r_u),
+    (I2)  (g ^ dpsi) / (g ^ df-) = xi(f-) + (dpsi/dt) (g ^ r) / (g ^ df-).
+
+    f- = u + 0.3 v^2 + 0.2 u v has f-_uv != 0, so no term of build_forms
+    that carries it drops out; on the NT branch eps = delta = 1,
+    g ^ df- vanishes inside the box for it, so that branch takes -0.3 v^2."""
+    spec = GridSpec.over_box((0.2, 0.8), (0.1, 0.7), n, n)
+    U, V = spec.mesh()
+    c2 = -0.3 if (case.kappa, case.eps, case.delta) == (-1, 1, 1) else 0.3
+    f = U + c2 * V**2 + 0.2 * U * V
+    xi = lambda s: 0.3 * s + 0.2 * np.sin(s)  # noqa: E731
+    wave = np.sin(2 * U) * np.cos(V)
+    if case.kappa > 0:
+        psi = 1.2 + 0.2 * wave
+        t, dpsi_dt = np.tan(psi), np.cos(psi) ** 2
+    else:
+        psi = 0.4 + 0.1 * wave
+        t, dpsi_dt = np.tanh(psi), np.cosh(psi) ** 2
+    ru, rv = (r.values for r in riccati_residual(build_forms(FieldGrid(spec, f), xi, case),
+                                                 FieldGrid(spec, t)))
+    fu, fv = grad(f, spec)
+    r00, r01, r10, r11 = _rotation(case, psi)
+    g = (r00 * fu + r01 * fv, r10 * fu + r11 * fv)
+    h00, h01, h10, h11 = _rotation_derivative(case, psi)
+    h = (h00 * fu + h01 * fv, h10 * fu + h11 * fv)
+    i1 = curl(*g, spec) - dpsi_dt * (h[0] * rv - h[1] * ru)
+    gf = wedge(g, (fu, fv))
+    i2 = wedge(g, grad(psi, spec)) / gf - xi(f) - dpsi_dt * wedge(g, (ru, rv)) / gf
+    assert np.max(np.abs(curl(*g, spec))) > 0.1 and np.min(np.abs(gf)) > 0.1
+    return np.max(np.abs(i1)), np.max(np.abs(i2))
+
+
+@pytest.mark.parametrize("case", [CaseSpec("R", 0.0), CaseSpec("NS", 0.0)]
+                         + [CaseSpec("NT", 0.0, eps=e, delta=d) for e in (1, -1) for d in (1, -1)],
+                         ids=["R", "NS", "NT++", "NT+-", "NT-+", "NT--"])
+def test_family_rotation_ties_to_the_riccati_residual(case):
+    """The partner gradient's curl, which angle_link gates, and the family's
+    J are linear in the Riccati residual of any angle field, through
+    families._rotation, build_forms and riccati_residual; both identities
+    hold at O(h^2)."""
+    defects = np.array([_identity_defects(case, n) for n in (65, 129, 257)])
+    assert np.all(defects[0] <= 1e-4)
+    assert np.all(defects[:-1] / defects[1:] >= 3.5), defects
 
 
 def test_integrable_forms_obstruction_converges():
