@@ -119,7 +119,7 @@ def _env_tol(args_tol):
 
 def _sample(spec: GridSpec, source):
     """Expression string, constant, or '@file.json:field' reference; a
-    referenced field must live on spec."""
+    referenced field must be real and live on spec."""
     if isinstance(source, (int, float)):
         return FieldGrid.constant(spec, float(source))
     if isinstance(source, str) and source.startswith("@"):
@@ -128,13 +128,15 @@ def _sample(spec: GridSpec, source):
         fields = load_fields(path)
         if not name and len(fields) != 1:
             raise UsageError(f"{path} holds several fields; use @{path}:name")
-        if name and name not in fields:
+        name = name or next(iter(fields))
+        if name not in fields:
             raise UsageError(f"{path} holds no field {name!r}; its fields are "
                              + ", ".join(map(repr, sorted(fields))))
-        field = fields[name] if name else next(iter(fields.values()))
-        if field.spec != spec:
-            raise UsageError(f"{path} lives on {field.spec}, not on the command's {spec}")
-        return field
+        if fields[name].kind != "real":
+            raise UsageError(f"field {name!r} of {path} is complex; a real field is needed")
+        if fields[name].spec != spec:
+            raise UsageError(f"{path} lives on {fields[name].spec}, not on the command's {spec}")
+        return fields[name]
     fn = compile_expr(source, ("u", "v"))
     return FieldGrid.from_function(spec, lambda U, V: fn(u=U, v=V))
 

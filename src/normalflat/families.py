@@ -415,8 +415,8 @@ def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     (A k- + C) B < 0, s+- = sqrt|k+-^2 + kappa|, beta1 = (k+ y+ - k- y-) / 2,
     alpha3 = kappa (k- x- - k+ x+) / 2, where (x, y)+ = (f+_v, f+_u) / s+ and
     (x, y)- = (-f-_v, f-_u) / s-, and the gamma gradient -kappa grad a + kappa
-    d J grad f_- minus the lambda terms (a from _k_minus).  NT sets d = delta
-    and e = eps (in the identities); both are 1 on R/NS.
+    d J grad f_- minus the lambda terms (a from _k_minus), d = delta and
+    e = eps (in the identities), both 1 off NT.
     """
     kappa = case.kappa
     free, angle_name = ("theta_minus", "psi") if kappa > 0 else ("t_minus", "rho")
@@ -424,7 +424,7 @@ def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         raise FamilyInputError(f"need f_minus, angle ({angle_name}) and {free}")
     spec = pot.f_minus.spec
     lam = _lambda_or_zero(pot, spec)
-    e, d = (1, 1) if kappa > 0 else (case.eps, case.delta)
+    e, d = case.eps, case.delta
     tol = family_tolerance(spec, 1.0 + pot.f_minus.max_abs())
 
     f_plus, curl = angle_link(pot.f_minus, pot.angle, case)
@@ -495,8 +495,7 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     kappa = g1 g2 (+1 for LS, -1 for LT) signs every difference of the two
     cases: B = f_u^2 + kappa f_v^2, C = |f_u|^2 - kappa |f_v|^2,
     w^2 = k^2 - kappa (k^2 = kappa excluded), W = kappa k Y,
-    alpha3 = kappa Im Z, beta1 = -kappa Im W; delta enters only for
-    kappa = -1.
+    alpha3 = kappa Im Z, beta1 = -kappa Im W; delta is 1 on LS.
     """
     if pot.f is None or pot.sigma is None:
         raise FamilyInputError("need the complex potential f and the gauge angle sigma")
@@ -539,10 +538,9 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
 
     xi = np.zeros(spec.shape) if pot.xi_tilde is None else pot.xi_tilde(fv_)
     ku, kv = grad(k, spec)
-    d = case.delta if kappa < 0 else 1
     lgu, lgv = _lambda_terms(lam, case, A, Ap, 2 * np.abs(fu) ** 2, 2 * np.abs(fv) ** 2)
-    gcu = _signed(kappa, ku) / w2 - 1j * d * xi * fu - lgu
-    gcv = _signed(kappa, kv) / w2 - 1j * d * xi * fv - lgv
+    gcu = _signed(kappa, ku) / w2 - 1j * case.delta * xi * fu - lgu
+    gcv = _signed(kappa, kv) / w2 - 1j * case.delta * xi * fv - lgv
     realness = float(max(np.max(np.abs(np.imag(gcu))), np.max(np.abs(np.imag(gcv)))))
     if not (realness <= tol):
         raise NonIntegrableError(

@@ -4,8 +4,9 @@
 through the linear system of :mod:`normalflat.frames` with that module's
 4th-order ``sweep``, base row first and then every column.  No
 re-orthonormalization is applied; Gram and quadric drift are the
-accuracy diagnostics.  ``reconstruct_coefficients`` inverts
-the frame definitions on a sampled conformal immersion.
+accuracy diagnostics, and ``_gram_defects`` states their conditions
+once, for the drift and the initial frame.  ``reconstruct_coefficients``
+inverts the frame definitions on a sampled conformal immersion.
 
 Both stream their whole-grid work, so the largest arrays either holds
 are its input and its output.  Integration assembles the connection in
@@ -65,6 +66,10 @@ class SurfaceMesh:
     spec: GridSpec
     positions: np.ndarray  # (nu, nv, dim)
 
+    def __post_init__(self):
+        if np.iscomplexobj(self.positions):
+            raise ValueError("mesh positions must be real")
+
     @property
     def dim(self) -> int:
         return self.positions.shape[-1]
@@ -83,24 +88,26 @@ class FrameField:
         return SurfaceMesh(self.spec, self.values[..., 4].copy())
 
     def gram_drift(self, lam: FieldGrid) -> dict:
-        """Max deviation of the frame Gram matrix from its target.
+        """The maxima of ``_gram_defects`` over the grid, one row slab at a time."""
+        slabs = [_gram_defects(self.values[s.lines], np.exp(2 * lam.values[s.lines]), self.case)
+                 for s in row_slabs(self.spec)]
+        return {name: float(np.max([d[name] for d in slabs])) for name in slabs[0]}
 
-        Frame-block deviations are scaled by e^{-2 lambda}; quadric and
-        mixed-F deviations are absolute.  The Gram matrices are formed one
-        row slab at a time; a NaN anywhere is the maximum.
-        """
-        signs = ambient_signature(self.case).array()[:, None]
-        target = np.diag(self.case.frame_signs)
-        maxima = {"gram_max": [], "quadric_max": [], "position_cross_max": []}
-        for slab in row_slabs(self.spec):
-            Y = self.values[slab.lines]
-            gram = np.swapaxes(Y * signs, -1, -2) @ Y
-            e2l = np.exp(2 * lam.values[slab.lines])[..., None, None]
-            maxima["gram_max"].append(np.max(np.abs(gram[..., :4, :4] - target * e2l) / e2l))
-            if self.case.l0 != 0:
-                maxima["quadric_max"].append(np.max(np.abs(gram[..., 4, 4] - 1.0 / self.case.l0)))
-                maxima["position_cross_max"].append(np.max(np.abs(gram[..., 4, :4])))
-        return {name: float(np.max(m)) for name, m in maxima.items() if m}
+
+def _gram_defects(Y: np.ndarray, e2l, case: CaseSpec) -> dict:
+    """The largest deviations of frames Y (..., dim, 5) from the Gram conditions,
+    a NaN the largest: ``gram_max`` of the frame block from diag(g1, g2, n1, n2)
+    e2l, over e2l = e^{2 lambda}; for L0 != 0 also ``quadric_max`` (<F, F> from
+    1/L0) and ``position_cross_max`` (<F, T_i>, <F, N_i> from 0), both absolute."""
+    signs = ambient_signature(case).array()[:, None]
+    gram = np.swapaxes(Y * signs, -1, -2) @ Y
+    e2l = np.asarray(e2l)[..., None, None]
+    target = np.diag(case.frame_signs)
+    defects = {"gram_max": np.max(np.abs(gram[..., :4, :4] - target * e2l) / e2l)}
+    if case.l0 != 0:
+        defects["quadric_max"] = np.max(np.abs(gram[..., 4, 4] - 1.0 / case.l0))
+        defects["position_cross_max"] = np.max(np.abs(gram[..., 4, :4]))
+    return defects
 
 
 def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
@@ -121,18 +128,6 @@ def canonical_frame0(case: CaseSpec, lam0: float = 0.0) -> np.ndarray:
     return frame
 
 
-def _frame0_gram_defect(frame0: np.ndarray, case: CaseSpec, lam0: float) -> float:
-    """Max deviation of an initial frame from its required Gram matrix."""
-    sig = ambient_signature(case)
-    e2l = np.exp(2 * lam0)
-    gram = np.einsum("ak,a,al->kl", frame0, sig.array(), frame0)
-    target = np.diag([*(s * e2l for s in case.frame_signs),
-                      1.0 / case.l0 if case.l0 != 0 else 0.0])
-    n = 5 if case.l0 != 0 else 4  # the flat model leaves the position unconstrained
-    dev = np.max(np.abs(gram[:n, :n] - target[:n, :n]))
-    return float(dev / max(e2l, 1.0))
-
-
 def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     """Propagate the moving frame over the grid; returns (FrameField, report).
 
@@ -145,12 +140,13 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     ``compatibility_defect`` and ``compatibility_tolerance``.
     """
     sig = ambient_signature(case)
+    lam0 = float(coeffs.lam.values[0, 0])
     if frame0 is None:
-        frame0 = canonical_frame0(case, float(coeffs.lam.values[0, 0]))
+        frame0 = canonical_frame0(case, lam0)
     frame0 = np.asarray(frame0, dtype=float)
     if frame0.shape != (sig.dim, 5):
         raise ValueError(f"frame0 must have shape ({sig.dim}, 5)")
-    gram_err = _frame0_gram_defect(frame0, case, float(coeffs.lam.values[0, 0]))
+    gram_err = float(np.max([*_gram_defects(frame0, np.exp(2 * lam0), case).values()]))
     if not (gram_err <= ROUND_OFF_TOL):
         raise ValueError(
             f"frame0 violates the Gram conditions at the base point ({gram_err:.3e})")
@@ -187,11 +183,12 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     (CoefficientSet, gauge report).  Raises OffQuadricError when L0 != 0
     and the mesh leaves <x, x> = 1/L0 by more than
     ``residual_tolerance(spec, 1/|L0|)`` or has a point with L0 <x, x> <= 0
-    (the origin, say), SignatureError when a tangent
-    has the wrong causal type, NotConformalError when the isothermality
-    defect exceeds its tolerance, and SignatureError when a normal has
-    the wrong causal type, in that order of precedence (a NaN fails each
-    check).
+    (the origin, say), SignatureError when a tangent has the wrong causal
+    type, NotConformalError when the isothermality defect exceeds its
+    tolerance, and SignatureError when a normal has the wrong causal type,
+    in that order of precedence (a NaN fails each check).  A causal-type
+    error names the first tangent (T1, then T2, least u index first) or
+    normal (``_normals``' order) of the wrong type and its point.
     """
     sig = ambient_signature(case)
     if mesh.dim != sig.dim:
@@ -219,8 +216,9 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
         q11[slab.lines] = g1 * ambient_inner(T1, T1, sig)
         q22[slab.lines] = g2 * ambient_inner(T2, T2, sig)
         q12[slab.lines] = ambient_inner(T1, T2, sig)
-    if not (np.all(q11 > 0) and np.all(q22 > 0)):
-        raise SignatureError("tangent causal type does not match the case")
+    for name, q in (("T1", q11), ("T2", q22)):
+        if not np.all(q > 0):
+            raise _wrong_type("tangent", name, *np.argwhere(~(q > 0))[0])
     e2l = q11
     lam = 0.5 * np.log(q11)
     iso = max(float(np.max(np.abs(q11 - q22) / e2l)), float(np.max(np.abs(q12) / e2l)))
@@ -254,15 +252,7 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
                                   ("mu1", inv2, N1u, n2), ("mu2", inv2, N1v, n2)):
             fields[name][:, cols] = inv * ambient_inner(d2F, n, sig)
 
-    el = np.exp(lam)
-    try:
-        _normals(F, spec, case, el, (n1s, n2s), second_forms)
-    except SignatureError:
-        # N1's failure anywhere on the grid comes before N2's: N1 alone
-        # raises it, or N2's error stands
-        _normals(F, spec, case, el, (n1s,), lambda win, N: None)
-        raise
-
+    _normals(F, spec, case, np.exp(lam), second_forms)
     coeffs = CoefficientSet.from_arrays(spec, lam=lam, **fields)
     report = {
         "isothermality_defect": iso,
@@ -277,26 +267,29 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
 # stencil halo at a time
 _WINDOW = 32
 
-_WRONG_TYPE = "normal candidate has the wrong causal type"
+
+def _wrong_type(what: str, name: str, i, j) -> SignatureError:
+    return SignatureError(f"{what} has the wrong causal type: {name} at (u, v) = ({i}, {j})")
 
 
-def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray, wants: tuple,
+def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray,
              window_done) -> None:
-    """The gauge normals N1 (and N2) of a mesh F, one column window at a time.
+    """The gauge normals N1 and N2 of a mesh F, one column window at a time.
 
     Calls window_done(window, N) for each ``grid.slabs(spec, 1, _WINDOW)``
     window in turn, as soon as the normals reach its last padded column;
-    N is (padded columns, len(wants), dim, nu).
+    N is (padded columns, 2, dim, nu).
 
     Sign-aligned Gram-Schmidt, point by point: the base corner projects
     the canonical seed (or, failing that, the first ambient axis that
-    projects to a normal of sign wants[k] above 1e-6), every other point
-    its neighbor's normals, one step along u on the base row and along v
+    projects to a normal of sign n_k above 1e-6), every other point its
+    neighbor's normals, one step along u on the base row and along v
     elsewhere.  A step takes the normals' components along T1, T2 (and F
     for L0 != 0) off, then, normal by normal, the component along the new
     N1 (for N2), scales to length e^lambda = el and flips the sign where
-    the normal turns against its neighbor's; a normal of the wrong causal
-    type (a NaN too) raises SignatureError.
+    the normal turns against its neighbor's.  The first normal of the wrong
+    causal type (a NaN too) raises SignatureError naming it and its point,
+    in order: the base row, then column by column; N1 before N2; least u first.
 
     The base row steps in Python floats, each column all of u at once on
     preallocated buffers.  Every sum runs over the ambient components left
@@ -310,20 +303,22 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray, want
     sig = ambient_signature(case)
     sg = sig.array()[:, None]
     nu, nv = spec.shape
-    shape = (len(wants), sig.dim, nu)
-    seeds = canonical_frame0(case, 0.0)[:, 2:2 + len(wants)].T.tolist()
+    wants = case.frame_signs[2:]
+    shape = (2, sig.dim, nu)
+    seeds = canonical_frame0(case, 0.0)[:, 2:].T.tolist()
     prod = np.empty(shape)
-    dots = np.empty((len(wants), 1, nu))
+    dots = np.empty((2, 1, nu))
     t, q = np.empty(shape[1:]), np.empty((1, nu))
     flip = np.empty((1, nu), dtype=bool)
 
-    def normalize(c, el, want, prev):
+    def normalize(c, el, k, prev, col):
         # c (dim, nu) in place: scaled to el, sign-aligned with prev
         np.multiply(sg, c, out=t)
         np.multiply(t, c, out=t)
         np.add.reduce(t, axis=0, keepdims=True, out=q)
-        if not (q.min() > 0 if want > 0 else q.max() < 0):
-            raise SignatureError(_WRONG_TYPE)
+        if not (q.min() > 0 if wants[k] > 0 else q.max() < 0):
+            first = np.argmin(wants[k] * q[0] > 0)  # a NaN is not > 0 either
+            raise _wrong_type("normal candidate", f"N{k + 1}", first, col)
         np.abs(q, out=q)
         np.sqrt(q, out=q)
         np.divide(el, q, out=q)
@@ -341,24 +336,23 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray, want
         np.multiply(dots, b, out=prod)
         np.subtract(c, prod, out=out)
 
-    def column_step(prev, projectors, el):
+    def column_step(prev, projectors, el, col):
         out = np.empty(shape)
         cand = prev
         for b, sgb, bb in projectors:
             project(cand, b, sgb, bb, out, prod, dots)
             cand = out
-        for k, want in enumerate(wants):
-            if k:  # N2 against the new N1
-                n1 = out[0]
-                np.multiply(sg, n1, out=t)
-                np.multiply(t, n1, out=prod[k])
-                np.add.reduce(prod[k], axis=0, keepdims=True, out=q)
-                project(out[k], n1, t, q, out[k], prod[k], dots[k])
-            normalize(out[k], el, want, prev[k])
+        normalize(out[0], el, 0, prev[0], col)
+        # N2 against the new N1
+        np.multiply(sg, out[0], out=t)
+        np.multiply(t, out[0], out=prod[1])
+        np.add.reduce(prod[1], axis=0, keepdims=True, out=q)
+        project(out[1], out[0], t, q, out[1], prod[1], dots[1])
+        normalize(out[1], el, 1, prev[1], col)
         return out
 
     windows = list(slabs(spec, 1, _WINDOW))
-    normals = {}  # column -> (len(wants), dim, nu), while a window to come reads it
+    normals = {}  # column -> (2, dim, nu), while a window to come reads it
     done = 0
     for win in windows:
         cols = win.lines
@@ -375,7 +369,7 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray, want
             if col == 0:
                 normals[0] = _base_row(projectors, elw[0, 0].tolist(), wants, seeds, sig)
             else:
-                normals[col] = column_step(normals[col - 1], projectors, elw[j])
+                normals[col] = column_step(normals[col - 1], projectors, elw[j], col)
         del blocks, projectors, elw
         # padding ends and starts never decrease from one window to the next
         while done < len(windows) and windows[done].pad.stop <= cols.stop:
@@ -396,8 +390,8 @@ def _dot(x, y) -> float:
 
 
 def _base_row(projectors, el, wants, seeds, sig) -> np.ndarray:
-    """The normals along the base row, (len(wants), dim, nu), in Python
-    floats; projectors: (b, sg * b, <b, b>) per projector, at each point."""
+    """The normals along the base row, (2, dim, nu), in Python floats;
+    projectors: (b, sg * b, <b, b>) per projector, at each point."""
     sg = sig.signs
     points = [list(zip(b.T.tolist(), sgb.T.tolist(), bb[0].tolist()))
               for b, sgb, bb in projectors]
@@ -413,10 +407,10 @@ def _base_row(projectors, el, wants, seeds, sig) -> np.ndarray:
     def square(c):
         return _dot(c, [s * x for s, x in zip(sg, c)])
 
-    def normalize(c, el, want, prev):
+    def normalize(c, el, k, prev, i):
         sq = square(c)
-        if not want * sq > 0:
-            raise SignatureError(_WRONG_TYPE)
+        if not wants[k] * sq > 0:
+            raise _wrong_type("normal candidate", f"N{k + 1}", i, 0)
         f = el / math.sqrt(abs(sq))
         c = [x * f for x in c]
         return [-x for x in c] if prev is not None and _dot(c, prev) < 0 else c
@@ -444,7 +438,7 @@ def _base_row(projectors, el, wants, seeds, sig) -> np.ndarray:
                         break
                 else:
                     raise SignatureError("no ambient axis projects to the required normal type")
-            normals.append(normalize(cand, el_i, want, row[-1][k] if i else None))
+            normals.append(normalize(cand, el_i, k, row[-1][k] if i else None, i))
         row.append(normals)
     return np.array(row).transpose(1, 2, 0)
 

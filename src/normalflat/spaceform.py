@@ -73,7 +73,8 @@ class CaseSpec:
     """Which signature case is active, plus branch switches.
 
     eps: +-1 branch of the NT constructions and angle system (the detector
-    fits a set's light-like sign itself); delta: +-1 of the hyperbolic rotation.
+    fits a set's light-like sign itself); delta: +-1 of the hyperbolic
+    rotation of NT and LT.  Every other case takes 1 for both.
     """
 
     case_id: str
@@ -84,8 +85,10 @@ class CaseSpec:
     def __post_init__(self):
         if self.case_id not in CASES:
             raise ValueError(f"unknown case {self.case_id!r}, expected one of {CASES}")
-        if self.eps not in (1, -1) or self.delta not in (1, -1):
-            raise ValueError("eps and delta must be +1 or -1")
+        for key, branch in (("eps", self.case_id == "NT"), ("delta", self.kappa < 0)):
+            if getattr(self, key) not in ((1, -1) if branch else (1,)):
+                raise ValueError(f"case entry {key!r} must be 1{' or -1' if branch else ''} in "
+                                 f"case {self.case_id}, got {getattr(self, key)!r}")
         if not np.isfinite(self.l0):
             raise ValueError("l0 must be finite")
 

@@ -55,6 +55,17 @@ def _riccati(fminus, case="R"):
                       "--grid", "0:0:0.1:0.1:9:9", "--out", str(d / "t.json")]
 
 
+def _with(command, *flags, **entries):
+    """command with flags appended, and entries added to the descriptor it writes."""
+    def argv(d):
+        out = command(d)
+        if entries:
+            path = d / "d.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **entries}))
+        return [*out, *flags]
+    return argv
+
+
 def _reading(command, fields, *flags):
     """A command reading a field file of the given fields."""
     def argv(d):
@@ -79,6 +90,14 @@ _TURN = _ROW[:, None, :] + np.arange(5)[None, :, None] * np.eye(4)[1]
 # the null normals (1, 0, 1, 0) and (0, 1, -1, 0) of product 1: every axis
 # projects onto a null or a time-like normal, none onto a space-like one
 _NULL_NORMALS = U[..., None] * np.array([1.0, -1.0, 1.0, 0.0]) + V[..., None] * np.eye(4)[3]
+# the same turns onto e3, N2's seed, where N1's seed e2 stays normal
+_TURN2 = _TURN[..., [0, 1, 3, 2]]
+# the base row turns as _TURN2 (N2 fails at u-index 1) and every row along v
+# as _TURN along u (N1 fails at v-index 1): N2 comes first in propagation order
+_BOTH = _ROW[:, None, [0, 1, 3, 2]] + _ROW[None, :, [1, 0, 2, 3]]
+# in E^4_1, x3 = 0.9 u^2 is time-like along u from u = 0.6 (index 6) on; 0.9 v^2 along v
+_STEEP_U, _STEEP_V = (np.stack([U, V, 0 * U, 0.9 * W**2], axis=-1) for W in (U, V))
+_TORUS_MESH = np.stack([np.cos(U), np.sin(U), np.cos(V), np.sin(V)], axis=-1)
 
 
 def _cli(name, argv, error, message):
@@ -147,12 +166,35 @@ CHECKS = [
         "f": FieldGrid(SPEC, U), "g": FieldGrid(OTHER, U)}),
         GridShapeError, "all fields in one file must share a grid"),
     _cli("normal-causal-type", _reading("reconstruct", _mesh(_TURN, _STEP), "--case", "R"),
-         SignatureError, "normal candidate has the wrong causal type"),
+         SignatureError, "normal candidate has the wrong causal type: N1 at (u, v) = (1, 0)"),
     _cli("normal-causal-type-v", _reading("reconstruct", _mesh(np.swapaxes(_TURN, 0, 1), _STEP),
                                           "--case", "R"),
-         SignatureError, "normal candidate has the wrong causal type"),
+         SignatureError, "normal candidate has the wrong causal type: N1 at (u, v) = (0, 1)"),
+    _cli("normal-causal-type-n2", _reading("reconstruct", _mesh(_TURN2, _STEP), "--case", "R"),
+         SignatureError, "normal candidate has the wrong causal type: N2 at (u, v) = (1, 0)"),
+    _cli("normal-causal-type-n2-v", _reading("reconstruct",
+                                             _mesh(np.swapaxes(_TURN2, 0, 1), _STEP),
+                                             "--case", "R"),
+         SignatureError, "normal candidate has the wrong causal type: N2 at (u, v) = (0, 1)"),
+    _cli("normal-propagation-order", _reading("reconstruct", _mesh(_BOTH, _STEP), "--case", "R"),
+         SignatureError, "normal candidate has the wrong causal type: N2 at (u, v) = (1, 0)"),
     _cli("normal-axis", _reading("reconstruct", _mesh(_NULL_NORMALS), "--case", "NT"),
          SignatureError, "no ambient axis projects to the required normal type"),
+    _cli("tangent-causal-type", _reading("reconstruct", _mesh(_STEEP_U), "--case", "LS"),
+         SignatureError, "tangent has the wrong causal type: T1 at (u, v) = (6, 0)"),
+    _cli("tangent-causal-type-v", _reading("reconstruct", _mesh(_STEEP_V), "--case", "LS"),
+         SignatureError, "tangent has the wrong causal type: T2 at (u, v) = (0, 6)"),
+    _cli("mesh-complex", _reading("reconstruct", _mesh(_TORUS_MESH + 1e-3j), "--case", "R"),
+         ValueError, "mesh positions must be real"),
+    # a case refuses a branch sign it does not have, from a flag or a descriptor
+    _cli("case-eps-flag", _with(_riccati("u", "R"), "--eps", "-1", "--delta", "-1"),
+         ValueError, "case entry 'eps' must be 1 in case R, got -1"),
+    _cli("case-delta-flag", _with(_riccati("u", "NS"), "--delta", "-1"),
+         ValueError, "case entry 'delta' must be 1 in case NS, got -1"),
+    _cli("case-eps-descriptor", _with(_construct("phi", phi="u", theta="0.7"), eps=-1, delta=-1),
+         ValueError, "case entry 'eps' must be 1 in case R, got -1"),
+    _cli("case-delta-descriptor", _with(_construct("phi", phi="u", theta="0.7"), "--delta", "-1"),
+         ValueError, "case entry 'delta' must be 1 in case R, got -1"),
     _call("csv-bare-array", lambda d: export_mesh(np.zeros((5, 5, 4)), d / "m.csv", "csv"),
           ValueError, "csv export needs a SurfaceMesh (u, v columns)"),
     _call("mesh-format", lambda d: export_mesh(np.zeros((5, 5, 4)), d / "m.ply", "ply"),
@@ -239,6 +281,23 @@ def test_non_finite_value_names_file_field_and_point(tmp_path, capsys):
     with pytest.raises(ValueError, match="3 of 81 values are NaN or infinite, the first at "
                                          r"\(0, 7\)$"):
         FieldGrid(SPEC, alpha2)
+
+
+@pytest.mark.parametrize("command", ["riccati", "construct-R", "construct-NT"])
+def test_complex_field_reference_names_file_and_field(tmp_path, capsys, command):
+    # every @file param is read as a real field; a complex one is refused
+    path = tmp_path / "z.json"
+    save_fields(path, {"f": FieldGrid(SPEC, U + 0.5j * V)})
+    params = {"construct-R": {"f_minus": f"@{path}", "angle": "1.2", "theta_minus": "0.5"},
+              "construct-NT": {"f_minus": "u", "angle": "0.7", "t_minus": f"@{path}:f"}}
+    if command == "riccati":
+        argv = _riccati(f"@{path}")(tmp_path)
+    else:
+        argv = _construct("notld", command.split("-")[1], **params[command])(tmp_path)
+    assert main(argv) == 1
+    message = f"field 'f' of {path} is complex; a real field is needed"
+    assert capsys.readouterr().err == f"normalflat: {message}\n"
+    assert not (tmp_path / "t.json").exists() and not (tmp_path / "c.json").exists()
 
 
 def test_missing_field_reference_names_file_and_fields(tmp_path, capsys):

@@ -13,13 +13,14 @@ from normalflat.gcr import (
     normal_flatness_defect,
     second_form_pseudo_norm,
 )
-from normalflat.grid import _diff2_along, _diff_along, residual_tolerance
+from normalflat.grid import ROUND_OFF_TOL, _diff2_along, _diff_along, residual_tolerance
 from normalflat.integrator import (
     FrameField,
     NotConformalError,
     OffQuadricError,
     SignatureError,
     SurfaceMesh,
+    _gram_defects,
     canonical_frame0,
     export_mesh,
     integrate_frame,
@@ -272,6 +273,65 @@ def test_canonical_frame_gram_exact(case_id, l0):
         assert np.max(np.abs(gram[4, :4])) <= 1e-12
 
 
+def test_frame0_gate_refuses_a_frame_off_the_quadric():
+    # <F, F> = 1 + 5e-9 on the unit quadric at e^{2 lambda0} = 100: the
+    # quadric entry does not scale with lambda, so no e^{2 lambda0} divides
+    # its deviation down to round-off
+    case = CaseSpec("R", 1.0)
+    lam0 = np.log(10.0)
+    coeffs = CoefficientSet.from_arrays(GridSpec.over_box((0, 1), (0, 1), 5, 5), lam=lam0)
+    frame0 = canonical_frame0(case, lam0)
+    frame0[:, 4] *= np.sqrt(1 + 5e-9)
+    with pytest.raises(ValueError, match=r"^frame0 violates the Gram conditions at the base "
+                                         r"point \(5\.000e-09\)$"):
+        integrate_frame(coeffs, case, frame0)
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_canonical_frames_meet_the_frame0_gate(case_id):
+    # the gate reads _gram_defects on frame0: a canonical frame is at
+    # round-off for any lambda0, one with N1 scaled by 1 + 1e-8 is refused
+    spec = GridSpec.over_box((0, 1), (0, 1), 5, 5)
+    for l0 in (0.0, 1.5, -0.7):
+        case = CaseSpec(case_id, l0)
+        for lam0 in (-5.0, 0.0, 8.0):
+            frame0 = canonical_frame0(case, lam0)
+            defects = _gram_defects(frame0, np.exp(2 * lam0), case)
+            assert len(defects) == (3 if l0 else 1)
+            assert max(defects.values()) <= 4 * np.finfo(float).eps, (l0, lam0, defects)
+            frame0[:, 2] *= 1 + 1e-8
+            with pytest.raises(ValueError, match="frame0 violates the Gram conditions"):
+                integrate_frame(CoefficientSet.from_arrays(spec, lam=lam0), case, frame0)
+
+
+@pytest.mark.parametrize("case_id", ["R", "LT"])
+def test_frame0_gate_keeps_the_cross_entries_absolute(case_id):
+    # a rotated (and, on LT, boosted) canonical frame is exact up to
+    # round-off, but its <F, T_i> and <F, N_i> are off 0 by about
+    # 1e-16 e^{lambda0} / sqrt|L0|: the absolute gate holds it at
+    # lambda0 = 8 and refuses it at lambda0 = 16, where only frames with
+    # exactly zero cross entries, such as the canonical one, pass
+    case = CaseSpec(case_id, 1.0)
+    signs = ambient_signature(case).array()
+    space = np.flatnonzero(signs > 0)
+    Q = np.eye(len(signs))
+    rotation = np.linalg.qr(np.random.default_rng(0).standard_normal((space.size,) * 2))[0]
+    Q[np.ix_(space, space)] = rotation
+    if case_id == "LT":
+        boost = np.eye(5)
+        boost[[0, 4], [0, 4]] = np.cosh(0.8)
+        boost[[0, 4], [4, 0]] = np.sinh(0.8)
+        Q = boost @ Q
+    for lam0, passes in ((8.0, True), (16.0, False)):
+        frame0 = Q @ canonical_frame0(case, lam0)
+        defects = _gram_defects(frame0, np.exp(2 * lam0), case)
+        assert (max(defects.values()) <= ROUND_OFF_TOL) == passes, (lam0, defects)
+        assert max(defects.values()) == defects["position_cross_max"]
+    coeffs = CoefficientSet.from_arrays(GridSpec.over_box((0, 1), (0, 1), 5, 5), lam=lam0)
+    with pytest.raises(ValueError, match="frame0 violates the Gram conditions"):
+        integrate_frame(coeffs, case, frame0)
+
+
 def test_reconstruct_plane():
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, 1), (0, 1), 17, 17)
@@ -429,12 +489,14 @@ def test_exports_match_per_vertex_reference(tmp_path):
 
 
 def test_export_rejects_complex_positions(tmp_path):
+    # a SurfaceMesh refuses them where it is made; a bare array where it is exported
     spec = GridSpec(0.0, 0.0, 0.1, 0.1, 5, 5)
     path = tmp_path / "mesh.obj"
-    for mesh in (np.ones((3, 3, 3)) * 1j, SurfaceMesh(spec, np.ones((5, 5, 4)) + 0j)):
-        for fmt in ("obj3d", "csv"):
-            with pytest.raises(ValueError, match="must be real"):
-                export_mesh(mesh, path, fmt)
+    with pytest.raises(ValueError, match="must be real"):
+        SurfaceMesh(spec, np.ones((5, 5, 4)) + 0j)
+    for fmt in ("obj3d", "csv"):
+        with pytest.raises(ValueError, match="must be real"):
+            export_mesh(np.ones((3, 3, 3)) * 1j, path, fmt)
     assert not path.exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normalflat import CaseSpec, ambient_inner, ambient_signature, quadric_defect
+from normalflat.spaceform import CASES
 
 
 def test_case_spec_validation():
@@ -21,6 +22,24 @@ def test_case_spec_validation():
                        ({"case": "R", "delta": True}, "'delta'"), ({"l0": 0.0}, "unknown case")):
         with pytest.raises(ValueError, match=entry):
             CaseSpec.from_json(doc)
+
+
+def test_case_has_only_its_branch_signs():
+    # eps picks a branch of NT alone, delta the sign of the hyperbolic
+    # rotation of NT and LT; any other -1 is refused, naming its entry
+    accepted = set()
+    for case_id in CASES:
+        for eps in (1, -1):
+            for delta in (1, -1):
+                try:
+                    CaseSpec(case_id, 0.0, eps, delta)
+                except ValueError as exc:
+                    key = "eps" if eps == -1 and case_id != "NT" else "delta"
+                    assert str(exc) == f"case entry {key!r} must be 1 in case {case_id}, got -1"
+                else:
+                    accepted.add((case_id, eps, delta))
+    assert accepted == {("R", 1, 1), ("NS", 1, 1), ("LS", 1, 1), ("LT", 1, 1), ("LT", 1, -1),
+                        ("NT", 1, 1), ("NT", 1, -1), ("NT", -1, 1), ("NT", -1, -1)}
 
 
 @pytest.mark.parametrize("case_id,l0,dim,signs", [
