@@ -79,9 +79,10 @@ SCENARIOS = {
     "verify": Scenario(277, [
         ["verify", "--coeffs", "coeffs.json", "--case", "R", "--out", "verify.json"],
     ], [CONSTRUCT_TORUS], {"torus.json": TORUS}),
-    # the angle system of an NS potential: measured 223 MiB, against 327 MiB
-    # while the obstruction 2-forms were read off whole-grid 2x2 curvatures
-    "riccati": Scenario(257, [
+    # the angle system of an NS potential: measured 207 MiB, against 223 MiB
+    # while the solve assembled whole-grid S and T, and 327 MiB while the
+    # obstruction 2-forms were read off whole-grid 2x2 curvatures
+    "riccati": Scenario(239, [
         ["riccati", "--fminus", "u + 0.3*v^2", "--xi", "0.2", "--case", "NS", "--t0", "0.05",
          "--grid", "0.1:0.1:0.0009765625:0.0009765625:1024:1024", "--out", "t.json"],
     ]),

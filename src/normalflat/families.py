@@ -166,6 +166,8 @@ def build_phi_family(inp: PhiFamilyInput, case: CaseSpec) -> FamilyResult:
     n1, n2 = case.n_signs
     if n1 != n2:  # theta is a trigonometric angle: definite normal bundle only
         raise FamilyInputError("phi family implemented for cases R, NS, LT")
+    if case.delta != 1:  # the set is the same for either sign
+        raise FamilyInputError(f"family 'phi' reads no delta: it must be 1, got {case.delta}")
     spec = inp.phi.spec
     theta = inp.theta.values
     st, ct = np.sin(theta), np.cos(theta)
@@ -217,6 +219,8 @@ def build_nt_light_family(spec: GridSpec, gamma: FieldGrid, profile,
     """
     if case.case_id != "NT" or case.l0 != 0:
         raise FamilyInputError("light-dependent family implemented for case NT, L0=0")
+    if case.delta != 1:  # the set is the same for either sign
+        raise FamilyInputError(f"family 'light' reads no delta: it must be 1, got {case.delta}")
     eps = case.eps
     U, _ = spec.mesh()
     prof = profile(U) if callable(profile) else np.asarray(profile.values)

@@ -17,21 +17,21 @@ exactly when every path from the base corner carries Y to the same
 value; its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
 classic RK4, matrices interpolated by cubics on the nearest 4-point
-stencil.  A cell takes as many substeps as its matrices need, one to
-four: ceil(h max ||M||_F / 0.1) over its stencil (``_substeps``); where
-the base row's or a column window's count is 1, no cell of it is
-counted again.  A cell's end matrices are its stencil nodes, only the
-inner sub-nodes are interpolated, and the RK4 stages run in one
-preallocated work array per pass; a window's column states are written
-to the output once per window.
+stencil.  One walker (``_walk``) steps both lines, the base row one
+state wide and the columns nu, one window of 32 cells at a time: a
+connection hands it each window's matrices, contiguous, from its block
+function, so no sweep holds a whole-grid (nu, nv, d, d) array.  A cell
+takes as many substeps as its matrices need, one to four: ceil(h max
+||M||_F / 0.1) over its stencil (``_substeps``), counted once per window
+where that is 1.  Only a cell's inner sub-nodes are interpolated, and
+the RK4 stages run in preallocated buffers.
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
-(nu, nv) fields they are pointwise functions of and assembles blocks on
-demand.  The sweep reads T in windows of 32 columns plus the stencil
-overlap, so it holds no whole-grid (nu, nv, 5, 5) array, and every value
-is bit for bit what the whole-grid matrices give.  The defect assembles
-no matrix: it takes the curvature's norm in closed form from the eleven
-fields, one slab of 64 rows with a one-row halo at a time (``grid.slabs``).
+(nu, nv) fields they are pointwise functions of, and its ``block``
+assembles any window bit for bit as the whole-grid matrices hold it.
+The defect assembles no matrix: it takes the curvature's norm in closed
+form from the eleven fields, one slab of 64 rows with a one-row halo at
+a time (``grid.slabs``).
 
 The Gauss, Codazzi and Ricci equations are stated once, in
 ``gcr_equations``: ``gcr``'s residuals and the defect's six middle terms
@@ -193,8 +193,8 @@ class FrameConnection:
         """S (k = 0, the u-matrix) or T (k = 1) on a block of the grid.
 
         view maps a (nu, nv) array to the block, of shape (a, b) say, and
-        the result is (a, b, 5, 5): ``lambda x: x`` gives the whole grid,
-        ``lambda x: x[:, lo:hi].T`` columns lo..hi-1, line first.
+        the result is (a, b, 5, 5), contiguous: ``lambda x: x`` gives the
+        whole grid, ``lambda x: x[:, lo:hi].T`` columns lo..hi-1, line first.
         """
         lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = map(view, self.inputs)
         *g, n1, n2 = self.case.frame_signs
@@ -220,13 +220,6 @@ class FrameConnection:
         M[..., k, 4] = 1.0
         M[..., 4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
         return M
-
-    def sweep(self, state0: np.ndarray):
-        """The frame over the grid from state0 at the base corner, and the
-        most substeps a cell took along u and along v; T is assembled one
-        column window at a time."""
-        return sweep(self.block(0, lambda x: x[:, 0]),
-                     lambda lo, hi: self.block(1, lambda x: x[:, lo:hi].T), state0, self.spec)
 
     def curvature_norm(self) -> FieldGrid:
         """Frobenius norm per grid point of the curvature S_v - T_u - (ST - TS),
@@ -326,7 +319,7 @@ def _substeps(h: float, mats: np.ndarray) -> int:
     return min(max(math.ceil(reach / _REACH), 1), _MAX_SUBSTEPS)
 
 
-# column steps per window of the v-matrices a sweep holds
+# cells per window of the matrices a line walk holds
 _WINDOW = 32
 
 
@@ -335,26 +328,22 @@ def _stencil(k: int, n: int) -> int:
     return min(max(k - 1, 0), n - 4)
 
 
-def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: int | None = None,
-             work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: int | None,
+             work: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One cell of dY/ds = Y M(s), RK4 with m substeps, ``_substeps(h, mats)``
-    unless the caller knows the count.
+    when m is None.
 
     state: (..., r, d); mats: the cell's 4-point stencil of matrices, node
     first (leading axes after it must broadcast against state's), the cell
     being its interval ``at``; k numbers the cell in an overflow message.
     The stages live in work, (6, *state.shape), and the new state goes to
-    out (it may be state itself); either is allocated when not given.
-    Returns out.  The count depends on mats alone, and every sub-node
-    matrix is made contiguous, so a cell steps the same, bit for bit,
-    whichever block of the grid its stencil was read from.
+    out (it may be state itself).  Returns out.  The count depends on mats
+    alone, and ``sweep`` hands every cell a slice of a contiguous window,
+    so a cell steps the same, bit for bit, whichever window it was read
+    from.
     """
     if m is None:
         m = _substeps(h, mats)
-    if work is None:
-        work = np.empty((6, *state.shape))
-    if out is None:
-        out = np.empty(state.shape)
     k1, k2, k3, k4, y, acc = work
     # the cell's ends are stencil nodes, where the weights are exactly 1 and
     # +-0: the matrices there, but for the sign of a zero, which no matmul
@@ -388,45 +377,46 @@ def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: 
     return out
 
 
-def sweep(row: np.ndarray, columns, state0: np.ndarray, spec: GridSpec):
+def _walk(window_of, h: float, line: np.ndarray) -> int:
+    """Steps line[0], (b, r, d), along line, (n, b, r, d), of spacing h;
+    returns the most substeps a cell took.  window_of(lo, hi) gives the
+    matrices of nodes lo..hi-1, (hi - lo, b, d, d) and contiguous, for
+    ``_WINDOW`` cells plus their stencil overlap at a time.  The count is
+    monotone in the reach, so a window's count is its cells' most; where
+    it is 1, no cell of it is counted again.  A window's states go to a
+    buffer that is written to line once.
+    """
+    n = len(line)
+    work = np.empty((6, *line.shape[1:]))
+    states = np.empty((min(_WINDOW, n - 1), *line.shape[1:]))
+    state = line[0]
+    most = 1
+    for j0 in range(0, n - 1, _WINDOW):
+        j1 = min(j0 + _WINDOW, n - 1)
+        lo = _stencil(j0, n)
+        window = window_of(lo, _stencil(j1 - 1, n) + 4)
+        m = _substeps(h, window)
+        most = max(most, m)
+        for j in range(j0, j1):
+            k0 = _stencil(j, n) - lo
+            state = _advance(state, h, window[k0:k0 + 4], j - lo - k0, j, 1 if m == 1 else None,
+                             work, states[j - j0])
+        line[j0 + 1:j1 + 1] = states[:j1 - j0]
+    return most
+
+
+def sweep(block, state0: np.ndarray, spec: GridSpec):
     """Y over the grid from Y(u0, v0) = state0, base row first, then every column.
 
-    row: (nu, d, d), the u-matrices along the base row.  columns(lo, hi):
-    the v-matrices of grid columns lo..hi-1, line first and contiguous,
-    (hi - lo, nu, d, d); it is asked for _WINDOW column steps at a time
-    plus their stencil overlap.  state0: (r, d).  Returns Y, (nu, nv, r, d),
-    and the most substeps a cell took along u and along v.  Every matrix
-    of the row and of a window is in some cell's stencil, and the count is
-    monotone in the reach, so the most is the count of the whole row's or
-    window's reach; where that is 1, every cell of it takes 1 substep
-    without a count of its own.  The stages run in one work array per
-    pass, and a window's column states go to a buffer, line first, that is
-    written to Y once per window.
+    block(k, view): the u-matrices (k = 0) or the v-matrices (k = 1) on the
+    block view picks from a (nu, nv) array, (a, b, d, d) and contiguous, as
+    ``FrameConnection.block`` gives them.  The base row is a line one state
+    wide (windows ``x[lo:hi, :1]``), the columns one nu wide (windows
+    ``x[:, lo:hi].T``).  state0: (r, d).  Returns Y, (nu, nv, r, d), and
+    the most substeps a cell took along u and along v.
     """
-    nu, nv = spec.shape
-    out = np.empty((nu, nv, *state0.shape))
+    out = np.empty((*spec.shape, *state0.shape))
     out[0, 0] = state0
-    most_u = _substeps(spec.du, row)
-    work = np.empty((6, *state0.shape))
-    for i in range(nu - 1):
-        k0 = _stencil(i, nu)
-        _advance(out[i, 0], spec.du, row[k0:k0 + 4], i - k0, i, 1 if most_u == 1 else None,
-                 work, out[i + 1, 0])
-    # columns, all u-indices at once; each cell's 4-point stencil is one
-    # contiguous block of its window
-    work = np.empty((6, nu, *state0.shape))
-    states = np.empty((min(_WINDOW, nv - 1), nu, *state0.shape))
-    state = out[:, 0]
-    most_v = 1
-    for j0 in range(0, nv - 1, _WINDOW):
-        j1 = min(j0 + _WINDOW, nv - 1)
-        lo = _stencil(j0, nv)
-        window = columns(lo, _stencil(j1 - 1, nv) + 4)
-        m = _substeps(spec.dv, window)
-        most_v = max(most_v, m)
-        for j in range(j0, j1):
-            k0 = _stencil(j, nv) - lo
-            state = _advance(state, spec.dv, window[k0:k0 + 4], j - lo - k0, j,
-                             1 if m == 1 else None, work, states[j - j0])
-        out[:, j0 + 1:j1 + 1] = states[:j1 - j0].swapaxes(0, 1)
+    most_u = _walk(lambda lo, hi: block(0, lambda x: x[lo:hi, :1]), spec.du, out[:, :1])
+    most_v = _walk(lambda lo, hi: block(1, lambda x: x[:, lo:hi].T), spec.dv, out.swapaxes(0, 1))
     return out, (most_u, most_v)

@@ -9,10 +9,10 @@ once, for the drift and the initial frame.  ``reconstruct_coefficients``
 inverts the frame definitions on a sampled conformal immersion.
 
 Both stream their whole-grid work, so the largest arrays either holds
-are its input and its output.  Integration assembles the connection in
-column windows (:class:`normalflat.frames.FrameConnection`), takes the
-compatibility defect in closed form one row slab at a time, and computes
-the Gram drift one row slab at a time (``grid.row_slabs``).
+are its input and its output.  Integration assembles the connection one
+sweep window at a time (:class:`normalflat.frames.FrameConnection`),
+takes the compatibility defect in closed form one row slab at a time,
+and computes the Gram drift one row slab at a time (``grid.row_slabs``).
 Reconstruction checks the tangents one row slab at a time, then
 propagates the normals and computes the coefficients one window of
 ``_WINDOW`` columns at a time (``grid.slabs``): tangent projectors,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import COEFF_NAMES, CoefficientSet, FrameConnection
+from .frames import COEFF_NAMES, CoefficientSet, FrameConnection, sweep
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
                    load_fields, residual_tolerance, row_slabs, save_fields, slabs)
 from .spaceform import CaseSpec, ambient_inner, ambient_signature
@@ -146,14 +146,15 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     frame0 = np.asarray(frame0, dtype=float)
     if frame0.shape != (sig.dim, 5):
         raise ValueError(f"frame0 must have shape ({sig.dim}, 5)")
-    gram_err = float(np.max([*_gram_defects(frame0, np.exp(2 * lam0), case).values()]))
-    if not (gram_err <= ROUND_OFF_TOL):
-        raise ValueError(
-            f"frame0 violates the Gram conditions at the base point ({gram_err:.3e})")
+    defects = _gram_defects(frame0, np.exp(2 * lam0), case)
+    name = max(defects, key=lambda n: np.nan_to_num(defects[n], nan=np.inf))  # NaN first
+    if not (defects[name] <= ROUND_OFF_TOL):
+        raise ValueError(f"frame0 violates the Gram conditions at the base point: "
+                         f"{name} {defects[name]:.3e} > {ROUND_OFF_TOL:.3e}")
 
     spec = coeffs.spec
     conn = FrameConnection(coeffs, case)
-    values, (substeps_u, substeps_v) = conn.sweep(frame0)
+    values, (substeps_u, substeps_v) = sweep(conn.block, frame0, spec)
     field = FrameField(case, spec, values)
 
     report = field.gram_drift(coeffs.lam)

@@ -5,8 +5,9 @@ single scalar equation of this shape, with 1-form coefficients built from
 one input potential and a one-variable function.  With t = p/q it is the
 linear connection d[p q] = [p q] A^T, A = [[w1/2, w0], [-w2, -w1/2]], so
 the solver is the frame's 4th-order kernel (:mod:`normalflat.frames`):
-base row first, then every column, from [t0 1].  t escapes to infinity
-where q changes sign, which is located to the cell.  Solvability of the
+base row first, then every column, from [t0 1], fed one window of A^T
+at a time (``_block``).  t escapes to infinity where q changes sign,
+which is located to the cell.  Solvability of the
 two-dimensional system is governed by the obstruction 2-forms
 
     O0 = d w0 + w0 ^ w1,   O1 = d w1 + 2 w0 ^ w2,   O2 = d w2 + w1 ^ w2,
@@ -91,10 +92,14 @@ class RiccatiForms:
         return quadratic_tolerance(self.spec, self.omega_scale())
 
 
-def _connection(w0: OneForm, w1: OneForm, w2: OneForm):
-    """S, T of d[p q] = [p q] (S du + T dv): A^T along du and along dv."""
-    return [np.moveaxis(np.array([[0.5 * c1, -c2], [c0, -0.5 * c1]]), (0, 1), (-2, -1))
-            for c0, c1, c2 in ((w0.cu, w1.cu, w2.cu), (w0.cv, w1.cv, w2.cv))]
+def _block(w0: OneForm, w1: OneForm, w2: OneForm):
+    """The block function of S, T in d[p q] = [p q] (S du + T dv): A^T along du, dv."""
+    def block(k, view):
+        c0, c1, c2 = (view(w.cv if k else w.cu) for w in (w0, w1, w2))
+        M = np.empty((*c0.shape, 2, 2))
+        M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = 0.5 * c1, -c2, c0, -0.5 * c1
+        return M
+    return block
 
 
 def forms_from_vectors(spec: GridSpec, vec0, vec1, vec2) -> RiccatiForms:
@@ -175,10 +180,9 @@ def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
     return loc[::-1] if transposed else loc
 
 
-def _solve_one_order(S, T, spec, t0, bound, interval, transposed):
+def _solve_one_order(block, spec, t0, bound, interval, transposed):
     """t = p/q from one sweep of [p q] = [t0 1], checked once it is done."""
-    Y, _ = sweep(S[:, 0], lambda lo, hi: np.ascontiguousarray(np.moveaxis(T[:, lo:hi], 1, 0)),
-                 np.array([[t0, 1.0]]), spec)
+    Y, _ = sweep(block, np.array([[t0, 1.0]]), spec)
     p, q = Y[..., 0, 0], Y[..., 0, 1]
     if interval is not None:
         lo, hi = interval
@@ -215,11 +219,11 @@ def solve_riccati(forms: RiccatiForms, t0: float, case: CaseSpec | None = None,
                                  or abs(t0) < EXCLUSION_MARGIN):
         raise RangeConstraintError(f"initial value t0={t0} outside {interval} \\ {{0}}")
     spec = forms.spec
-    S, T = _connection(forms.omega0, forms.omega1, forms.omega2)
-    t_rc = _solve_one_order(S, T, spec, t0, bound, interval, False)
-    # transposed order: v first, then u; realized by swapping axes/roles
+    block = _block(forms.omega0, forms.omega1, forms.omega2)
+    t_rc = _solve_one_order(block, spec, t0, bound, interval, False)
+    # transposed order: v first, then u; the swapped grid's u-matrices are T
     swapped = GridSpec(spec.v0, spec.u0, spec.dv, spec.du, spec.nv, spec.nu)
-    t_cr = _solve_one_order(T.swapaxes(0, 1), S.swapaxes(0, 1), swapped,
+    t_cr = _solve_one_order(lambda k, view: block(1 - k, lambda x: view(x.T)), swapped,
                             t0, bound, interval, True).T
     defect = float(np.max(np.abs(t_rc - t_cr)))
     return RiccatiSolution(FieldGrid(spec, t_rc), defect)

@@ -519,7 +519,7 @@ def test_integrate_frame0_file(torus_file, tmp_path, capsys):
         assert not (tmp_path / f"{name}.json").exists()
     err = capsys.readouterr().err
     assert "normalflat: frame0 must have shape (4, 5)" in err
-    assert "normalflat: frame0 violates the Gram conditions at the base point" in err
+    assert "normalflat: frame0 violates the Gram conditions at the base point: gram_max " in err
 
 
 def test_construct_notld_ls_cli(tmp_path):

@@ -391,7 +391,12 @@ def test_substeps_follow_the_frobenius_reach(reach, m):
     # a 5x5 diagonal has Frobenius norm sqrt(5) times its largest entry
     diag = np.broadcast_to(np.eye(5) * reach / np.sqrt(5) / h, (4, 2, 5, 5))
     assert _substeps(h, diag) == m
-    assert _substeps(h, diag[:, 0]) == m  # a base-row stencil: no line axis
+    assert _substeps(h, diag[:, 0]) == m  # a stencil with no line axis
+
+
+def _buffers(state):
+    """The stage and output buffers ``_advance`` steps state in."""
+    return np.empty((6, *state.shape)), np.empty(state.shape)
 
 
 def test_substeps_nan_and_overflow_safe():
@@ -402,11 +407,11 @@ def test_substeps_nan_and_overflow_safe():
         state = np.ones((3, 4, 5))
         if np.isnan(bad):
             with pytest.raises(OverflowError):
-                _advance(state, h, mats, 1, 7)
+                _advance(state, h, mats, 1, 7, None, *_buffers(state))
         else:
             # inf - inf in the matmuls warns; past that the finiteness check fails
             with np.errstate(all="ignore"), pytest.raises(OverflowError):
-                _advance(state, h, mats, 1, 7)
+                _advance(state, h, mats, 1, 7, None, *_buffers(state))
     # entries near 1e200: no square is formed, so nothing overflows or warns
     # (pyproject turns a RuntimeWarning into an error)
     huge = _stencil_with((1, 2, 3, 4), 1e200)
@@ -416,5 +421,6 @@ def test_substeps_nan_and_overflow_safe():
     full = np.full((4, 3, 5, 5), 1e200)
     assert _substeps(1e-202, full) == 1  # d max|M_ij| h = 0.05
     assert _substeps(1e-201, full) == 4  # reach 0.5
-    state = _advance(np.ones((3, 4, 5)), 1e-203, full, 1, 7)
+    state = np.ones((3, 4, 5))
+    state = _advance(state, 1e-203, full, 1, 7, None, *_buffers(state))
     assert np.all(np.isfinite(state))

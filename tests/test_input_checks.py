@@ -121,6 +121,12 @@ CHECKS = [
          UsageError, "family 'phi' needs param 'theta'"),
     _cli("light-case", _construct("light", gamma="0.3*u"),
          FamilyInputError, "light-dependent family implemented for case NT, L0=0"),
+    # a family that reads no delta refuses -1 rather than build the set of +1
+    _cli("phi-delta", _with(_construct("phi", "LT", phi="u + 0.3*v", theta="0.7"), "--delta", "-1"),
+         FamilyInputError, "family 'phi' reads no delta: it must be 1, got -1"),
+    _cli("light-delta", _with(_construct("light", "NT", gamma="0.3*u", profile="1 + 0.5*u"),
+                              "--delta", "-1"),
+         FamilyInputError, "family 'light' reads no delta: it must be 1, got -1"),
     _call("angle-link-angle", lambda d: angle_link(FieldGrid(SPEC, U), None, CaseSpec("R")),
           ValueError, "real cases need the angle field"),
     _call("rotation-angle-case", lambda d: rotation_angle(FieldGrid(SPEC, U + 1j * V),

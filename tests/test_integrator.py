@@ -283,7 +283,7 @@ def test_frame0_gate_refuses_a_frame_off_the_quadric():
     frame0 = canonical_frame0(case, lam0)
     frame0[:, 4] *= np.sqrt(1 + 5e-9)
     with pytest.raises(ValueError, match=r"^frame0 violates the Gram conditions at the base "
-                                         r"point \(5\.000e-09\)$"):
+                                         r"point: quadric_max 5\.000e-09 > 1\.000e-10$"):
         integrate_frame(coeffs, case, frame0)
 
 
@@ -300,7 +300,8 @@ def test_canonical_frames_meet_the_frame0_gate(case_id):
             assert len(defects) == (3 if l0 else 1)
             assert max(defects.values()) <= 4 * np.finfo(float).eps, (l0, lam0, defects)
             frame0[:, 2] *= 1 + 1e-8
-            with pytest.raises(ValueError, match="frame0 violates the Gram conditions"):
+            with pytest.raises(ValueError, match="frame0 violates the Gram conditions at the "
+                                                 "base point: gram_max 2.000e-08 > "):
                 integrate_frame(CoefficientSet.from_arrays(spec, lam=lam0), case, frame0)
 
 
@@ -328,7 +329,8 @@ def test_frame0_gate_keeps_the_cross_entries_absolute(case_id):
         assert (max(defects.values()) <= ROUND_OFF_TOL) == passes, (lam0, defects)
         assert max(defects.values()) == defects["position_cross_max"]
     coeffs = CoefficientSet.from_arrays(GridSpec.over_box((0, 1), (0, 1), 5, 5), lam=lam0)
-    with pytest.raises(ValueError, match="frame0 violates the Gram conditions"):
+    with pytest.raises(ValueError, match="frame0 violates the Gram conditions at the base "
+                                         "point: position_cross_max "):
         integrate_frame(coeffs, case, frame0)
 
 

@@ -2,13 +2,15 @@
 
 ``frames._advance`` runs its stages in caller-owned buffers, reads a
 cell's end matrices straight off the stencil and takes the substep count
-from its caller; ``frames.sweep`` counts substeps per row and per column
-window and writes a window's states at once; ``FrameConnection.block``
-fills the (a, b, 5, 5) layout directly.  Each must give what the plain
-formulation below gives, down to the sign of every zero: a kernel that
-allocates every stage and interpolates every sub-node, a sweep that
-counts every cell and writes every column, and an entry-major assembly
-copied to the sweep's layout.
+from its caller; ``frames.sweep`` walks the base row and the columns as
+lines of one walker, which asks a connection's block function for one
+contiguous window at a time, counts substeps per window and writes a
+window's states at once; ``FrameConnection.block`` fills the
+(a, b, 5, 5) layout directly.  Each must give what the plain formulation
+below gives, down to the sign of every zero: a kernel that allocates
+every stage and interpolates every sub-node, a sweep over whole-grid
+matrices that counts every cell and writes every column, and an
+entry-major assembly copied to the sweep's layout.
 """
 
 import numpy as np
@@ -17,7 +19,8 @@ import pytest
 from normalflat import CaseSpec, FieldGrid, GridSpec, frames
 from normalflat.frames import (_SUBNODE_WEIGHTS, FrameConnection, _advance, _subnode_weights,
                                _substeps, sweep)
-from normalflat.riccati import _connection, build_forms, solve_riccati
+from normalflat.integrator import integrate_frame
+from normalflat.riccati import _block, build_forms, solve_riccati
 
 from conftest import random_coefficients
 
@@ -63,6 +66,19 @@ def _staged_sweep(row, cols, state0, spec):
         state = _staged_advance(state, spec.dv, cols[k0:k0 + 4], j - k0, j)
         out[:, j + 1] = state
     return out, tuple(most)
+
+
+def _whole_grid_block(S, T):
+    """The block function of whole-grid (nu, nv, d, d) matrices S and T: a
+    view picks grid points off the array of their flat indices."""
+    nu, nv, d, _ = S.shape
+    flat = np.arange(nu * nv).reshape(nu, nv)
+    return lambda k, view: (S, T)[k].reshape(nu * nv, d, d)[view(flat)]
+
+
+def _buffers(state):
+    """The stage and output buffers ``_advance`` steps state in."""
+    return np.empty((6, *state.shape)), np.empty(state.shape)
 
 
 def _zero_column(x):
@@ -113,10 +129,10 @@ def test_advance_matches_the_staged_kernel(m, at, r, d):
     assert _substeps(h, mats) == m
     ref = _staged_advance(state, h, mats, at, 3)
 
-    assert _same(_advance(state, h, mats, at, 3), ref)
-    work, out = np.empty((6, *state.shape)), np.empty(state.shape)
-    assert _advance(state, h, mats, at, 3, m, work, out) is out
+    work, out = _buffers(state)
+    assert _advance(state, h, mats, at, 3, None, work, out) is out
     assert _same(out, ref)
+    assert _same(_advance(state, h, mats, at, 3, m, *_buffers(state)), ref)
     # in place, and from stencils and states in other layouts
     inplace = state.copy()
     _advance(inplace, h, mats, at, 3, m, work, inplace)
@@ -127,11 +143,14 @@ def test_advance_matches_the_staged_kernel(m, at, r, d):
     assert not strided[at].flags.c_contiguous
     batch_strided = np.empty((lines, 3, r, d))[:, 1]  # as a sweep's first column state
     batch_strided[...] = state
-    assert _same(_advance(batch_strided, h, strided, at, 3), ref)
-    # a base-row cell: no line axis
+    assert _same(_advance(batch_strided, h, strided, at, 3, None, *_buffers(state)), ref)
+    # one line, with and without its line axis
     ref = _staged_advance(state[2], h, mats[:, 2], at, 3)
-    assert _same(_advance(state[2], h, mats[:, 2], at, 3), ref)
-    assert _same(_advance(state[2], h, strided[:, 2], at, 3, _substeps(h, mats[:, 2])), ref)
+    assert _same(_advance(state[2], h, mats[:, 2], at, 3, None, *_buffers(state[2])), ref)
+    assert _same(_advance(state[2], h, strided[:, 2], at, 3, _substeps(h, mats[:, 2]),
+                          *_buffers(state[2])), ref)
+    assert _same(_advance(state[2:3], h, mats[:, 2:3], at, 3, None, *_buffers(state[2:3]))[0],
+                 ref)
 
 
 def _smooth_mats(rng, nu, nv, d, reach):
@@ -169,19 +188,20 @@ def test_sweep_matches_the_staged_sweep(steps, r, d):
                   for k0 in (min(max(j - 1, 0), nv - 4) for j in range(W, 2 * W))]
         assert set(counts) == {1, 2, 3}
 
-    Y, substeps = sweep(S[:, 0], lambda lo, hi: cols[lo:hi], state0, spec)
+    Y, substeps = sweep(_whole_grid_block(S, T), state0, spec)
     assert _same(Y, ref) and substeps == most
     # a base row that counts 4, with cells of every count
     rise = np.array([0.05, 0.05, 0.05, 0.05, 0.15, 0.25, 0.35, 0.38, 0.38])
     S4 = _smooth_mats(rng, nu, nv, d, np.broadcast_to(rise[:, None] / spec.du, spec.shape))
     assert [_substeps(spec.du, S4[k0:k0 + 4, 0]) for k0 in range(nu - 3)] == [1, 2, 3, 4, 4, 4]
     ref, most = _staged_sweep(S4[:, 0], cols, state0, spec)
-    Y, substeps = sweep(S4[:, 0], lambda lo, hi: cols[lo:hi], state0, spec)
+    Y, substeps = sweep(_whole_grid_block(S4, T), state0, spec)
     assert _same(Y, ref) and substeps == most == (4, most[1])
 
 
 def test_sweep_with_one_column_windows(monkeypatch):
-    # each column state is written where the next reads it
+    # windows of one cell: each state is written where the next reads it,
+    # along the base row and down the columns
     monkeypatch.setattr(frames, "_WINDOW", 1)
     rng = np.random.default_rng(5)
     spec = GridSpec.over_box((0, 1), (0, 1), 7, 11)
@@ -189,7 +209,7 @@ def test_sweep_with_one_column_windows(monkeypatch):
     T = _smooth_mats(rng, 7, 11, 5, np.full(spec.shape, 0.25 / spec.dv))
     cols = np.ascontiguousarray(np.moveaxis(T, 1, 0))
     state0 = _with_zeros(rng, (4, 5))
-    Y, substeps = sweep(S[:, 0], lambda lo, hi: cols[lo:hi], state0, spec)
+    Y, substeps = sweep(_whole_grid_block(S, T), state0, spec)
     ref, most = _staged_sweep(S[:, 0], cols, state0, spec)
     assert _same(Y, ref) and substeps == most == (1, 3)
 
@@ -245,9 +265,9 @@ def test_block_matches_the_entry_major_assembly(case):
 # --------------------------------------------------------------------------
 
 # (case, box, shape, k, xi, t0) of dt = w0 + t w1 + t^2 w2 for f_- = u + k v^2:
-# R, NS and the four NT (eps, delta) branches.  All but NT(+1, -1) are
-# instances on which a base row's end matrices read strided, as both path
-# orders read them off the whole-grid S and T, move t in its last bits
+# R, NS and the four NT (eps, delta) branches.  The staged sweep reads the
+# whole-grid S and T of the angle system's block function, contiguous as
+# every window the solver's sweeps read
 _SHORT, _UNIT = ((0.1, 0.6), (0.1, 0.5)), ((0.1, 1.1), (0.1, 1.1))
 RICCATI = [(CaseSpec("R"), _UNIT, (65, 33), 0.3, 0.4, 0.2),
            (CaseSpec("NS"), _UNIT, (33, 33), 0.5, 0.5, 0.1),
@@ -264,7 +284,8 @@ def test_riccati_matches_the_staged_sweep(case, box, shape, k, xi, t0):
     U, V = spec.mesh()
     forms = build_forms(FieldGrid(spec, U + k * V**2), xi, case)
     sol = solve_riccati(forms, t0, case)
-    S, T = _connection(forms.omega0, forms.omega1, forms.omega2)
+    block = _block(forms.omega0, forms.omega1, forms.omega2)
+    S, T = block(0, lambda x: x), block(1, lambda x: x)
     state0 = np.array([[t0, 1.0]])
     Y, _ = _staged_sweep(S[:, 0], np.ascontiguousarray(np.moveaxis(T, 1, 0)), state0, spec)
     swapped = GridSpec(spec.v0, spec.u0, spec.dv, spec.du, spec.nv, spec.nu)
@@ -272,3 +293,33 @@ def test_riccati_matches_the_staged_sweep(case, box, shape, k, xi, t0):
     t_rc, t_cr = Y[..., 0, 0] / Y[..., 0, 1], (Yt[..., 0, 0] / Yt[..., 0, 1]).T
     assert _same(sol.t.values, t_rc)
     assert sol.path_defect == float(np.max(np.abs(t_rc - t_cr)))
+
+
+# --------------------------------------------------------------------------
+# what the sweep hands the kernel
+# --------------------------------------------------------------------------
+
+def test_every_stencil_the_kernel_steps_is_contiguous(monkeypatch):
+    # the frame's block and the angle system's, in both path orders: every
+    # stencil is a slice of a contiguous window, the base row's of one line
+    # and the columns' of nu (nv in the column-first order)
+    seen = []
+    advance = frames._advance
+
+    def checked(state, h, mats, *rest):
+        assert mats.flags.c_contiguous
+        seen.append(mats.shape[1])
+        return advance(state, h, mats, *rest)
+
+    monkeypatch.setattr(frames, "_advance", checked)
+    spec = GridSpec.over_box((-0.3, 0.4), (-0.2, 0.5), 9, W + 6)
+    integrate_frame(random_coefficients(np.random.default_rng(9), spec), CaseSpec("R", 0.7))
+    assert set(seen) == {1, 9}
+    seen.clear()
+    spec = GridSpec.over_box((0.1, 0.6), (0.1, 0.5), W + 6, 9)
+    U, V = spec.mesh()
+    case = CaseSpec("NT", 0.0)
+    solve_riccati(build_forms(FieldGrid(spec, U + 0.3 * V**2), 0.4, case), 0.2, case)
+    nu, nv = spec.shape
+    assert seen.count(1) == (nu - 1) + (nv - 1)  # both orders' base rows
+    assert set(seen) == {1, nu, nv}
