@@ -72,10 +72,12 @@ SCENARIOS = {
         ["integrate", "--coeffs", "coeffs.json", "--case", "R", "--out", "mesh.json"],
         ["reconstruct", "--mesh", "mesh.json", "--case", "R", "--out", "rec.json"],
     ], files={"torus.json": TORUS}),
-    # measured 241 MiB; loading the nine fields sets it.  A defect from
-    # whole-grid S and T would add over 400 MB; its closed form over the
-    # whole grid as one slab measured 271 MiB, so tier-1's
-    # test_defect_peak_memory guards the slabs
+    # measured 223 MiB; reading the coefficient file sets it: the read alone
+    # peaks at 205 MiB (its bytes and the decoded str are held at once) and
+    # CoefficientSet.load at 222 MiB, so streaming the residuals would not
+    # lower it.  A defect from whole-grid S and T would add over 400 MB; its
+    # closed form over the whole grid as one slab measured 271 MiB, so
+    # tier-1's test_defect_peak_memory guards the slabs
     "verify": Scenario(277, [
         ["verify", "--coeffs", "coeffs.json", "--case", "R", "--out", "verify.json"],
     ], [CONSTRUCT_TORUS], {"torus.json": TORUS}),
@@ -86,7 +88,7 @@ SCENARIOS = {
         ["riccati", "--fminus", "u + 0.3*v^2", "--xi", "0.2", "--case", "NS", "--t0", "0.05",
          "--grid", "0.1:0.1:0.0009765625:0.0009765625:1024:1024", "--out", "t.json"],
     ]),
-    # the light family on NT through the auto classification: measured
+    # the light family on NT, its variant read off the data: measured
     # 223 MiB, against 239 MiB while the classification stacked the rows'
     # components to pick one pair per point
     "detect": Scenario(257, [

@@ -32,7 +32,7 @@ from .families import (
     build_product_family,
 )
 from .frames import CoefficientSet, compatibility_defect
-from .gcr import VARIANTS, detect_parallel_normal, gcr_residuals
+from .gcr import detect_parallel_normal, gcr_residuals
 from .grid import (FieldGrid, GridSpec, _float, load_fields, max_mean, residual_tolerance,
                    save_fields)
 from .integrator import (
@@ -161,10 +161,10 @@ def _frame0(path) -> np.ndarray:
 
 def _cmd_verify(args) -> int:
     case = _case(args)
+    tol = _env_tol(args.tol)
     coeffs = CoefficientSet.load(args.coeffs)
     res = gcr_residuals(coeffs, case)
     compat = compatibility_defect(coeffs, case)
-    tol = _env_tol(args.tol)
     if tol is None:
         tol = residual_tolerance(coeffs.spec, coeffs.max_abs())
     metrics = {**res.metrics(), "flatness": max_mean(res.flatness.values),
@@ -278,7 +278,7 @@ def _cmd_detect(args) -> int:
     case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     tol = _env_tol(args.tol)
-    rep = detect_parallel_normal(coeffs, case, args.variant, tol)
+    rep = detect_parallel_normal(coeffs, case, tol=tol)
     metrics = {
         "dependence_defect": max_mean(rep.ld.defect.values),
         "k_minus_l0": max_mean(rep.k_equals_l0_defect),
@@ -358,7 +358,6 @@ def _build_parser() -> _Parser:
 
     sp = command("detect", _cmd_detect, "parallel normal vector field detector")
     sp.add_argument("--coeffs", required=True)
-    sp.add_argument("--variant", default="auto", choices=("auto", *VARIANTS))
     sp.add_argument("--tol", type=float)
     sp.add_argument("--out", help="JSON report path")
 

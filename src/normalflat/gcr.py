@@ -146,9 +146,6 @@ def gamma_potential(coeffs: CoefficientSet) -> FieldGrid:
 # linearly dependent condition
 # ---------------------------------------------------------------------------
 
-VARIANTS = ("generic", "space", "time", "light")
-
-
 def dependence_minors(coeffs: CoefficientSet) -> FieldGrid:
     """Pointwise norm of the three 2x2 minors of the (alpha, beta) rows.
 
@@ -176,19 +173,19 @@ class DependenceReport:
         return self.degenerate_fraction >= 1.0
 
 
-def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "auto",
+def dependence_report(coeffs: CoefficientSet, case: CaseSpec, *,
                       tol: float | None = None) -> DependenceReport:
     """Test the linearly dependent condition; where it holds, recover the angle.
 
-    variant: "generic" (trig theta; cases R/NS/LT), "space"/"time"
-    (hyperbolic t_pm; cases NT/LS), "light" (alpha + eps*beta = 0), or
-    "auto": generic on R/NS/LT; on NT/LS light, space or time as the median
-    |beta| / |alpha| is within 5% of 1, above or below it.  The angle is read
-    off |alpha|^2, |beta|^2 and alpha.beta.  tol defaults to the quadratic
-    level 10 h^2 (1 + s)^2, s the largest coefficient magnitude.
+    The variant is a fact of the case and the data, not a choice:
+    "generic" (trig theta) on a definite normal bundle (R, NS, LT); on a
+    Lorentzian one (NT, LS) "light" when the rows are dependent and
+    alpha + eps beta = 0 holds at tol for eps = 1 or -1, else "space" or
+    "time" (hyperbolic t_pm) as the median |beta| / |alpha| is above 1 or
+    not.  The angle is read off |alpha|^2, |beta|^2 and alpha.beta.  tol
+    defaults to the quadratic level 10 h^2 (1 + s)^2, s the largest
+    coefficient magnitude.
     """
-    if variant != "auto" and variant not in VARIANTS:
-        raise ValueError(f"unknown dependence variant {variant!r}")
     spec = coeffs.spec
     _, a1, a2, a3, b1, b2, b3, _, _ = coeffs.alravel()
     if tol is None:
@@ -202,36 +199,27 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
     satisfied = bool(np.max(defect.values) <= tol) and not bool(np.all(both_zero))
 
     n1, n2 = case.n_signs
-    # a definite normal bundle rotates by a trigonometric angle; a Lorentzian
-    # one (NT, LS) is classified from the data
-    req = "generic" if variant == "auto" and n1 == n2 else variant
-    if req == "auto" and np.all(both_zero):
-        req = "space"  # no ratio to classify; the report is degenerate anyway
-    if req == "auto":
-        # NT / LS: classify by |beta| / |alpha|, which is |c| where beta = c * alpha
+    eps = None
+    if n1 != n2 and satisfied:  # the sign whose alpha + eps beta is nearest 0, if it holds
+        dev = {e: max(np.max(np.abs(a + e * b)) for a, b in ((a1, b1), (a2, b2), (a3, b3)))
+               for e in (1, -1)}
+        best = min(dev, key=dev.get)
+        eps = best if dev[best] <= tol else None
+    if n1 == n2:  # a definite normal bundle rotates by a trigonometric angle
+        variant = "generic"
+    elif eps is not None:
+        variant = "light"
+    elif np.all(both_zero):
+        variant = "space"  # no ratio to classify; the report is degenerate anyway
+    else:  # beta = c alpha has the ratio |c|
         with np.errstate(divide="ignore", invalid="ignore"):
             med = np.median(np.sqrt(bnorm2 / anorm2)[~both_zero])
-        if abs(med - 1.0) <= 0.05:
-            req = "light"
-        elif med > 1.0:
-            req = "space"
-        else:
-            req = "time"
+        variant = "space" if med > 1.0 else "time"
 
     angle = None
-    eps = None
-    if req == "light":
-        best_eps, best = None, np.inf
-        for cand in (1, -1):
-            dev = max(np.max(np.abs(a1 + cand * b1)), np.max(np.abs(a2 + cand * b2)),
-                      np.max(np.abs(a3 + cand * b3)))
-            if dev < best:
-                best, best_eps = dev, cand
-        eps = best_eps
-        satisfied = bool(satisfied and best <= tol)
-    elif satisfied:  # the angle is read only where the condition holds
+    if satisfied and variant != "light":  # the angle is read only where the condition holds
         dot = a1 * b1 + a2 * b2 + a3 * b3
-        if req == "generic":
+        if variant == "generic":
             # cos(theta) alpha + sin(theta) beta = 0  =>  2 theta is the direction
             # (|beta|^2 - |alpha|^2, -2 alpha.beta), taken mod 2 pi and unwrapped
             two = np.mod(np.arctan2(-2.0 * dot, bnorm2 - anorm2), 2.0 * np.pi)
@@ -243,12 +231,12 @@ def dependence_report(coeffs: CoefficientSet, case: CaseSpec, variant: str = "au
             # time:  sinh(t-) alpha + cosh(t-) beta = 0  =>  tanh(t-) = -alpha.beta / |alpha|^2
             # a 0/0 is NaN and fails: no t solves the equation there
             with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(both_zero, 0.0, -dot / (bnorm2 if req == "space" else anorm2))
+                r = np.where(both_zero, 0.0, -dot / (bnorm2 if variant == "space" else anorm2))
             satisfied = bool(np.all(np.abs(r) < 1.0))
             if satisfied:
                 angle = FieldGrid(spec, np.arctanh(r))
 
-    return DependenceReport(req, defect, satisfied, angle, eps, degenerate_fraction, tol)
+    return DependenceReport(variant, defect, satisfied, angle, eps, degenerate_fraction, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +300,16 @@ def parallel_field_coefficients(report: "ParallelNormalReport",
     return FieldGrid(spec, el * np.sinh(ang)), FieldGrid(spec, -el * np.cosh(ang))
 
 
-def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str = "auto",
+def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, *,
                            tol: float | None = None) -> ParallelNormalReport:
     """Decide whether a parallel normal vector field exists.
+
+    "Parallel" means a normal field xi with nabla-perp xi = 0 and A_xi = 0,
+    so constant in the ambient space; for L0 = 0 the surface then lies in
+    a hyperplane.  With a flat normal bundle every normal vector extends to
+    a nabla-perp-parallel field, so the weaker reading would make the
+    question empty.  The dependence variant is ``dependence_report``'s,
+    read off the case and the data.
 
     Decision procedure (a non-flat normal connection or a failed Gauss equation is noted):
 
@@ -330,7 +325,7 @@ def detect_parallel_normal(coeffs: CoefficientSet, case: CaseSpec, variant: str 
       procedure's hypotheses; reported as indeterminate, not guessed.
     """
     spec = coeffs.spec
-    ld = dependence_report(coeffs, case, variant, tol)
+    ld = dependence_report(coeffs, case, tol=tol)
 
     notes = []
     flat = normal_flatness_defect(coeffs)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coefficients, text_document
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, save_fields
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, cli, save_fields
 from normalflat.cli import CASE_FLAGS, main
 from normalflat.families import NotldPotentials, build_notld_family
 from normalflat.integrator import canonical_frame0
@@ -104,6 +104,29 @@ def test_verify_env_tolerance_override(violation_file, monkeypatch):
     assert main(["verify", "--coeffs", str(violation_file), "--case", "R"]) == 0
     monkeypatch.delenv("NORMALFLAT_TOL")
     assert main(["verify", "--coeffs", str(violation_file), "--case", "R"]) == 2
+
+
+def test_verify_reads_its_tolerance_before_it_computes(torus_file, monkeypatch, capsys):
+    # a bad --tol or NORMALFLAT_TOL exits 1 before any residual is computed
+    def computed(*args):
+        raise AssertionError("verify computed before it read its tolerance")
+
+    monkeypatch.setattr(cli, "gcr_residuals", computed)
+    monkeypatch.setattr(cli, "compatibility_defect", computed)
+    assert main(["verify", "--coeffs", str(torus_file), "--case", "R", "--tol", "-1"]) == 1
+    monkeypatch.setenv("NORMALFLAT_TOL", "nan")
+    assert main(["verify", "--coeffs", str(torus_file), "--case", "R"]) == 1
+    assert capsys.readouterr().err.count(
+        "normalflat: tolerance must be finite and non-negative") == 2
+
+
+def test_detect_takes_no_variant(torus_file, capsys):
+    # the dependence variant is read off the case and the data
+    for variant in ("auto", "light"):
+        assert main(["detect", "--coeffs", str(torus_file), "--case", "R",
+                     "--variant", variant]) == 1
+        assert capsys.readouterr().err == (
+            f"normalflat: unrecognized arguments: --variant {variant}\n")
 
 
 def test_construct_product_then_detect(tmp_path):

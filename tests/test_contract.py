@@ -62,7 +62,7 @@ FLAGS = {
     "integrate": CASE + ["--coeffs", "--frame0", "--out", "--report", "--export-obj",
                          "--obj-axes"],
     "reconstruct": CASE + ["--mesh", "--out", "--report"],
-    "detect": CASE + ["--coeffs", "--tol", "--variant", "--out"],
+    "detect": CASE + ["--coeffs", "--tol", "--out"],
     "riccati": ["--case", "--eps", "--delta", "--grid", "--fminus", "--xi", "--t0", "--out",
                 "--report"],
 }

@@ -18,6 +18,7 @@ from normalflat.gcr import (
     normal_flatness_defect,
     ricci_residual,
 )
+from normalflat.grid import residual_tolerance
 
 from conftest import random_coefficients
 
@@ -162,8 +163,8 @@ def test_dependence_light_proportional(unit_spec):
     U, _ = unit_spec.mesh()
     s = 1.0 + U**2
     coeffs = CoefficientSet.from_arrays(unit_spec, alpha1=s, beta1=-s)
-    rep = dependence_report(coeffs, CaseSpec("NT", 0.0), "light")
-    assert rep.satisfied and rep.eps == 1
+    rep = dependence_report(coeffs, CaseSpec("NT", 0.0))
+    assert rep.variant == "light" and rep.satisfied and rep.eps == 1
     assert np.max(rep.defect.values) == 0.0
 
 
@@ -217,11 +218,19 @@ def test_dependence_angle_is_recovered_only_where_the_condition_holds(
     monkeypatch.setattr(gcr.np, "unwrap", recover)
     monkeypatch.setattr(gcr.np, "arctanh", recover)
     random = random_coefficients(np.random.default_rng(5), unit_spec)
-    for coeffs, case, variant in ((flat_torus, case_r, "auto"), (random, case_r, "auto"),
-                                  (random, CaseSpec("NT", 0.0), "space"),
-                                  (random, CaseSpec("LS", 0.0), "time")):
-        rep = dependence_report(coeffs, case, variant)
-        assert not rep.satisfied and rep.angle is None
+    d = random.arrays()
+
+    def scaled(k):  # beta times k: the median |beta| / |alpha| above 1 (k = 4) or below
+        return CoefficientSet.from_arrays(unit_spec, **{
+            name.replace("lambda", "lam"): k * x if name.startswith("beta") else x
+            for name, x in d.items()})
+
+    for coeffs, case, variant in ((flat_torus, case_r, "generic"),
+                                  (random, case_r, "generic"),
+                                  (scaled(4.0), CaseSpec("NT", 0.0), "space"),
+                                  (scaled(0.25), CaseSpec("LS", 0.0), "time")):
+        rep = dependence_report(coeffs, case)
+        assert rep.variant == variant and not rep.satisfied and rep.angle is None
 
 
 def _dependent_rows(unit_spec, variant):
@@ -470,20 +479,75 @@ def test_hyperbolic_field_is_ambient_parallel(kind):
 
 
 def test_near_light_rows_have_no_light_field():
-    # beta = -1.03 alpha classifies as light (ratio within 5% of 1) but
-    # misses alpha + eps beta = 0 by 0.03 > 10 h^2 (1 + 1.34)^2 = 0.013,
-    # so the light branch answers "none"
+    # beta = -1.03 alpha misses alpha + eps beta = 0 by 0.03 |alpha| > 10 h^2
+    # (1 + 1.34)^2 = 0.0057: not light, but a space-like dependence with a
+    # constant t+, so a space-like parallel field exists
     spec = GridSpec.over_box((0.0, 1.0), (0.0, 1.0), 65, 65)
     U, _ = spec.mesh()
     s = 1.0 + 0.3 * U
     case = CaseSpec("NT", 0.0)
-    for factor, verdict in ((1.0, "parallel-exists"), (1.03, "none")):
+    for factor, kind in ((1.0, "light"), (1.03, "space")):
         rep = detect_parallel_normal(
             CoefficientSet.from_arrays(spec, alpha1=s, beta1=-factor * s), case)
-        assert rep.ld.variant == "light" and rep.curvature_regime == "equal"
-        assert rep.ld.satisfied == (factor == 1.0)
-        assert rep.verdict == verdict
-        assert rep.field_kind == ("light" if factor == 1.0 else "")
+        assert rep.ld.variant == kind and rep.curvature_regime == "equal"
+        assert rep.ld.satisfied and rep.verdict == "parallel-exists"
+        assert rep.field_kind == kind
+
+
+def _proportional_rows(c, mu):
+    """alpha = (1 + 0.3u, 0, 0), beta = c alpha, lambda = 0 and mu = 0 (mu
+    False) or (0.5 + 0.2u, 0) at 65^2: every GCR residual is 0."""
+    spec = GridSpec.over_box((0.0, 1.0), (0.0, 1.0), 65, 65)
+    U, _ = spec.mesh()
+    s = 1.0 + 0.3 * U
+    return CoefficientSet.from_arrays(spec, alpha1=s, beta1=c * s,
+                                      mu1=0.5 + 0.2 * U if mu else 0.0)
+
+
+def _ambient_field(rep, coeffs, case):
+    """The detected field c1 N1 + c2 N2 on the integrated frame, (nu, nv, 4)."""
+    from normalflat.gcr import parallel_field_coefficients
+    from normalflat.integrator import integrate_frame
+
+    c1, c2 = parallel_field_coefficients(rep, coeffs)
+    field, _ = integrate_frame(coeffs, case)
+    return c1.values[..., None] * field.column(2) + c2.values[..., None] * field.column(3)
+
+
+@pytest.mark.parametrize("mu", [False, True])
+@pytest.mark.parametrize("c, kind", [(-2.0, "space"), (-1.03, "space"), (-1.0, "light"),
+                                     (-0.97, "time"), (-0.5, "time"), (1.04, "space")])
+@pytest.mark.parametrize("case_id", ["NT", "LS"])
+def test_decided_variant_names_a_constant_ambient_field(case_id, c, kind, mu):
+    # the variant is read off the data, with no band around |c| = 1; the
+    # independent oracle is the integrated frame: a parallel normal field is
+    # one constant ambient vector.  With mu != 0 gamma is not constant, so
+    # only the light field, which absorbs e^{eps gamma}, survives
+    coeffs, case = _proportional_rows(c, mu), CaseSpec(case_id, 0.0)
+    assert gcr_residuals(coeffs, case).passed(residual_tolerance(coeffs.spec, coeffs.max_abs()))
+    rep = detect_parallel_normal(coeffs, case)
+    assert rep.ld.variant == kind and rep.ld.satisfied
+    exists = not mu or kind == "light"
+    assert rep.verdict == ("parallel-exists" if exists else "none")
+    if exists:
+        assert rep.field_kind == kind
+        xi = _ambient_field(rep, coeffs, case).reshape(-1, 4)
+        assert np.max(np.ptp(xi, axis=0)) <= 1e-9
+
+
+def test_no_caller_gives_a_definite_bundle_a_light_field():
+    # beta = -alpha on case R: a light field e^{-lambda + eps gamma} (N1 - eps N2)
+    # is not null there and not constant; the variant is generic, the verdict
+    # none, and a variant can no longer be passed, by position or by name
+    coeffs, case = _proportional_rows(-1.0, True), CaseSpec("R", 0.0)
+    assert gcr_residuals(coeffs, case).max_abs() == 0.0
+    rep = detect_parallel_normal(coeffs, case)
+    assert rep.ld.variant == "generic" and rep.verdict == "none" and rep.field_kind == ""
+    for call in (lambda: dependence_report(coeffs, case, "light"),
+                 lambda: detect_parallel_normal(coeffs, case, "light"),
+                 lambda: detect_parallel_normal(coeffs, case, variant="light")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_dependence_report_and_detect_judge_at_one_level(unit_spec, case_r):

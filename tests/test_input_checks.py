@@ -21,7 +21,6 @@ from normalflat.families import (
     build_notld_family,
     rotation_angle,
 )
-from normalflat.gcr import dependence_report
 from normalflat.grid import GridShapeError, field_map
 from normalflat.integrator import SignatureError, export_mesh
 
@@ -161,8 +160,6 @@ CHECKS = [
     _cli("coefficients-real", _reading("verify", {n: FieldGrid(SPEC, U + 1j * V) for n in NAMES},
                                        "--case", "R"),
          ValueError, "coefficient fields must be real"),
-    _call("dependence-variant", lambda d: dependence_report(TORUS, CaseSpec("R"), "bogus"),
-          ValueError, "unknown dependence variant 'bogus'"),
     _call("field-shape", lambda d: FieldGrid(SPEC, np.zeros(3)),
           GridShapeError, "values shape (3,) != grid shape (9, 9)"),
     _call("field-map-empty", lambda d: field_map(np.sin),
