@@ -14,6 +14,8 @@ BLAS pool pinned to one thread:
   defect fields, the detect reports, the phi family, and the Riccati
   ``t``, residuals and ``path_defect`` (or the blow-up);
 - a detect sweep: 22 coefficient sets in all five cases at L0 = 0 and 1;
+- the command line's ``integrate --export-obj --report``, with and without
+  ``--frame0 FILE``, on the L0 = 1 sphere and the notld NT, LS and LT sets;
 - the workloads' accuracy figures.
 
 OUT.json holds ``env`` (Python, numpy, BLAS, threads), ``hashes``
@@ -53,6 +55,7 @@ from normalflat import cli, gcr, riccati  # noqa: E402
 from normalflat.families import build_nt_light_family  # noqa: E402
 from normalflat.frames import CoefficientSet, compatibility_defect  # noqa: E402
 from normalflat.grid import FieldGrid, GridSpec  # noqa: E402
+from normalflat.integrator import canonical_frame0  # noqa: E402
 from normalflat.spaceform import CASES, CaseSpec  # noqa: E402
 from workloads import CliPipeline, FrameRoundtrip, VerifyRiccati  # noqa: E402
 
@@ -193,6 +196,31 @@ def verify_riccati(rec: Record):
         rec.add(f"{name}/check", dict(zip(("failures", "figures"), w.check(results))))
 
 
+def cli_integrate(rec: Record):
+    """``integrate --export-obj --report`` through the command line, with the
+    canonical frame0 and with one from a file (the first ambient axis
+    reflected), on the frame-roundtrip sets the cli-pipeline misses: the
+    L0 = 1 sphere (dim 5) and the notld NT, LS and LT sets, at seed 0."""
+    with _workdir() as tmp:
+        inputs = FrameRoundtrip(0, tmp).inputs
+    for set_name in ("sphere", "notld-NT", "notld-LS", "notld-LT"):
+        case, coeffs, _ = inputs[set_name]
+        frame0 = canonical_frame0(case, float(coeffs.lam.values[0, 0]))
+        frame0[0] = -frame0[0]
+        with _workdir() as tmp:
+            coeffs.save("coeffs.json")
+            (tmp / "frame0.json").write_text(json.dumps({"frame0": frame0.tolist()}))
+            common = ["integrate", "--coeffs", "coeffs.json", "--case", case.case_id,
+                      "--l0", repr(case.l0)]
+            rec.add(f"cli-integrate/{set_name}/exit", [
+                cli.main(common + ["--out", "mesh.json", "--export-obj", "mesh.obj",
+                                   "--report", "report.json"]),
+                cli.main(common + ["--frame0", "frame0.json", "--out", "mesh-frame0.json",
+                                   "--export-obj", "mesh-frame0.obj", "--obj-axes", "2,-1,0",
+                                   "--report", "report-frame0.json"])])
+            rec.add_files(f"cli-integrate/{set_name}", tmp)
+
+
 def sweep_sets() -> dict:
     """22 coefficient sets: beta = c alpha with and without a normal
     connection, and sets with a known dependence verdict in some case."""
@@ -241,7 +269,8 @@ def detect_sweep(rec: Record):
                         {**rep.verdict_json(), "eps": rep.ld.eps})
 
 
-PRODUCERS = (cli_pipeline, readme_chain, frame_roundtrip, verify_riccati, detect_sweep)
+PRODUCERS = (cli_pipeline, readme_chain, frame_roundtrip, verify_riccati, detect_sweep,
+             cli_integrate)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,16 @@ class Scenario:
 
 
 SCENARIOS = {
-    # construct, integrate and reconstruct in one process: measured 371 MiB,
-    # against 1370 MiB while the connection was assembled whole-grid.
-    # integrate sets the peak: reconstruct alone peaks at 173 MiB
-    "roundtrip": Scenario(427, [
+    # construct, integrate with its OBJ export and reconstruct in one
+    # process: measured 223 MiB, against 378 MiB while integrate held the
+    # whole (nu, nv, 4, 5) frame and wrote the OBJ 65536 rows at a time, and
+    # 1370 MiB while the connection was assembled whole-grid.  integrate's
+    # read of the coefficient file sets it, as in verify: integrate alone
+    # peaks at 223 MiB, construct at 199 and reconstruct at 181
+    "roundtrip": Scenario(257, [
         CONSTRUCT_TORUS,
-        ["integrate", "--coeffs", "coeffs.json", "--case", "R", "--out", "mesh.json"],
+        ["integrate", "--coeffs", "coeffs.json", "--case", "R", "--out", "mesh.json",
+         "--export-obj", "mesh.obj"],
         ["reconstruct", "--mesh", "mesh.json", "--case", "R", "--out", "rec.json"],
     ], files={"torus.json": TORUS}),
     # measured 223 MiB; reading the coefficient file sets it: the read alone

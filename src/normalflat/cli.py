@@ -36,8 +36,8 @@ from .gcr import detect_parallel_normal, gcr_residuals
 from .grid import (FieldGrid, GridSpec, _float, load_fields, max_mean, residual_tolerance,
                    save_fields)
 from .integrator import (
+    _integrate_mesh,
     export_mesh,
-    integrate_frame,
     load_mesh,
     reconstruct_coefficients,
     save_mesh,
@@ -249,9 +249,8 @@ def _cmd_integrate(args) -> int:
     case = _case(args)
     coeffs = CoefficientSet.load(args.coeffs)
     frame0 = _frame0(args.frame0) if args.frame0 and args.frame0 != "auto" else None
-    field, drift = integrate_frame(coeffs, case, frame0)
+    mesh, drift = _integrate_mesh(coeffs, case, frame0)
     tol = drift.pop("compatibility_tolerance")  # a verdict level, not a metric
-    mesh = field.mesh()
     save_mesh(args.out, mesh)
     if args.export_obj:
         export_mesh(mesh, args.export_obj, "obj3d",

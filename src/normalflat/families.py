@@ -384,10 +384,11 @@ def _sqrt_tracked(w2: np.ndarray) -> np.ndarray:
 
 
 def build_notld_family(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Not-linearly-dependent set: complex pipeline for parity -1, else real."""
-    if case.parity < 0:
-        return _notld_lorentzian(pot, case)
-    return _notld_real(pot, case)
+    """Not-linearly-dependent set: complex pipeline for parity -1, else real.
+
+    The pipeline returns only what ``_gamma_tail`` reads, so its dozens of
+    whole-grid intermediates are freed before the set is certified."""
+    return _gamma_tail(case, *(_notld_lorentzian if case.parity < 0 else _notld_real)(pot, case))
 
 
 def _lambda_or_zero(pot, spec):
@@ -412,15 +413,17 @@ def _k_minus(pot: NotldPotentials, case: CaseSpec):
     return tm, km, {"t_minus_log_form": t_minus_id}
 
 
-def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Cases R, NS (kappa = 1) and NT (kappa = -1): f_+ is f_- rotated by psi
-    or rho.  kappa = g1 g2 signs B = f+_u^2 + kappa f+_v^2, C = f+_u f-_u -
-    kappa f+_v f-_v, k+ = (C k- - kappa A) / (A k- + C) on the branch
-    (A k- + C) B < 0, s+- = sqrt|k+-^2 + kappa|, beta1 = (k+ y+ - k- y-) / 2,
-    alpha3 = kappa (k- x- - k+ x+) / 2, where (x, y)+ = (f+_v, f+_u) / s+ and
-    (x, y)- = (-f-_v, f-_u) / s-, and the gamma gradient -kappa grad a + kappa
-    d J grad f_- minus the lambda terms (a from _k_minus), d = delta and
-    e = eps (in the identities), both 1 off NT.
+def _notld_real(pot: NotldPotentials, case: CaseSpec) -> tuple:
+    """``_gamma_tail``'s arguments after case, for cases R, NS (kappa = 1)
+    and NT (kappa = -1): f_+ is f_- rotated by psi or rho.
+
+    kappa = g1 g2 signs B = f+_u^2 + kappa f+_v^2, C = f+_u f-_u - kappa
+    f+_v f-_v, k+ = (C k- - kappa A) / (A k- + C) on the branch (A k- + C)
+    B < 0, s+- = sqrt|k+-^2 + kappa|, beta1 = (k+ y+ - k- y-) / 2, alpha3 =
+    kappa (k- x- - k+ x+) / 2, where (x, y)+ = (f+_v, f+_u) / s+ and (x, y)-
+    = (-f-_v, f-_u) / s-, and the gamma gradient -kappa grad a + kappa d J
+    grad f_- minus the lambda terms (a from _k_minus), d = delta and e = eps
+    (in the identities), both 1 off NT.
     """
     kappa = case.kappa
     free, angle_name = ("theta_minus", "psi") if kappa > 0 else ("t_minus", "rho")
@@ -489,12 +492,12 @@ def _notld_real(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
     form = dict(alpha1=0.5 * (yp - ym), alpha2=0.5 * (xp + xm), alpha3=0.5 * (zp - zm),
                 beta1=0.5 * (wp - wm), beta2=0.5 * (yp + ym), beta3=0.5 * (xp - xm))
     extras = {"f_plus": f_plus, "k_minus": FieldGrid(spec, km), "k_plus": FieldGrid(spec, kp)}
-    return _gamma_tail(case, lam, tol, gu, gv, form, identities, witness,
-                       {"angle_link_curl": curl}, extras)
+    return lam, tol, gu, gv, form, identities, witness, {"angle_link_curl": curl}, extras
 
 
-def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
-    """Cases LS and LT: complex potential f, k on its gauge circle.
+def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> tuple:
+    """``_gamma_tail``'s arguments after case, for cases LS and LT: complex
+    potential f, k on its gauge circle.
 
     kappa = g1 g2 (+1 for LS, -1 for LT) signs every difference of the two
     cases: B = f_u^2 + kappa f_v^2, C = |f_u|^2 - kappa |f_v|^2,
@@ -561,6 +564,6 @@ def _notld_lorentzian(pot: NotldPotentials, case: CaseSpec) -> FamilyResult:
         "B_reality": reality,
     }
     witness = float(np.min(np.abs(X**2 * np.conj(Y) ** 2 - np.conj(X) ** 2 * Y**2)))
-    return _gamma_tail(case, lam, tol, np.real(gcu), np.real(gcv), form, identities, witness,
-                       {"gamma_realness": realness}, {"k": FieldGrid(spec, k)})
+    return (lam, tol, np.real(gcu), np.real(gcv), form, identities, witness,
+            {"gamma_realness": realness}, {"k": FieldGrid(spec, k)})
 

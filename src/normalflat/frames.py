@@ -24,7 +24,9 @@ function, so no sweep holds a whole-grid (nu, nv, d, d) array.  A cell
 takes as many substeps as its matrices need, one to four: ceil(h max
 ||M||_F / 0.1) over its stencil (``_substeps``), counted once per window
 where that is 1.  Only a cell's inner sub-nodes are interpolated, and
-the RK4 stages run in preallocated buffers.
+the RK4 stages run in preallocated buffers.  Each window's states go to
+the caller's sink, not to a whole-grid output: ``fill`` keeps them all,
+the integrator's mesh path only the positions and their Gram defects.
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of, and its ``block``
@@ -377,19 +379,19 @@ def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: 
     return out
 
 
-def _walk(window_of, h: float, line: np.ndarray) -> int:
-    """Steps line[0], (b, r, d), along line, (n, b, r, d), of spacing h;
-    returns the most substeps a cell took.  window_of(lo, hi) gives the
-    matrices of nodes lo..hi-1, (hi - lo, b, d, d) and contiguous, for
-    ``_WINDOW`` cells plus their stencil overlap at a time.  The count is
-    monotone in the reach, so a window's count is its cells' most; where
-    it is 1, no cell of it is counted again.  A window's states go to a
-    buffer that is written to line once.
+def _walk(window_of, h: float, state0: np.ndarray, n: int, sink) -> int:
+    """Steps state0, (b, r, d), along a line of n nodes of spacing h; returns
+    the most substeps a cell took.  window_of(lo, hi) gives the matrices of
+    nodes lo..hi-1, (hi - lo, b, d, d) and contiguous, for ``_WINDOW`` cells
+    plus their stencil overlap at a time.  The count is monotone in the
+    reach, so a window's count is its cells' most; where it is 1, no cell of
+    it is counted again.  A window's states go to a buffer, which
+    sink(j, states) reads once: the states of nodes j..j + len(states) - 1,
+    valid only during the call, as the next window overwrites them.
     """
-    n = len(line)
-    work = np.empty((6, *line.shape[1:]))
-    states = np.empty((min(_WINDOW, n - 1), *line.shape[1:]))
-    state = line[0]
+    work = np.empty((6, *state0.shape))
+    states = np.empty((min(_WINDOW, n - 1), *state0.shape))
+    state = state0
     most = 1
     for j0 in range(0, n - 1, _WINDOW):
         j1 = min(j0 + _WINDOW, n - 1)
@@ -401,22 +403,38 @@ def _walk(window_of, h: float, line: np.ndarray) -> int:
             k0 = _stencil(j, n) - lo
             state = _advance(state, h, window[k0:k0 + 4], j - lo - k0, j, 1 if m == 1 else None,
                              work, states[j - j0])
-        line[j0 + 1:j1 + 1] = states[:j1 - j0]
+        del window  # before the sink's work and the next window's assembly
+        sink(j0 + 1, states[:j1 - j0])
     return most
 
 
-def sweep(block, state0: np.ndarray, spec: GridSpec):
-    """Y over the grid from Y(u0, v0) = state0, base row first, then every column.
+def sweep(block, state0: np.ndarray, spec: GridSpec, sink):
+    """Y over the grid from Y(u0, v0) = state0, base row first, then every
+    column, handed to sink column block by column block.
 
     block(k, view): the u-matrices (k = 0) or the v-matrices (k = 1) on the
     block view picks from a (nu, nv) array, (a, b, d, d) and contiguous, as
     ``FrameConnection.block`` gives them.  The base row is a line one state
     wide (windows ``x[lo:hi, :1]``), the columns one nu wide (windows
-    ``x[:, lo:hi].T``).  state0: (r, d).  Returns Y, (nu, nv, r, d), and
-    the most substeps a cell took along u and along v.
+    ``x[:, lo:hi].T``).  state0: (r, d).  sink(j, states) reads columns
+    j..j + w - 1 of Y as states (w, nu, r, d), line first: the base row
+    (j = 0, w = 1) once it is done, then each window of columns, valid only
+    during the call (``fill`` keeps them all).  The sweep itself holds the
+    base row, one window of states and one of matrices.  Returns the most
+    substeps a cell took along u and along v.
     """
-    out = np.empty((*spec.shape, *state0.shape))
-    out[0, 0] = state0
-    most_u = _walk(lambda lo, hi: block(0, lambda x: x[lo:hi, :1]), spec.du, out[:, :1])
-    most_v = _walk(lambda lo, hi: block(1, lambda x: x[:, lo:hi].T), spec.dv, out.swapaxes(0, 1))
-    return out, (most_u, most_v)
+    base = np.empty((1, spec.nu, *state0.shape))  # column 0, line first: a one-row Y
+    base[0, 0] = state0
+    most_u = _walk(lambda lo, hi: block(0, lambda x: x[lo:hi, :1]), spec.du, base[:, 0], spec.nu,
+                   fill(base))
+    sink(0, base)
+    most_v = _walk(lambda lo, hi: block(1, lambda x: x[:, lo:hi].T), spec.dv, base[0], spec.nv,
+                   sink)
+    return most_u, most_v
+
+
+def fill(Y: np.ndarray):
+    """The ``sweep`` sink that writes every column block into Y, (nu, nv, r, d)."""
+    def sink(j, states):
+        Y[:, j:j + len(states)] = states.swapaxes(0, 1)
+    return sink

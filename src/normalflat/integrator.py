@@ -10,9 +10,16 @@ inverts the frame definitions on a sampled conformal immersion.
 
 Both stream their whole-grid work, so the largest arrays either holds
 are its input and its output.  Integration assembles the connection one
-sweep window at a time (:class:`normalflat.frames.FrameConnection`),
-takes the compatibility defect in closed form one row slab at a time,
-and computes the Gram drift one row slab at a time (``grid.row_slabs``).
+sweep window at a time (:class:`normalflat.frames.FrameConnection`) and
+takes the compatibility defect in closed form one row slab at a time.
+``integrate_frame`` has the sweep fill the whole (nu, nv, dim, 5) frame
+it returns, then computes the Gram drift one row slab at a time
+(``grid.row_slabs``).  The command line's ``integrate`` writes only the
+mesh, so it goes through ``_integrate_mesh``, which shares the frame0
+gate, the connection and the report: its sink keeps each column block's
+positions and folds the block into the Gram drift, so it holds the mesh
+and the sweep's base row, never the frame.  ``export_mesh`` formats
+``_ROWS_PER_WRITE`` rows at a time, from per-chunk slices of the mesh.
 Reconstruction checks the tangents one row slab at a time, then
 propagates the normals and computes the coefficients one window of
 ``_WINDOW`` columns at a time (``grid.slabs``): tangent projectors,
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import COEFF_NAMES, CoefficientSet, FrameConnection, sweep
+from .frames import COEFF_NAMES, CoefficientSet, FrameConnection, fill, sweep
 from .grid import (ROUND_OFF_TOL, FieldGrid, GridSpec, grad, hessian, isothermality_tolerance,
                    load_fields, residual_tolerance, row_slabs, save_fields, slabs)
 from .spaceform import CaseSpec, ambient_inner, ambient_signature
@@ -89,9 +96,13 @@ class FrameField:
 
     def gram_drift(self, lam: FieldGrid) -> dict:
         """The maxima of ``_gram_defects`` over the grid, one row slab at a time."""
-        slabs = [_gram_defects(self.values[s.lines], np.exp(2 * lam.values[s.lines]), self.case)
-                 for s in row_slabs(self.spec)]
-        return {name: float(np.max([d[name] for d in slabs])) for name in slabs[0]}
+        return _gram_max([_gram_defects(self.values[s.lines], np.exp(2 * lam.values[s.lines]),
+                                        self.case) for s in row_slabs(self.spec)])
+
+
+def _gram_max(parts: list) -> dict:
+    """The maxima of ``_gram_defects`` of the grid's parts, a NaN the largest."""
+    return {name: float(np.max([d[name] for d in parts])) for name in parts[0]}
 
 
 def _gram_defects(Y: np.ndarray, e2l, case: CaseSpec) -> dict:
@@ -139,6 +150,40 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
     defect and the residual level it is warned at, as
     ``compatibility_defect`` and ``compatibility_tolerance``.
     """
+    def frame(conn, frame0):
+        spec = coeffs.spec
+        values = np.empty((*spec.shape, *frame0.shape))
+        substeps = sweep(conn.block, frame0, spec, fill(values))
+        field = FrameField(case, spec, values)
+        return field, field.gram_drift(coeffs.lam), substeps
+
+    return _integrate(coeffs, case, frame0, frame)
+
+
+def _integrate_mesh(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
+    """``integrate_frame``'s mesh and report, bit for bit, holding the mesh,
+    not the frame: returns (SurfaceMesh, report).  Each column block the
+    sweep hands over gives up its position column and its Gram defects."""
+    def mesh(conn, frame0):
+        spec = coeffs.spec
+        lam = coeffs.lam.values
+        positions = np.empty((*spec.shape, len(frame0)))
+        defects = []
+
+        def sink(j, states):
+            cols = slice(j, j + len(states))
+            positions[:, cols] = states[..., 4].swapaxes(0, 1)
+            defects.append(_gram_defects(states, np.exp(2 * lam[:, cols]).T, case))
+
+        substeps = sweep(conn.block, frame0, spec, sink)
+        return SurfaceMesh(spec, positions), _gram_max(defects), substeps
+
+    return _integrate(coeffs, case, frame0, mesh)
+
+
+def _integrate(coeffs: CoefficientSet, case: CaseSpec, frame0, run):
+    """The body of both paths: frame0 and its Gram gate, the connection,
+    run(conn, frame0) -> (result, Gram drift, substeps), and the report."""
     sig = ambient_signature(case)
     lam0 = float(coeffs.lam.values[0, 0])
     if frame0 is None:
@@ -154,10 +199,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
 
     spec = coeffs.spec
     conn = FrameConnection(coeffs, case)
-    values, (substeps_u, substeps_v) = sweep(conn.block, frame0, spec)
-    field = FrameField(case, spec, values)
-
-    report = field.gram_drift(coeffs.lam)
+    result, report, (substeps_u, substeps_v) = run(conn, frame0)
     report["frame0"] = frame0.tolist()
     report["substeps"] = {"u": substeps_u, "v": substeps_v}
     # the defect of the connection just swept: compatibility_defect(coeffs, case)
@@ -169,7 +211,7 @@ def integrate_frame(coeffs: CoefficientSet, case: CaseSpec, frame0=None):
         report["compatibility_warning"] = (
             f"input coefficients violate integrability ({compat:.3e} > {tol:.3e}); "
             "expect Gram/quadric drift of the same order")
-    return field, report
+    return result, report
 
 
 def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
@@ -476,37 +518,49 @@ def export_mesh(mesh, path, fmt: str = "csv", axes=(0, 1, 2)) -> None:
         raise ValueError("mesh positions must be real")
     positions = positions.astype(float, copy=False)
     nu, nv, dim = positions.shape
+
+    def points(k):  # grid points k, row-major
+        return positions[k // nv, k % nv]
+
     if fmt == "csv":
         if not isinstance(mesh, SurfaceMesh):
             raise ValueError("csv export needs a SurfaceMesh (u, v columns)")
-        table = np.concatenate([np.stack(mesh.spec.mesh(), axis=-1), positions], axis=-1)
+        u, v = mesh.spec.u_axis(), mesh.spec.v_axis()
+
+        def csv_rows(k):  # the rows of grid points k, u and v from spec.mesh()
+            return np.column_stack([u[k // nv], v[k % nv], points(k)])
+
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["u", "v"] + [f"x{k}" for k in range(dim)]) + "\r\n")
-            _write_lines(fh, ",".join(["%r"] * (2 + dim)) + "\r\n",
-                         table.reshape(-1, 2 + dim))
+            _write_lines(fh, ",".join(["%r"] * (2 + dim)) + "\r\n", nu * nv, csv_rows)
     elif fmt == "obj3d":
         if len(axes) != 3 or not all(-dim <= a < dim for a in axes):
             raise ValueError("obj export needs three valid projection axes")
-        a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).reshape(-1, 1)
+
+        def faces(k):  # quad k, row-major over the (nu - 1, nv - 1) cells
+            a = (k // (nv - 1) * nv + k % (nv - 1) + 1)[:, None]
+            return np.hstack([a, a + nv, a + nv + 1, a + 1])
+
         with open(path, "w") as fh:
-            _write_lines(fh, "v %r %r %r\n", positions[..., list(axes)].reshape(-1, 3))
-            _write_lines(fh, "f %d %d %d %d\n", np.hstack([a, a + nv, a + nv + 1, a + 1]))
+            _write_lines(fh, "v %r %r %r\n", nu * nv, lambda k: points(k)[:, list(axes)])
+            _write_lines(fh, "f %d %d %d %d\n", (nu - 1) * (nv - 1), faces)
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
 
 
-_ROWS_PER_WRITE = 1 << 16  # bounds the Python floats and text alive at once
+_ROWS_PER_WRITE = 1 << 12  # bounds the Python floats and text alive at once
 
 
-def _write_lines(fh, line: str, table: np.ndarray) -> None:
-    """Write ``line % row`` for every row of a 2-d array, in bulk.
+def _write_lines(fh, line: str, n: int, rows) -> None:
+    """Write ``line % row`` for the n rows of a table, a chunk at a time:
+    rows(k) gives the rows of the indices k, a 2-d array.
 
     The values go through ``tolist()``, so ``%r`` prints a float as its
     shortest repr, exactly as ``repr(float(x))`` would.
     """
-    for start in range(0, len(table), _ROWS_PER_WRITE):
-        rows = table[start:start + _ROWS_PER_WRITE]
-        fh.write((line * len(rows)) % tuple(rows.reshape(-1).tolist()))
+    for start in range(0, n, _ROWS_PER_WRITE):
+        chunk = rows(np.arange(start, min(start + _ROWS_PER_WRITE, n)))
+        fh.write((line * len(chunk)) % tuple(chunk.reshape(-1).tolist()))
 
 
 def load_mesh_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

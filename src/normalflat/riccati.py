@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import sweep
+from .frames import fill, sweep
 from .grid import (EXCLUSION_MARGIN, FORMS_FLOOR, FieldGrid, GridSpec, curl, grad, hessian,
                    quadratic_tolerance, require_nonzero, wedge)
 from .spaceform import CaseSpec
@@ -182,7 +182,8 @@ def _first_cell(bad: np.ndarray, spec: GridSpec, transposed: bool):
 
 def _solve_one_order(block, spec, t0, bound, interval, transposed):
     """t = p/q from one sweep of [p q] = [t0 1], checked once it is done."""
-    Y, _ = sweep(block, np.array([[t0, 1.0]]), spec)
+    Y = np.empty((*spec.shape, 1, 2))
+    sweep(block, np.array([[t0, 1.0]]), spec, fill(Y))
     p, q = Y[..., 0, 0], Y[..., 0, 1]
     if interval is not None:
         lo, hi = interval

@@ -17,7 +17,7 @@ from conftest import random_coefficients, text_document
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, cli, save_fields
 from normalflat.cli import CASE_FLAGS, main
 from normalflat.families import NotldPotentials, build_notld_family
-from normalflat.integrator import canonical_frame0
+from normalflat.integrator import canonical_frame0, integrate_frame
 from normalflat.riccati import build_forms
 
 
@@ -304,6 +304,43 @@ def test_integrate_overflow_exit_code(tmp_path, capsys):
                    "--out", str(tmp_path / "mesh.json")])
     assert rc in (1, 2)
     assert "normalflat:" in capsys.readouterr().err
+
+
+def test_integrate_fails_as_integrate_frame_raises(tmp_path, capsys):
+    # the command line integrates through its mesh path, which shares
+    # integrate_frame's frame0 gate and sweep: each failure exits as
+    # integrate_frame's exception under the command line's floating-point
+    # state directs, 2 for an overflow (in the gate's e^{2 lambda}, in the
+    # sweep's matmul) and 1 for a frame0 of the wrong shape or off the Gram
+    # conditions, with its message
+    spec = GridSpec.over_box((0, 1), (0, 1), 9, 9)
+    case = CaseSpec("R", 0.0)
+    frame = canonical_frame0(case)
+    doubled = frame.copy()
+    doubled[:, 1] *= 2
+    runs = [({"lam": 400.0}, None, 2, "floating-point failure: overflow encountered in exp"),
+            ({"alpha1": 1e200, "beta3": 1e200}, None, 2,
+             "floating-point failure: overflow encountered in matmul"),
+            ({}, frame[:3], 1, "frame0 must have shape (4, 5)"),
+            ({}, doubled, 1, "frame0 violates the Gram conditions at the base point: "
+                             "gram_max 3.000e+00 > ")]
+    for n, (fields, frame0, rc, message) in enumerate(runs):
+        coeffs = CoefficientSet.from_arrays(spec, **fields)
+        coeffs.save(tmp_path / "coeffs.json")
+        argv = ["integrate", "--coeffs", str(tmp_path / "coeffs.json"), "--case", "R",
+                "--out", str(tmp_path / "mesh.json")]
+        if frame0 is not None:
+            (tmp_path / "frame.json").write_text(json.dumps({"frame0": frame0.tolist()}))
+            argv += ["--frame0", str(tmp_path / "frame.json")]
+        assert main(argv) == rc, n
+        assert not (tmp_path / "mesh.json").exists()
+        err = capsys.readouterr().err
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises((FloatingPointError, ValueError)) as exc:
+            integrate_frame(coeffs, case, frame0)
+        prefix = "floating-point failure: " if rc == 2 else ""
+        assert err == f"normalflat: {prefix}{exc.value}\n", n
+        assert err.startswith(f"normalflat: {message}"), n
 
 
 def test_riccati_cli(tmp_path):

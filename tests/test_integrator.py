@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, integrator
 from normalflat.families import NotldPotentials, build_notld_family
 from normalflat.frames import compatibility_defect
 from normalflat.gcr import (
@@ -488,6 +488,33 @@ def test_exports_match_per_vertex_reference(tmp_path):
     bare = np.arange(5 * 6 * 3).reshape(5, 6, 3)  # integer positions print as floats
     export_mesh(bare, path, "obj3d")
     assert path.read_bytes() == _reference_obj(bare, (0, 1, 2))
+
+
+@pytest.mark.parametrize("rows", [1, 7, "all"])
+def test_export_writes_the_same_bytes_in_any_chunks(rows, tmp_path, monkeypatch):
+    # 70 x 64 points take two chunks of the default 4096 rows; chunks of 1,
+    # of 7 (which divides neither 70 * 64 nor 69 * 63) and of every row at
+    # once write the same bytes, through every format and a bare array
+    spec = GridSpec(-0.0, 0.25, 0.1, 1e-3, 70, 64)
+    rng = np.random.default_rng(8)
+    pos = 10.0 ** rng.uniform(-300, 300, (70, 64, 5)) * rng.choice([-1, 1], (70, 64, 5))
+    pos.flat[:6] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -5e-324, 0.0]
+    mesh = SurfaceMesh(spec, pos)
+
+    def written():
+        out = []
+        for name, args in (("m.csv", (mesh, "csv")), ("m.obj", (mesh, "obj3d", (4, -1, 2))),
+                           ("bare.obj", (pos[..., ::2], "obj3d"))):
+            export_mesh(args[0], tmp_path / name, *args[1:])
+            out.append((tmp_path / name).read_bytes())
+        return out
+
+    default = written()
+    assert integrator._ROWS_PER_WRITE < 70 * 64
+    monkeypatch.setattr(integrator, "_ROWS_PER_WRITE", 70 * 64 if rows == "all" else rows)
+    assert written() == default
+    assert default[0] == _reference_csv(mesh)
+    assert default[1] == _reference_obj(pos, (4, -1, 2))
 
 
 def test_export_rejects_complex_positions(tmp_path):

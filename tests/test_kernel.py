@@ -4,8 +4,8 @@
 cell's end matrices straight off the stencil and takes the substep count
 from its caller; ``frames.sweep`` walks the base row and the columns as
 lines of one walker, which asks a connection's block function for one
-contiguous window at a time, counts substeps per window and writes a
-window's states at once; ``FrameConnection.block`` fills the
+contiguous window at a time, counts substeps per window and hands a
+window's states to its sink at once (``fill`` keeps them all); ``FrameConnection.block`` fills the
 (a, b, 5, 5) layout directly.  Each must give what the plain formulation
 below gives, down to the sign of every zero: a kernel that allocates
 every stage and interpolates every sub-node, a sweep over whole-grid
@@ -18,7 +18,7 @@ import pytest
 
 from normalflat import CaseSpec, FieldGrid, GridSpec, frames
 from normalflat.frames import (_SUBNODE_WEIGHTS, FrameConnection, _advance, _subnode_weights,
-                               _substeps, sweep)
+                               _substeps, fill, sweep)
 from normalflat.integrator import integrate_frame
 from normalflat.riccati import _block, build_forms, solve_riccati
 
@@ -74,6 +74,12 @@ def _whole_grid_block(S, T):
     nu, nv, d, _ = S.shape
     flat = np.arange(nu * nv).reshape(nu, nv)
     return lambda k, view: (S, T)[k].reshape(nu * nv, d, d)[view(flat)]
+
+
+def _filled_sweep(block, state0, spec):
+    """``sweep`` into a whole Y through the fill sink: (Y, substeps)."""
+    Y = np.empty((*spec.shape, *state0.shape))
+    return Y, sweep(block, state0, spec, fill(Y))
 
 
 def _buffers(state):
@@ -188,14 +194,14 @@ def test_sweep_matches_the_staged_sweep(steps, r, d):
                   for k0 in (min(max(j - 1, 0), nv - 4) for j in range(W, 2 * W))]
         assert set(counts) == {1, 2, 3}
 
-    Y, substeps = sweep(_whole_grid_block(S, T), state0, spec)
+    Y, substeps = _filled_sweep(_whole_grid_block(S, T), state0, spec)
     assert _same(Y, ref) and substeps == most
     # a base row that counts 4, with cells of every count
     rise = np.array([0.05, 0.05, 0.05, 0.05, 0.15, 0.25, 0.35, 0.38, 0.38])
     S4 = _smooth_mats(rng, nu, nv, d, np.broadcast_to(rise[:, None] / spec.du, spec.shape))
     assert [_substeps(spec.du, S4[k0:k0 + 4, 0]) for k0 in range(nu - 3)] == [1, 2, 3, 4, 4, 4]
     ref, most = _staged_sweep(S4[:, 0], cols, state0, spec)
-    Y, substeps = sweep(_whole_grid_block(S4, T), state0, spec)
+    Y, substeps = _filled_sweep(_whole_grid_block(S4, T), state0, spec)
     assert _same(Y, ref) and substeps == most == (4, most[1])
 
 
@@ -209,7 +215,7 @@ def test_sweep_with_one_column_windows(monkeypatch):
     T = _smooth_mats(rng, 7, 11, 5, np.full(spec.shape, 0.25 / spec.dv))
     cols = np.ascontiguousarray(np.moveaxis(T, 1, 0))
     state0 = _with_zeros(rng, (4, 5))
-    Y, substeps = sweep(_whole_grid_block(S, T), state0, spec)
+    Y, substeps = _filled_sweep(_whole_grid_block(S, T), state0, spec)
     ref, most = _staged_sweep(S[:, 0], cols, state0, spec)
     assert _same(Y, ref) and substeps == most == (1, 3)
 

@@ -1,8 +1,9 @@
 """The streamed passes against whole-grid references, bit for bit.
 
-The Gram drift, the frame sweep and reconstruction work one row slab
-(``grid.SLAB_ROWS`` rows plus a halo) or one column window at a time,
-and the closed-form defect one slab of ``frames._DEFECT_ROWS`` rows.  On
+The Gram drift, the frame sweep, the command line's mesh path and
+reconstruction work one row slab (``grid.SLAB_ROWS`` rows plus a halo)
+or one column window at a time, and the closed-form defect one slab of
+``frames._DEFECT_ROWS`` rows.  On
 grids whose rows end before, at and just past a slab boundary, and whose
 columns cross sweep and reconstruction windows, every output must equal
 what the whole-grid formula gives (the defect's: the closed form over the
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, grid, integrator
-from normalflat.families import build_product_family
+from normalflat.families import NotldPotentials, build_notld_family, build_product_family
 from normalflat.frames import _advance, assemble_connection, compatibility_defect
 from normalflat.grid import curl
 from normalflat.integrator import canonical_frame0, integrate_frame, reconstruct_coefficients
@@ -189,6 +190,28 @@ def test_defect_frame_and_drift_match_the_whole_grid(case, shape, monkeypatch):
                                                                              lam, case)
 
 
+@pytest.mark.parametrize("shape", [(37, 41), (5, 5)])
+@pytest.mark.parametrize("case", [CaseSpec(c, l0) for c in ("R", "NS", "NT", "LS", "LT")
+                                  for l0 in (0.0, 1.0)], ids=lambda c: f"{c.case_id}{c.l0:g}")
+def test_mesh_path_matches_the_frame_path(case, shape, monkeypatch):
+    # the command line's mesh path keeps each column block's positions and
+    # Gram defects: its mesh and report are integrate_frame's mesh and report
+    # (gram_drift's row slabs among it), bit for bit, on columns that are not
+    # a multiple of the sweep window and on the smallest grid
+    spec = _spec(shape)
+    coeffs = random_coefficients(np.random.default_rng(shape[0] * 100 + shape[1]), spec)
+    field, report = integrate_frame(coeffs, case)
+    assert {k: report[k] for k in ("gram_max", "quadric_max", "position_cross_max")
+            if k in report} == field.gram_drift(coeffs.lam)
+    assert ("quadric_max" in report) == (case.l0 != 0)
+    monkeypatch.setattr(integrator, "fill", None)  # the mesh path fills no frame
+    mesh, mesh_report = integrator._integrate_mesh(coeffs, case)
+    positions = field.mesh().positions
+    assert np.array_equal(mesh.positions, positions)
+    assert np.array_equal(np.signbit(mesh.positions), np.signbit(positions))
+    assert mesh_report == report
+
+
 @pytest.mark.parametrize("nu", [DEFECT - 1, DEFECT, DEFECT + 1, 2 * DEFECT + 3])
 def test_defect_slabs_of_the_default_height(nu, monkeypatch):
     spec = _spec((nu, 6))
@@ -320,6 +343,61 @@ def test_round_trip_peak_memory():
     assert integrate_peak <= 2.5 * frame_bytes, integrate_peak / frame_bytes
     assert reconstruct_peak - held <= 5.85 * mesh.positions.nbytes, \
         (reconstruct_peak - held) / mesh.positions.nbytes
+
+
+def _traced_peak(fn):
+    """(peak above what was held before fn ran, fn's result), in bytes."""
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held, result
+
+
+def test_mesh_path_peak_memory():
+    # 256^2 product torus, above the coefficients: the frame path holds the
+    # (nu, nv, 4, 5) frame, five meshes (measured 7.19 meshes).  The mesh path
+    # holds the mesh, the connection's two lambda gradients (half a mesh) and
+    # one window's states, matrices and Gram terms (measured 4.14 meshes at
+    # 256^2; the window's share falls with 1/nv)
+    case = CaseSpec("R", 0.0)
+    spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), 256, 256)
+    coeffs = build_product_family(1.0, 1.0, case, spec).coeffs
+    mesh_bytes = 256 * 256 * 4 * 8
+    frame_peak, _ = _traced_peak(lambda: integrate_frame(coeffs, case))
+    mesh_peak, _ = _traced_peak(lambda: integrator._integrate_mesh(coeffs, case))
+    assert frame_peak >= 6.5 * mesh_bytes, frame_peak / mesh_bytes
+    assert mesh_peak <= 4.5 * mesh_bytes, mesh_peak / mesh_bytes
+
+
+def test_export_peak_memory(tmp_path):
+    # a chunk of 4096 rows at a time: measured 0.94 MiB for the OBJ and
+    # 1.58 MiB for the CSV of a 256^2 mesh in 4-space (5.4 and 7.3 MiB of
+    # text), against 15.2 and 25.0 MiB with chunks of 65536 rows
+    spec = GridSpec.over_box((0, 1), (0, 1), 256, 256)
+    mesh = integrator.SurfaceMesh(spec, np.random.default_rng(0).standard_normal((256, 256, 4)))
+    obj, _ = _traced_peak(lambda: integrator.export_mesh(mesh, tmp_path / "m.obj", "obj3d"))
+    csv, _ = _traced_peak(lambda: integrator.export_mesh(mesh, tmp_path / "m.csv", "csv"))
+    assert obj <= 1.25 * 2**20, obj / 2**20
+    assert csv <= 2.0 * 2**20, csv / 2**20
+
+
+def test_notld_family_peak_memory():
+    # the R pipeline of the cli-pipeline benchmark at 256^2: its
+    # intermediates are freed before certify runs (measured 39.2 grid
+    # arrays, against 52.0 while they were alive)
+    spec = GridSpec(0.0, 0.0, 1 / 255, 1 / 255, 256, 256)
+    U, _ = spec.mesh()
+    pot = NotldPotentials(f_minus=FieldGrid(spec, U), angle=FieldGrid.constant(spec, 1.2),
+                          theta_minus=FieldGrid(spec, 0.5 + 0.2 * np.sin(U + 0.05)))
+    del U
+    peak, result = _traced_peak(lambda: build_notld_family(pot, CaseSpec("R", 0.0)))
+    assert result.certificate["passed"]
+    grid_bytes = 256 * 256 * 8
+    assert peak <= 43 * grid_bytes, peak / grid_bytes
 
 
 def test_defect_peak_memory():
