@@ -13,6 +13,8 @@ BLAS pool pinned to one thread:
 - ``verify-riccati`` at seeds 0-2: the GCR residual and compatibility
   defect fields, the detect reports, the phi family, and the Riccati
   ``t``, residuals and ``path_defect`` (or the blow-up);
+- the Riccati ``t`` and ``path_defect`` of ``tests/test_kernel.py``'s
+  ``RICCATI`` table: R, NS and the four NT (eps, delta) branches;
 - a detect sweep: 22 coefficient sets in all five cases at L0 = 0 and 1;
 - the command line's ``integrate --export-obj --report``, with and without
   ``--frame0 FILE``, on the L0 = 1 sphere and the notld NT, LS and LT sets;
@@ -221,6 +223,34 @@ def cli_integrate(rec: Record):
             rec.add_files(f"cli-integrate/{set_name}", tmp)
 
 
+# (case, box, shape, k, xi, t0) of dt = w0 + t w1 + t^2 w2 for f_- = u + k v^2:
+# the RICCATI table of tests/test_kernel.py, R, NS and the four NT (eps,
+# delta) branches
+_SHORT, _UNIT = ((0.1, 0.6), (0.1, 0.5)), ((0.1, 1.1), (0.1, 1.1))
+RICCATI = [(CaseSpec("R"), _UNIT, (65, 33), 0.3, 0.4, 0.2),
+           (CaseSpec("NS"), _UNIT, (33, 33), 0.5, 0.5, 0.1),
+           (CaseSpec("NT", eps=1, delta=1), _UNIT, (65, 33), 0.3, 0.4, 0.2),
+           (CaseSpec("NT", eps=1, delta=-1), _SHORT, (65, 33), 0.3, 0.4, 0.5),
+           (CaseSpec("NT", eps=-1, delta=1), _UNIT, (65, 33), 0.3, 0.4, -0.3),
+           (CaseSpec("NT", eps=-1, delta=-1), _SHORT, (65, 33), 0.3, 0.4, 0.2)]
+
+
+def riccati_table(rec: Record):
+    """The angle system's t and path defect (or the error) on each row of
+    ``RICCATI``."""
+    for case, box, shape, k, xi, t0 in RICCATI:
+        spec = GridSpec.over_box(*box, *shape)
+        U, V = spec.mesh()
+        name = f"riccati-table/{case.case_id}{case.eps:+d}{case.delta:+d}"
+        try:
+            sol = riccati.solve_riccati(
+                riccati.build_forms(FieldGrid(spec, U + k * V**2), xi, case), t0, case)
+        except Exception as exc:  # an exception is the solve's result
+            rec.add(name, _error(exc))
+            continue
+        rec.add(name, {"t": sol.t, "path_defect": sol.path_defect})
+
+
 def sweep_sets() -> dict:
     """22 coefficient sets: beta = c alpha with and without a normal
     connection, and sets with a known dependence verdict in some case."""
@@ -269,8 +299,8 @@ def detect_sweep(rec: Record):
                         {**rep.verdict_json(), "eps": rep.ld.eps})
 
 
-PRODUCERS = (cli_pipeline, readme_chain, frame_roundtrip, verify_riccati, detect_sweep,
-             cli_integrate)
+PRODUCERS = (cli_pipeline, readme_chain, frame_roundtrip, verify_riccati, riccati_table,
+             detect_sweep, cli_integrate)
 
 
 # ---------------------------------------------------------------------------

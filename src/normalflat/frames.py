@@ -17,16 +17,21 @@ exactly when every path from the base corner carries Y to the same
 value; its Frobenius norm is the compatibility defect.
 ``sweep`` steps the base row along u, then every column along v, with
 classic RK4, matrices interpolated by cubics on the nearest 4-point
-stencil.  One walker (``_walk``) steps both lines, the base row one
-state wide and the columns nu, one window of 32 cells at a time: a
-connection hands it each window's matrices, contiguous, from its block
-function, so no sweep holds a whole-grid (nu, nv, d, d) array.  A cell
-takes as many substeps as its matrices need, one to four: ceil(h max
-||M||_F / 0.1) over its stencil (``_substeps``), counted once per window
-where that is 1.  Only a cell's inner sub-nodes are interpolated, and
-the RK4 stages run in preallocated buffers.  Each window's states go to
-the caller's sink, not to a whole-grid output: ``fill`` keeps them all,
-the integrator's mesh path only the positions and their Gram defects.
+stencil.  For a linear system an RK4 substep is Y <- Y + Y D, where the
+map D is a polynomial in the substep's matrices alone (``_substep_map``),
+so one walker (``_walk``) forms the maps of many cells at once and steps
+each cell's state by one product, state + state @ map.  It steps both
+lines, the base row one state wide and the columns nu, one window of
+8192 line points at a time: a connection hands it each window's matrices,
+contiguous, from its block function, so no sweep holds a whole-grid
+(nu, nv, d, d) array.  A cell takes as many substeps as its matrices
+need, one to four: ceil(h max ||M||_F / 0.1) over its stencil
+(``_substeps``), counted once per window where that is 1; its map
+composes its substeps' maps.  Only a cell's inner sub-nodes are
+interpolated, and the maps of a chunk of cells are formed in
+preallocated buffers.  Each window's states go to the caller's sink, not
+to a whole-grid output: ``fill`` keeps them all, the integrator's mesh
+path only the positions and their Gram defects.
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of, and its ``block``
@@ -297,13 +302,13 @@ def _substeps(h: float, mats: np.ndarray) -> int:
     clamp(ceil(reach / _REACH), 1, 4), where reach = h max ||M||_F.
 
     Why _REACH = 0.1: for a constant M, a substep of reach x multiplies Y
-    by the degree-4 Taylor polynomial of exp(x M / ||M||_F), so its error
-    is at most x^5 e^x / 120 of ||Y|| (the Frobenius norm is
-    submultiplicative).  A line of total reach R takes R / x substeps, so
-    it gathers at most R x^4 e^x / 120 of ||Y|| (times the growth of the
-    solution): under 1e-6 per unit of reach at x = 0.1.  Varying matrices
-    add terms of the same order in h.  A cell of reach above 0.4 takes four
-    substeps of reach above 0.1, outside that budget.
+    by I + D (see ``_substep_map``), the degree-4 Taylor polynomial of exp(x
+    M / ||M||_F), so its error is at most x^5 e^x / 120 of ||Y|| (the Frobenius
+    norm is submultiplicative).  A line of total reach R takes R / x
+    substeps, so it gathers at most R x^4 e^x / 120 of ||Y|| (times the
+    growth of the solution): under 1e-6 per unit of reach at x = 0.1.
+    Varying matrices add terms of the same order in h.  A cell of reach
+    above 0.4 takes four substeps of reach above 0.1, outside that budget.
 
     The largest entry alone decides most cells, since max|M_ij| <= ||M||_F
     <= d max|M_ij|; the Frobenius norm is formed only when it cannot.  So
@@ -321,8 +326,13 @@ def _substeps(h: float, mats: np.ndarray) -> int:
     return min(max(math.ceil(reach / _REACH), 1), _MAX_SUBSTEPS)
 
 
-# cells per window of the matrices a line walk holds
-_WINDOW = 32
+# a window's line points (cells x line width), which bound the matrices and
+# states a walk holds, and a chunk's matrix entries (cells x line width x
+# d^2), which keep a chunk's map buffers in cache: windows of 16 cells on
+# the 512-wide frame columns and 31 on the 257-wide angle columns, chunks of
+# one cell on the 512-wide frame, 2 on the 160-wide and 7 on the angle
+_WINDOW_POINTS = 2**13
+_MAP_ENTRIES = 2**13
 
 
 def _stencil(k: int, n: int) -> int:
@@ -330,81 +340,142 @@ def _stencil(k: int, n: int) -> int:
     return min(max(k - 1, 0), n - 4)
 
 
-def _advance(state: np.ndarray, h: float, mats: np.ndarray, at: int, k: int, m: int | None,
-             work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One cell of dY/ds = Y M(s), RK4 with m substeps, ``_substeps(h, mats)``
-    when m is None.
-
-    state: (..., r, d); mats: the cell's 4-point stencil of matrices, node
-    first (leading axes after it must broadcast against state's), the cell
-    being its interval ``at``; k numbers the cell in an overflow message.
-    The stages live in work, (6, *state.shape), and the new state goes to
-    out (it may be state itself).  Returns out.  The count depends on mats
-    alone, and ``sweep`` hands every cell a slice of a contiguous window,
-    so a cell steps the same, bit for bit, whichever window it was read
-    from.
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b for stacks of (r, d) and (d, d) matrices whose last stack
+    axis is a line.  numpy's matmul calls BLAS once per matrix, which for 2
+    x 2 factors costs about twice the sums written out: 72 against 38 us
+    for a stack of 2048 (timeit, one thread).  So on lines 64 or more wide
+    a 2 x 2 product is summed entry by entry, a_i0 b_0j + a_i1 b_1j,
+    elementwise over the stack.  The choice depends on the line alone, so
+    a cell's products have the same bits in any chunk.
     """
-    if m is None:
-        m = _substeps(h, mats)
-    k1, k2, k3, k4, y, acc = work
-    # the cell's ends are stencil nodes, where the weights are exactly 1 and
-    # +-0: the matrices there, but for the sign of a zero, which no matmul
-    # result sees; the 2m - 1 inner sub-nodes at once.  einsum, unlike a
-    # matmul, calls no BLAS, so the sums do not depend on the BLAS build.
-    # A matmul rounds otherwise on a matrix that is not contiguous (it skips
-    # BLAS), and einsum's output follows its input's layout, so every
-    # sub-node is made contiguous
-    inner = np.einsum("ns,s...->n...", _SUBNODE_WEIGHTS[m][at, 1:-1], mats)
-    sub = (np.ascontiguousarray(mats[at]), *np.ascontiguousarray(inner),
-           np.ascontiguousarray(mats[at + 1]))
+    if b.shape[-1] != 2 or b.shape[-3] < 64:
+        return np.matmul(a, b, out=out)
+    for i in range(a.shape[-2]):
+        x, y = a[..., i, 0], a[..., i, 1]
+        out[..., i, 0], out[..., i, 1] = [x * b[..., 0, j] + y * b[..., 1, j] for j in range(2)]
+    return out
+
+
+def _substep_map(A0, B, A1, out, work) -> np.ndarray:
+    """The map D, Y <- Y + Y D, of one RK4 substep of dY = Y M ds, from A0,
+    Am = 2 B and A1, the matrices hs M at the substep's start, middle and
+    end.
+
+    RK4's stages are Y A0, Y X1, Y X2 and Y X3, with X1 = Am + A0 B, X2 =
+    Am + X1 B and X3 = A1 + X2 A1, so D = (A0 + 2 (X1 + X2) + X3) / 6.  The
+    step adds Y D to Y, as RK4 adds its stages: Y (I + D) would round every
+    entry of Y d times a step.  Into out, with three buffers of its shape
+    in work.
+    """
+    Am, X, P = work
+    np.add(B, B, out=Am)
+    np.add(Am, _matmul(A0, B, P), out=out)  # X1
+    np.add(Am, _matmul(out, B, P), out=X)  # X2
+    np.add(out, X, out=out)
+    np.add(out, out, out=out)
+    np.add(out, A0, out=out)
+    np.add(out, _matmul(X, A1, P), out=out)
+    np.add(out, A1, out=out)
+    return np.multiply(out, 1 / 6, out=out)
+
+
+def _cell_maps(h: float, window: np.ndarray, k0: int, at: int, m: int, out: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """The maps of a run of cells of m substeps into out, (cells, b, d, d):
+    cell c of the run has the stencil window[k0 + c:k0 + c + 4] and is its
+    interval at.  A cell's map D, Y <- Y + Y D, composes its m substep
+    maps, first to last, I + D = (I + D_1) ... (I + D_m), over the
+    sub-nodes' matrices times hs = h / m.  The cell's ends are stencil
+    nodes, where the weights are exactly 1 and +-0, so their matrices are
+    read off the window; the 2m - 1 inner sub-nodes are summed over the
+    stencil in node order.  Every operation is elementwise or a product
+    whose form depends on the line alone (``_matmul``), so a cell's map
+    has the same bits in any run, whatever the window's layout.  work:
+    (5, cells + 1, b, d, d) or more.
+    """
+    cells = len(out)
     hs = h / m
+    weights = _SUBNODE_WEIGHTS[m][at] * hs
+    nodes = [window[k0 + s:k0 + s + cells] for s in range(4)]
+    ends, mid, stage = work[0, :cells + 1], work[1, :cells], work[2:5, :cells]
+
+    def subnode(t, scale, into):
+        np.multiply(nodes[0], scale * weights[t, 0], out=into)
+        for s in range(1, 4):
+            np.add(into, np.multiply(nodes[s], scale * weights[t, s], out=stage[0]), out=into)
+        return into
+
+    # the cells' ends, the run's cells + 1 nodes: cell c's end is c + 1's start
+    np.multiply(window[k0 + at:k0 + at + cells + 1], hs, out=ends)
+    start = ends[:-1]
+    if m > 1:
+        inner = np.empty((4, *out.shape))  # two inner ends by turns, a map, a product
     for i in range(m):
-        M0, Mm, M1 = sub[2 * i:2 * i + 3]
-        # k1 = Y M0, k2 = (Y + hs/2 k1) Mm, k3 = (Y + hs/2 k2) Mm, k4 = (Y + hs k3) M1,
-        # Y + hs/6 ((k1 + 2 k2) + 2 k3 + k4), every operation in that order
-        np.matmul(state, M0, out=k1)
-        for k_in, c, M, k_out in ((k1, 0.5 * hs, Mm, k2), (k2, 0.5 * hs, Mm, k3), (k3, hs, M1, k4)):
-            np.multiply(c, k_in, out=y)
-            np.add(state, y, out=y)
-            np.matmul(y, M, out=k_out)
-        np.multiply(2, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2, k3, out=y)
-        np.add(acc, y, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(hs / 6.0, acc, out=acc)
-        state = np.add(state, acc, out=out)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"linear propagation left the finite range near cell {k}")
+        end = ends[1:] if i == m - 1 else subnode(2 * i + 2, 1.0, inner[i % 2])
+        D = _substep_map(start, subnode(2 * i + 1, 0.5, mid), end,
+                         out if i == 0 else inner[2], stage)
+        if i:  # I + out <- (I + out) (I + D)
+            _matmul(out, D, inner[3])
+            np.add(out, D, out=out)
+            np.add(out, inner[3], out=out)
+        start = end
     return out
 
 
 def _walk(window_of, h: float, state0: np.ndarray, n: int, sink) -> int:
     """Steps state0, (b, r, d), along a line of n nodes of spacing h; returns
-    the most substeps a cell took.  window_of(lo, hi) gives the matrices of
-    nodes lo..hi-1, (hi - lo, b, d, d) and contiguous, for ``_WINDOW`` cells
-    plus their stencil overlap at a time.  The count is monotone in the
-    reach, so a window's count is its cells' most; where it is 1, no cell of
-    it is counted again.  A window's states go to a buffer, which
+    the most substeps a cell took.
+
+    window_of(lo, hi) gives the matrices of nodes lo..hi-1, (hi - lo, b, d,
+    d) and contiguous, for a window of ``_WINDOW_POINTS`` line points plus
+    their stencil overlap at a time.  The count is monotone in the reach,
+    so a window's count is its cells' most; where it is 1, no cell of it
+    is counted again.  The window's cells fall into runs of one interval
+    and one count, and each run into chunks of at most ``_MAP_ENTRIES``
+    matrix entries, whose maps are formed at once (``_cell_maps``) in
+    buffers that stay in cache.  Each cell then steps its state by one
+    product, state + state @ map.  A window's states go to a buffer, which
     sink(j, states) reads once: the states of nodes j..j + len(states) - 1,
-    valid only during the call, as the next window overwrites them.
+    valid only during the call, as the next window overwrites them.  Finiteness
+    is checked once a window is stepped, before the sink reads it: a state
+    that is not finite raises OverflowError naming the first such cell.
     """
-    work = np.empty((6, *state0.shape))
-    states = np.empty((min(_WINDOW, n - 1), *state0.shape))
+    b, r, d = state0.shape
+    size = max(1, min(n - 1, _WINDOW_POINTS // b))
+    chunk = max(1, min(size, _MAP_ENTRIES // (b * d * d)))
+    maps = np.empty((chunk, b, d, d))
+    work = np.empty((5, chunk + 1, b, d, d))
+    states = np.empty((size, b, r, d))
+    step = np.empty((b, r, d))
     state = state0
     most = 1
-    for j0 in range(0, n - 1, _WINDOW):
-        j1 = min(j0 + _WINDOW, n - 1)
+    for j0 in range(0, n - 1, size):
+        j1 = min(j0 + size, n - 1)
         lo = _stencil(j0, n)
         window = window_of(lo, _stencil(j1 - 1, n) + 4)
         m = _substeps(h, window)
         most = max(most, m)
+        chunks = []  # [first cell, end, interval, count]
         for j in range(j0, j1):
             k0 = _stencil(j, n) - lo
-            state = _advance(state, h, window[k0:k0 + 4], j - lo - k0, j, 1 if m == 1 else None,
-                             work, states[j - j0])
+            key = [j - lo - k0, m if m == 1 else _substeps(h, window[k0:k0 + 4])]
+            if chunks and chunks[-1][2:] == key and j - chunks[-1][0] < chunk:
+                chunks[-1][1] = j + 1
+            else:
+                chunks.append([j, j + 1, *key])
+        for first, end, at, count in chunks:
+            D = _cell_maps(h, window, _stencil(first, n) - lo, at, count, maps[:end - first],
+                           work)
+            for c in range(end - first):
+                state = np.add(state, _matmul(state, D[c], step), out=states[first - j0 + c])
         del window  # before the sink's work and the next window's assembly
-        sink(j0 + 1, states[:j1 - j0])
+        done = states[:j1 - j0]
+        finite = np.isfinite(done.reshape(j1 - j0, -1)).all(axis=1)
+        if not finite.all():
+            raise OverflowError("linear propagation left the finite range near cell "
+                                f"{j0 + int(finite.argmin())}")
+        sink(j0 + 1, done)
     return most
 
 
@@ -420,8 +491,8 @@ def sweep(block, state0: np.ndarray, spec: GridSpec, sink):
     j..j + w - 1 of Y as states (w, nu, r, d), line first: the base row
     (j = 0, w = 1) once it is done, then each window of columns, valid only
     during the call (``fill`` keeps them all).  The sweep itself holds the
-    base row, one window of states and one of matrices.  Returns the most
-    substeps a cell took along u and along v.
+    base row, one window of states and one of matrices, and one chunk of
+    maps.  Returns the most substeps a cell took along u and along v.
     """
     base = np.empty((1, spec.nu, *state0.shape))  # column 0, line first: a one-row Y
     base[0, 0] = state0

@@ -4,7 +4,7 @@ import sympy as sp
 
 from normalflat import (CaseSpec, CoefficientSet, GridSpec, assemble_connection,
                         compatibility_defect, frames, gcr, gcr_residuals, integrate_frame)
-from normalflat.frames import COEFF_NAMES, FrameConnection, _advance, _substeps
+from normalflat.frames import COEFF_NAMES, FrameConnection, _substeps, _walk
 from normalflat.grid import _diff_along4, grad, second_derivatives, slabs
 
 from conftest import random_coefficients
@@ -394,9 +394,12 @@ def test_substeps_follow_the_frobenius_reach(reach, m):
     assert _substeps(h, diag[:, 0]) == m  # a stencil with no line axis
 
 
-def _buffers(state):
-    """The stage and output buffers ``_advance`` steps state in."""
-    return np.empty((6, *state.shape)), np.empty(state.shape)
+def _step(state, h, mats):
+    """The three cells of the line whose nodes' matrices are mats (4, ...,
+    d, d), stepped from state by ``_walk``: the last state."""
+    states = []
+    _walk(lambda lo, hi: mats[lo:hi], h, state, 4, lambda j, s: states.append(s[-1].copy()))
+    return states[-1]
 
 
 def test_substeps_nan_and_overflow_safe():
@@ -407,11 +410,11 @@ def test_substeps_nan_and_overflow_safe():
         state = np.ones((3, 4, 5))
         if np.isnan(bad):
             with pytest.raises(OverflowError):
-                _advance(state, h, mats, 1, 7, None, *_buffers(state))
+                _step(state, h, mats)
         else:
-            # inf - inf in the matmuls warns; past that the finiteness check fails
+            # inf - inf in the maps warns; past that the finiteness check fails
             with np.errstate(all="ignore"), pytest.raises(OverflowError):
-                _advance(state, h, mats, 1, 7, None, *_buffers(state))
+                _step(state, h, mats)
     # entries near 1e200: no square is formed, so nothing overflows or warns
     # (pyproject turns a RuntimeWarning into an error)
     huge = _stencil_with((1, 2, 3, 4), 1e200)
@@ -421,6 +424,6 @@ def test_substeps_nan_and_overflow_safe():
     full = np.full((4, 3, 5, 5), 1e200)
     assert _substeps(1e-202, full) == 1  # d max|M_ij| h = 0.05
     assert _substeps(1e-201, full) == 4  # reach 0.5
-    state = np.ones((3, 4, 5))
-    state = _advance(state, 1e-203, full, 1, 7, None, *_buffers(state))
+    # the maps take h M before any product, so its entries stay small
+    state = _step(np.ones((3, 4, 5)), 1e-203, full)
     assert np.all(np.isfinite(state))

@@ -21,18 +21,18 @@ import pytest
 
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, grid, integrator
 from normalflat.families import NotldPotentials, build_notld_family, build_product_family
-from normalflat.frames import _advance, assemble_connection, compatibility_defect
+from normalflat.frames import assemble_connection, compatibility_defect
 from normalflat.grid import curl
 from normalflat.integrator import canonical_frame0, integrate_frame, reconstruct_coefficients
 from normalflat.riccati import _block, build_forms, forms_from_vectors, solve_riccati
 from normalflat.spaceform import ambient_inner, ambient_signature
 
-from conftest import random_coefficients
+from conftest import plain_sweep, random_coefficients
 
 SLAB = grid.SLAB_ROWS
 DEFECT = frames._DEFECT_ROWS
 # (nu, nv): rows ending inside, at and past a slab; columns within one sweep
-# window, ending at one, and crossing two
+# window of 32 cells (``_sweep_windows``), ending at one, and crossing two
 SHAPES = [(5, 7), (6, 37), (SLAB - 1, 9), (SLAB, 34), (SLAB + 1, 69), (2 * SLAB + 3, 6)]
 CASES = [CaseSpec("R", 0.0), CaseSpec("R", 0.7), CaseSpec("NS", -0.6), CaseSpec("NT", 0.7),
          CaseSpec("LS", -0.6), CaseSpec("LT", 0.7)]
@@ -40,6 +40,13 @@ CASES = [CaseSpec("R", 0.0), CaseSpec("R", 0.7), CaseSpec("NS", -0.6), CaseSpec(
 
 def _spec(shape):
     return GridSpec.over_box((-0.3, 0.4), (-0.2, 0.5), *shape)
+
+
+def _sweep_windows(monkeypatch, spec, d):
+    """Column windows of 32 cells on spec, d x d matrices, maps formed 5
+    cells at a time."""
+    monkeypatch.setattr(frames, "_WINDOW_POINTS", 32 * spec.nu)
+    monkeypatch.setattr(frames, "_MAP_ENTRIES", 5 * spec.nu * d * d)
 
 
 def _curvature(S, T, spec):
@@ -54,24 +61,9 @@ def _angle_connection(forms):
 
 
 def _whole_grid_sweep(S, T, state0, spec):
-    """The sweep over whole-grid S and T: the base row, then every column of
-    the line-first T at once."""
-    nu, nv = spec.shape
-    out = np.empty((nu, nv, *state0.shape))
-    out[0, 0] = state0
-    work = np.empty((6, *state0.shape))
-    for i in range(nu - 1):
-        k0 = min(max(i - 1, 0), nu - 4)
-        _advance(out[i, 0], spec.du, S[k0:k0 + 4, 0], i - k0, i, None, work, out[i + 1, 0])
-    cols = np.ascontiguousarray(np.moveaxis(T, 1, 0))
-    work = np.empty((6, nu, *state0.shape))
-    state = out[:, 0]
-    for j in range(nv - 1):
-        k0 = min(max(j - 1, 0), nv - 4)
-        state = _advance(state, spec.dv, cols[k0:k0 + 4], j - k0, j, None, work,
-                         np.empty(state.shape))
-        out[:, j + 1] = state
-    return out
+    """The plain sweep over whole-grid S and T: the base row, then every
+    column of the line-first T, one cell map at a time."""
+    return plain_sweep(S[:, 0], np.ascontiguousarray(np.moveaxis(T, 1, 0)), state0, spec)[0]
 
 
 def _per_point_reconstruction(mesh, case):
@@ -177,6 +169,7 @@ def test_defect_frame_and_drift_match_the_whole_grid(case, shape, monkeypatch):
         assert np.array_equal(compatibility_defect(coeffs, case).values, defect)
 
     S, T = assemble_connection(coeffs, case)
+    _sweep_windows(monkeypatch, spec, 5)
     field, report = integrate_frame(coeffs, case)
     frame0 = np.array(report["frame0"])
     assert np.array_equal(field.values, _whole_grid_sweep(S, T, frame0, spec))
@@ -200,6 +193,7 @@ def test_mesh_path_matches_the_frame_path(case, shape, monkeypatch):
     # a multiple of the sweep window and on the smallest grid
     spec = _spec(shape)
     coeffs = random_coefficients(np.random.default_rng(shape[0] * 100 + shape[1]), spec)
+    _sweep_windows(monkeypatch, spec, 5)
     field, report = integrate_frame(coeffs, case)
     assert {k: report[k] for k in ("gram_max", "quadric_max", "position_cross_max")
             if k in report} == field.gram_drift(coeffs.lam)
@@ -309,8 +303,9 @@ def test_reconstruction_matches_the_per_point_reference(case, shape):
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-def test_riccati_solve_matches_the_whole_grid(shape):
+def test_riccati_solve_matches_the_whole_grid(shape, monkeypatch):
     spec = GridSpec.over_box((0.1, 0.6), (0.1, 0.5), *shape)
+    _sweep_windows(monkeypatch, spec, 2)
     U, V = spec.mesh()
     case = CaseSpec("NT", 0.0)
     forms = build_forms(FieldGrid(spec, U + 0.3 * V**2), 0.4, case)
@@ -359,10 +354,10 @@ def _traced_peak(fn):
 
 def test_mesh_path_peak_memory():
     # 256^2 product torus, above the coefficients: the frame path holds the
-    # (nu, nv, 4, 5) frame, five meshes (measured 7.19 meshes).  The mesh path
-    # holds the mesh, the connection's two lambda gradients (half a mesh) and
-    # one window's states, matrices and Gram terms (measured 4.14 meshes at
-    # 256^2; the window's share falls with 1/nv)
+    # (nu, nv, 4, 5) frame, five meshes (measured 7.36 meshes).  The mesh path
+    # holds the mesh, the connection's two lambda gradients (half a mesh),
+    # one window's states, matrices and Gram terms and one chunk's maps
+    # (measured 4.31 meshes at 256^2; the window's share falls with 1/nv)
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), 256, 256)
     coeffs = build_product_family(1.0, 1.0, case, spec).coeffs
