@@ -22,11 +22,16 @@ BLAS pool pinned to one thread:
 
 OUT.json holds ``env`` (Python, numpy, BLAS, threads), ``hashes``
 ({name: sha256} of each array or file) and ``figures`` ({name: repr} of
-each scalar).  ``--compare OLD.json`` prints each entry that moved, with
-its old and new value (and, for two floats, their distance in ulps),
-and exits 1 when anything moved.  Bits depend on the BLAS and the numpy
-build: compare two runs on one machine, such as a parent checkout
-against a change, not runs on two machines.
+each scalar).  Each JSON file is also walked: every value inside it is
+an entry of its own, named by the file and its JSON path, such as
+``cli-pipeline/seed0/integrate.json:metrics.gram_max.max`` (a figure)
+or ``...mesh.json:fields.x0`` (a long string, hashed).  ``--compare
+OLD.json`` prints each entry that moved, with its old and new value (and,
+for two floats, their distance in ulps), and exits 1 when anything
+moved, so a moved report names the figures inside it that moved.  Bits
+depend on the BLAS and the numpy build: compare two runs on one
+machine, such as a parent checkout against a change, not runs on two
+machines.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ from normalflat.spaceform import CASES, CaseSpec  # noqa: E402
 from workloads import CliPipeline, FrameRoundtrip, VerifyRiccati  # noqa: E402
 
 
+# a JSON string longer than this is recorded by its hash, not its repr
+_LONG_STRING = 200
+
+
 class Record:
     """Named outputs: arrays and bytes as sha256, scalars as their repr."""
 
@@ -90,8 +99,26 @@ class Record:
                                       else value)
 
     def add_files(self, name: str, directory: Path):
+        """Each file's hash, and for a JSON document every value inside it,
+        keyed by file and JSON path (``integrate.json:metrics.gram_max.max``):
+        scalars as figures, long strings (a field's base64 data) as hashes."""
         for path in sorted(directory.iterdir()):
-            self.add(f"{name}/{path.name}", path.read_bytes())
+            data = path.read_bytes()
+            self.add(f"{name}/{path.name}", data)
+            if path.suffix == ".json":
+                self._add_json(f"{name}/{path.name}", json.loads(data))
+
+    def _add_json(self, name: str, doc, path: str = ""):
+        if isinstance(doc, dict):
+            for key, item in doc.items():
+                self._add_json(name, item, f"{path}.{key}" if path else key)
+        elif isinstance(doc, list):
+            for i, item in enumerate(doc):
+                self._add_json(name, item, f"{path}[{i}]")
+        elif isinstance(doc, str) and len(doc) > _LONG_STRING:
+            self.add(f"{name}:{path}", doc.encode())
+        else:
+            self.figures[f"{name}:{path}"] = repr(doc)
 
 
 def _results(operations) -> dict:

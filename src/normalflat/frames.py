@@ -35,10 +35,12 @@ path only the positions and their Gram defects.
 
 The frame's S and T are streamed: ``FrameConnection`` holds the eleven
 (nu, nv) fields they are pointwise functions of, and its ``block``
-assembles any window bit for bit as the whole-grid matrices hold it.
-The defect assembles no matrix: it takes the curvature's norm in closed
-form from the eleven fields, one slab of 64 rows with a one-row halo at
-a time (``grid.slabs``).
+assembles any window bit for bit as the whole-grid matrices hold it,
+entry-major first and then in one copy.  The defect assembles no
+matrix: it takes the curvature's norm in closed form from the eleven
+fields, one slab of 64 rows with a one-row halo at a time
+(``grid.slabs``); at L0 = 0 it skips the terms of L0 e^{2 lambda}, which
+are exact zeros there.
 
 The Gauss, Codazzi and Ricci equations are stated once, in
 ``gcr_equations``: ``gcr``'s residuals and the defect's six middle terms
@@ -202,31 +204,33 @@ class FrameConnection:
         view maps a (nu, nv) array to the block, of shape (a, b) say, and
         the result is (a, b, 5, 5), contiguous: ``lambda x: x`` gives the
         whole grid, ``lambda x: x[:, lo:hi].T`` columns lo..hi-1, line first.
+        The entries are written entry-major, into a (5, 5, a, b) buffer,
+        one contiguous write each, and the buffer is copied once into the
+        result; the values are the same either way.
         """
         lam, a1, a2, a3, b1, b2, b3, m1, m2, lu, lv = map(view, self.inputs)
         *g, n1, n2 = self.case.frame_signs
         # T repeats S with every alpha/beta/mu index raised by one and the
-        # lambda roles swapped.  The block is filled in the (a, b, 5, 5)
-        # layout the sweep reads, one strided write per entry
+        # lambda roles swapped
         l_own, l_other = (lu, lv) if k == 0 else (lv, lu)
         alpha = (a1, a2, a3)[k:k + 2]
         beta = (b1, b2, b3)[k:k + 2]
         mu = (m1, m2)[k]
-        M = np.zeros((*lam.shape, 5, 5))
+        M = np.zeros((5, 5, *lam.shape))
         for i in range(4):
-            M[..., i, i] = l_own
-        M[..., k, 1 - k] = l_other
-        M[..., 1 - k, k] = -g[0] * g[1] * l_other
+            M[i, i] = l_own
+        M[k, 1 - k] = l_other
+        M[1 - k, k] = -g[0] * g[1] * l_other
         for i in range(2):
-            M[..., i, 2] = -g[i] * n1 * alpha[i]
-            M[..., i, 3] = -g[i] * n2 * beta[i]
-            M[..., 2, i] = alpha[i]
-            M[..., 3, i] = beta[i]
-        M[..., 2, 3] = -n1 * n2 * mu
-        M[..., 3, 2] = mu
-        M[..., k, 4] = 1.0
-        M[..., 4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
-        return M
+            M[i, 2] = -g[i] * n1 * alpha[i]
+            M[i, 3] = -g[i] * n2 * beta[i]
+            M[2, i] = alpha[i]
+            M[3, i] = beta[i]
+        M[2, 3] = -n1 * n2 * mu
+        M[3, 2] = mu
+        M[k, 4] = 1.0
+        M[4, k] = -g[k] * (self.case.l0 * np.exp(2 * lam))  # -g_k L0 e^{2 lambda}
+        return np.ascontiguousarray(np.moveaxis(M, (0, 1), (-2, -1)))
 
     def curvature_norm(self) -> FieldGrid:
         """Frobenius norm per grid point of the curvature S_v - T_u - (ST - TS),
@@ -246,7 +250,9 @@ class FrameConnection:
         K30/K03 and K31/K13, the Ricci residual on K32/K23, and on K40 and
         K41 the gradient of E = L0 e^{2 lambda} against 2 E grad lambda.
         The residuals are ``gcr_equations`` fed the matrices' lambda
-        gradients and their ``grad``.
+        gradients and their ``grad``.  At L0 = 0, E is exactly zero: no
+        exponential is taken, and the two E terms, exact zeros that add
+        nothing to the sum of squares, are not yielded.
         """
         spec = slab.spec
         *fields, lu, lv = (x[slab.pad] for x in self.inputs)
@@ -254,10 +260,12 @@ class FrameConnection:
         yield 4, lu_v - lv_u
         lap = lu_u + self.case.kappa * lv_v
         del lu_u, lu_v, lv_u, lv_v  # read no further: freed, they lower the slab's peak
-        E = self.case.l0 * np.exp(2 * fields[0])
+        E = self.case.l0 * np.exp(2 * fields[0]) if self.case.l0 else 0.0
         residuals = gcr_equations(fields, lu, lv, lap, self.case, spec, q=E)
         for t in islice(residuals, 6):  # not the flatness
             yield 2, t
+        if not self.case.l0:
+            return
         E_u, E_v = grad(E, spec)
         yield 1, E_v - 2 * E * lv
         yield 1, E_u - 2 * E * lu

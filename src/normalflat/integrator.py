@@ -18,13 +18,21 @@ it returns, then computes the Gram drift one row slab at a time
 mesh, so it goes through ``_integrate_mesh``, which shares the frame0
 gate, the connection and the report: its sink keeps each column block's
 positions and folds the block into the Gram drift, so it holds the mesh
-and the sweep's base row, never the frame.  ``export_mesh`` formats
-``_ROWS_PER_WRITE`` rows at a time, from per-chunk slices of the mesh.
+and the sweep's base row, never the frame.  The drift copies each part
+of the frame entry-major once and sums only the Gram entries its
+defects read, component by component (``_gram_defects``), so the frame
+path, the mesh path and the frame0 gate get the same bits from any
+blocking.  ``export_mesh`` formats ``_ROWS_PER_WRITE`` rows at a time,
+from per-chunk slices of the mesh.
 Reconstruction checks the tangents one row slab at a time, then
 propagates the normals and computes the coefficients one window of
 ``_WINDOW`` columns at a time (``grid.slabs``): tangent projectors,
 normals and second differences exist only for the current window and
-its stencil halo.
+its stencil halo.  Each window transposes F once into the normals'
+(column, component, u) order, and its tangents, its F_u (taken once,
+for the projectors and the Hessian), its second differences, N1's
+gradient and the inner products of the second forms all read that
+contiguous memory.
 
 For L0 = 0 the ambient model is 4-dimensional and the fifth frame column
 is the position itself (affine frame); for L0 != 0 everything lives in
@@ -109,15 +117,31 @@ def _gram_defects(Y: np.ndarray, e2l, case: CaseSpec) -> dict:
     """The largest deviations of frames Y (..., dim, 5) from the Gram conditions,
     a NaN the largest: ``gram_max`` of the frame block from diag(g1, g2, n1, n2)
     e2l, over e2l = e^{2 lambda}; for L0 != 0 also ``quadric_max`` (<F, F> from
-    1/L0) and ``position_cross_max`` (<F, T_i>, <F, N_i> from 0), both absolute."""
-    signs = ambient_signature(case).array()[:, None]
-    gram = np.swapaxes(Y * signs, -1, -2) @ Y
-    e2l = np.asarray(e2l)[..., None, None]
-    target = np.diag(case.frame_signs)
-    defects = {"gram_max": np.max(np.abs(gram[..., :4, :4] - target * e2l) / e2l)}
+    1/L0) and ``position_cross_max`` (<F, T_i>, <F, N_i> from 0), both absolute.
+
+    Y is copied once entry-major, (dim, 5, ...), and only the Gram entries a
+    defect reads are formed: the 10 of the symmetric frame block, and for L0
+    != 0 the F row.  Each is summed over the ambient components left to
+    right from +0.0, one contiguous product at a time, as ``ambient_inner``
+    sums, so the defects do not depend on how the grid is blocked.
+    """
+    E = np.moveaxis(Y, (-2, -1), (0, 1)).copy()
+    signs = ambient_signature(case).array().reshape(-1, *[1] * (E.ndim - 2))
+    e2l = np.asarray(e2l)
+
+    def gram(k, cols):  # <column k, columns cols>, (columns, ...)
+        return np.add.reduce((signs * E[:, k])[:, None] * E[:, cols], axis=0)
+
+    block = []
+    for k in range(4):
+        row = gram(k, slice(k, 4))
+        row[0] -= case.frame_signs[k] * e2l
+        block.append(np.max(np.abs(row) / e2l))
+    defects = {"gram_max": np.max(block)}  # np.max, not max: a NaN stays the largest
     if case.l0 != 0:
-        defects["quadric_max"] = np.max(np.abs(gram[..., 4, 4] - 1.0 / case.l0))
-        defects["position_cross_max"] = np.max(np.abs(gram[..., 4, :4]))
+        row = gram(4, slice(None))  # <F, T1 T2 N1 N2 F>
+        defects["quadric_max"] = np.max(np.abs(row[4] - 1.0 / case.l0))
+        defects["position_cross_max"] = np.max(np.abs(row[:4]))
     return defects
 
 
@@ -277,23 +301,28 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
     fields = {name: np.empty(spec.shape) for name in COEFF_NAMES[1:]}
     base = []
 
-    def second_forms(win, N):
+    def second_forms(win, N, Fw, F_u):
+        # every array here is (columns, dim, nu) in memory; the stencils
+        # read it through (u, v, component) views.  The F and N1
+        # derivatives are formed one set after the other, so that only one
+        # set is alive
         cols, keep = win.lines, win.keep
         if cols.start == 0:
             base.extend(N[0, :, :, 0].tolist())
-        N1 = np.ascontiguousarray(np.moveaxis(N[:, 0], -1, 0))  # (nu, padded columns, dim)
-        n2 = np.ascontiguousarray(np.moveaxis(N[keep, 1], -1, 0))
-        del N
-        n1 = N1[:, keep]
-        N1u, N1v = (x[:, keep] for x in grad(N1, win.spec))
-        Fuu, Fuv, Fvv = (x[:, keep] for x in hessian(F[:, win.pad], win.spec))
+        n1, n2 = N[keep, 0], N[keep, 1]
         inv1 = n1s / e2l[:, cols]
         inv2 = n2s / e2l[:, cols]
-        for name, inv, d2F, n in (("alpha1", inv1, Fuu, n1), ("alpha2", inv1, Fuv, n1),
-                                  ("alpha3", inv1, Fvv, n1), ("beta1", inv2, Fuu, n2),
-                                  ("beta2", inv2, Fuv, n2), ("beta3", inv2, Fvv, n2),
-                                  ("mu1", inv2, N1u, n2), ("mu2", inv2, N1v, n2)):
-            fields[name][:, cols] = inv * ambient_inner(d2F, n, sig)
+
+        def put(name, inv, x, n):
+            fields[name][:, cols] = inv * _inner(_columns_first(x)[keep], n, sig).T
+
+        d2F = hessian(_u_first(Fw), win.spec, f_u=F_u)
+        for (a, b), x in zip((("alpha1", "beta1"), ("alpha2", "beta2"), ("alpha3", "beta3")), d2F):
+            put(a, inv1, x, n1)
+            put(b, inv2, x, n2)
+        del d2F, x
+        for name, x in zip(("mu1", "mu2"), grad(_u_first(N[:, 0]), win.spec)):
+            put(name, inv2, x, n2)
 
     _normals(F, spec, case, np.exp(lam), second_forms)
     coeffs = CoefficientSet.from_arrays(spec, lam=lam, **fields)
@@ -311,6 +340,27 @@ def reconstruct_coefficients(mesh: SurfaceMesh, case: CaseSpec):
 _WINDOW = 32
 
 
+def _columns_first(x: np.ndarray) -> np.ndarray:
+    """A (u, v, component) array as (v, component, u): a window's memory order."""
+    return x.transpose(1, 2, 0)
+
+
+def _u_first(x: np.ndarray) -> np.ndarray:
+    """A (v, component, u) array as the (u, v, component) view the stencils read."""
+    return x.transpose(2, 0, 1)
+
+
+def _inner(x: np.ndarray, y: np.ndarray, sig) -> np.ndarray:
+    """<x, y> of (columns, dim, nu) arrays, (columns, nu): summed over the
+    components left to right from +0.0, one signed product at a time, as
+    ``ambient_inner``'s einsum sums them, so the bits are the same, zero
+    signs included (adding -p is subtracting p)."""
+    out = np.zeros((len(x), x.shape[-1]))
+    for a, s in enumerate(sig.signs):
+        (np.add if s > 0 else np.subtract)(out, x[:, a] * y[:, a], out=out)
+    return out
+
+
 def _wrong_type(what: str, name: str, i, j) -> SignatureError:
     return SignatureError(f"{what} has the wrong causal type: {name} at (u, v) = ({i}, {j})")
 
@@ -319,9 +369,12 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray,
              window_done) -> None:
     """The gauge normals N1 and N2 of a mesh F, one column window at a time.
 
-    Calls window_done(window, N) for each ``grid.slabs(spec, 1, _WINDOW)``
-    window in turn, as soon as the normals reach its last padded column;
-    N is (padded columns, 2, dim, nu).
+    Calls window_done(window, N, Fw, F_u) for each ``grid.slabs(spec, 1,
+    _WINDOW)`` window in turn, as soon as the normals reach its last padded
+    column: N is (padded columns, 2, dim, nu), Fw the window's F transposed
+    once into that (padded columns, dim, nu) order, and F_u its u-derivative
+    as ``grad`` gives it on ``_u_first(Fw)``, a (u, v, component) view of
+    the same memory order.  The window's tangents are that F_u and F_v.
 
     Sign-aligned Gram-Schmidt, point by point: the base corner projects
     the canonical seed (or, failing that, the first ambient axis that
@@ -338,8 +391,8 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray,
     preallocated buffers.  Every sum runs over the ambient components left
     to right from +0.0, as numpy's sum over a short axis does, and both
     paths form the same products in the same order, so the normals do not
-    depend on the blocking.  The projector blocks are built from F per
-    window with its stencil halo, and a column's normals are dropped once
+    depend on the blocking.  The projector blocks are built from Fw,
+    whose stencil halo they share, and a column's normals are dropped once
     no window's padding reads them, so no whole-grid tangent or normal is
     held.
     """
@@ -396,16 +449,18 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray,
 
     windows = list(slabs(spec, 1, _WINDOW))
     normals = {}  # column -> (2, dim, nu), while a window to come reads it
+    held = {}  # window -> (its F, F_u), until window_done reads them
     done = 0
-    for win in windows:
+    for w, win in enumerate(windows):
         cols = win.lines
-        T1, T2 = (x[:, win.keep] for x in grad(F[:, win.pad], win.spec))
+        Fw = np.ascontiguousarray(_columns_first(F[:, win.pad]))  # (padded columns, dim, nu)
+        F_u, F_v = grad(_u_first(Fw), win.spec)  # T1, T2, each in Fw's memory order
+        held[w] = Fw, F_u
         blocks = []
-        for x in (T1, T2, *([F[:, cols]] if case.l0 != 0 else [])):
-            b = np.ascontiguousarray(np.moveaxis(x, 0, -1))  # (columns, dim, nu)
+        for b in (_columns_first(F_u), _columns_first(F_v), *([Fw] if case.l0 != 0 else [])):
+            b = b[win.keep]  # (columns, dim, nu), contiguous
             sgb = sg * b  # sg is +-1, so c . sg * b is sg * c . b bit for bit
             blocks.append((b, sgb, np.add.reduce(sgb * b, axis=-2, keepdims=True)))
-        del T1, T2
         elw = np.ascontiguousarray(el[:, cols].T)[:, None]
         for j, col in enumerate(range(cols.start, cols.stop)):
             projectors = [(b[j], sgb[j], bb[j]) for b, sgb, bb in blocks]
@@ -413,11 +468,12 @@ def _normals(F: np.ndarray, spec: GridSpec, case: CaseSpec, el: np.ndarray,
                 normals[0] = _base_row(projectors, elw[0, 0].tolist(), wants, seeds, sig)
             else:
                 normals[col] = column_step(normals[col - 1], projectors, elw[j], col)
-        del blocks, projectors, elw
+        del F_v, blocks, projectors, elw
         # padding ends and starts never decrease from one window to the next
         while done < len(windows) and windows[done].pad.stop <= cols.stop:
             pad = windows[done].pad
-            window_done(windows[done], np.stack([normals[c] for c in range(pad.start, pad.stop)]))
+            window_done(windows[done], np.stack([normals[c] for c in range(pad.start, pad.stop)]),
+                        *held.pop(done))
             done += 1
             first = windows[done].pad.start if done < len(windows) else nv
             for c in [c for c in normals if c < first]:

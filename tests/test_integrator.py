@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, integrator
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, frames, grid, integrator
 from normalflat.families import NotldPotentials, build_notld_family
 from normalflat.frames import compatibility_defect
 from normalflat.gcr import (
@@ -154,6 +154,55 @@ def test_gram_drift_matches_pointwise_oracle():
             assert got.keys() == ({"gram_max"} if l0 == 0 else want.keys())
             for key in got:
                 assert got[key] == pytest.approx(want[key], rel=1e-14, abs=0), (case_id, l0, key)
+
+
+@pytest.mark.parametrize("column", [2, 4], ids=["frame-block", "F"])
+@pytest.mark.parametrize("case", [CaseSpec(c, l0) for c in ("R", "LT") for l0 in (0.0, 0.8)],
+                         ids=lambda c: f"{c.case_id}{c.l0:g}")
+def test_gram_defects_are_nan_strict(case, column):
+    # a NaN in one frame entry (component 1 of N1, or of F) is a NaN in
+    # every defect that reads it, through every fold: the whole grid, the
+    # drift's row slabs and the mesh path's column blocks, with the NaN in
+    # a later slab and block than the first, where Python's max would drop
+    # it.  The frame0 gate refuses such a frame and names the first NaN key
+    nu, nv = grid.SLAB_ROWS + 5, 11
+    spec = GridSpec.over_box((0, 1), (0, 1), nu, nv)
+    frame0 = canonical_frame0(case)
+    values = np.broadcast_to(frame0, (nu, nv, *frame0.shape)).copy()
+    values[nu - 2, nv - 3, 1, column] = np.nan
+    touched = {"gram_max"} if column < 4 else set()
+    if case.l0 != 0:
+        touched |= {"position_cross_max"} | ({"quadric_max"} if column == 4 else set())
+    e2l = np.ones((nu, nv))
+    blocks = [_gram_defects(values[:, j:j + 4].swapaxes(0, 1), e2l[:, j:j + 4].T, case)
+              for j in range(0, nv, 4)]
+    for defects in (_gram_defects(values, e2l, case),
+                    FrameField(case, spec, values).gram_drift(FieldGrid(spec, np.zeros((nu, nv)))),
+                    integrator._gram_max(blocks)):
+        assert defects.keys() == ({"gram_max"} if case.l0 == 0 else
+                                  {"gram_max", "quadric_max", "position_cross_max"})
+        assert {key for key, d in defects.items() if np.isnan(d)} == touched, defects
+    if touched:
+        name = "gram_max" if column < 4 else "quadric_max"
+        with pytest.raises(ValueError, match=f"^frame0 violates the Gram conditions at the "
+                                             f"base point: {name} nan > "):
+            integrate_frame(CoefficientSet.from_arrays(spec), case, values[nu - 2, nv - 3])
+
+
+@pytest.mark.parametrize("case", [CaseSpec(c, l0) for c in CASES for l0 in (0.0, 1.0)],
+                         ids=lambda c: f"{c.case_id}{c.l0:g}")
+def test_window_inner_products_are_ambient_inner_bit_for_bit(case):
+    # reconstruction's inner products over a window's (columns, dim, nu)
+    # memory against ambient_inner's einsum, zero signs included: entries
+    # from a set with signed zeros and exactly cancelling products
+    sig = ambient_signature(case)
+    rng = np.random.default_rng(3)
+    x, y = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(2, 6, sig.dim, 7))
+    got = integrator._inner(x, y, sig)
+    want = ambient_inner(np.moveaxis(x, 1, -1), np.moveaxis(y, 1, -1), sig)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.any(want == 0)
 
 
 def _reference_reconstruction(mesh, case):

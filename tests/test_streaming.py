@@ -122,9 +122,12 @@ def _per_point_reconstruction(mesh, case):
 
 
 def _whole_grid_gram_drift(values, lam, case):
+    """The drift from the whole grid's Gram matrices, every entry summed
+    over the ambient components left to right from +0.0 (einsum's order,
+    as ``ambient_inner`` sums)."""
     signs = ambient_signature(case).array()
     e2l = np.exp(2 * lam)
-    gram = np.swapaxes(values * signs[:, None], -1, -2) @ values
+    gram = np.einsum("...ak,a,...am->...km", values, signs, values)
     target = np.diag(case.frame_signs) * e2l[..., None, None]
     out = {"gram_max": float(np.max(np.abs(gram[..., :4, :4] - target)
                                     / e2l[..., None, None]))}
@@ -299,7 +302,9 @@ def test_reconstruction_matches_the_per_point_reference(case, shape):
     ref, ref_gauge = _per_point_reconstruction(mesh, case)
     assert gauge == ref_gauge
     for name, f in rec.fields().items():
-        assert np.array_equal(f.values, ref.fields()[name].values), name
+        want = ref.fields()[name].values
+        assert np.array_equal(f.values, want), name
+        assert np.array_equal(np.signbit(f.values), np.signbit(want)), name
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -317,8 +322,9 @@ def test_riccati_solve_matches_the_whole_grid(shape, monkeypatch):
 
 def test_round_trip_peak_memory():
     # 256^2 product torus: the frame sweep holds its output plus slabs and
-    # windows, and reconstruction its output (2.25 meshes), lambda's
-    # exponentials and the arrays of a few column windows (measured 5.09x)
+    # windows (measured 1.63 frames), and reconstruction its output (2.25
+    # meshes), lambda's exponentials and the arrays of a few column windows
+    # (measured 5.41 meshes)
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), 256, 256)
     coeffs = build_product_family(1.0, 1.0, case, spec).coeffs
@@ -354,17 +360,19 @@ def _traced_peak(fn):
 
 def test_mesh_path_peak_memory():
     # 256^2 product torus, above the coefficients: the frame path holds the
-    # (nu, nv, 4, 5) frame, five meshes (measured 7.36 meshes).  The mesh path
-    # holds the mesh, the connection's two lambda gradients (half a mesh),
-    # one window's states, matrices and Gram terms and one chunk's maps
-    # (measured 4.31 meshes at 256^2; the window's share falls with 1/nv)
+    # (nu, nv, 4, 5) frame, five meshes, and its working set (measured 8.15
+    # meshes).  The mesh path holds the mesh, the connection's two lambda
+    # gradients (half a mesh), one window's states, matrices and Gram terms
+    # and one chunk's maps (measured 4.15 meshes at 256^2; the window's
+    # share falls with 1/nv).  The frame path's check is its frame alone, so
+    # that a smaller working set passes
     case = CaseSpec("R", 0.0)
     spec = GridSpec.over_box((0, np.pi / 2), (0, np.pi / 2), 256, 256)
     coeffs = build_product_family(1.0, 1.0, case, spec).coeffs
     mesh_bytes = 256 * 256 * 4 * 8
     frame_peak, _ = _traced_peak(lambda: integrate_frame(coeffs, case))
     mesh_peak, _ = _traced_peak(lambda: integrator._integrate_mesh(coeffs, case))
-    assert frame_peak >= 6.5 * mesh_bytes, frame_peak / mesh_bytes
+    assert frame_peak >= 5 * mesh_bytes, frame_peak / mesh_bytes
     assert mesh_peak <= 4.5 * mesh_bytes, mesh_peak / mesh_bytes
 
 
