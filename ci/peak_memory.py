@@ -65,24 +65,25 @@ class Scenario:
 
 SCENARIOS = {
     # construct, integrate with its OBJ export and reconstruct in one
-    # process: measured 223 MiB, against 378 MiB while integrate held the
-    # whole (nu, nv, 4, 5) frame and wrote the OBJ 65536 rows at a time, and
-    # 1370 MiB while the connection was assembled whole-grid.  integrate's
-    # read of the coefficient file sets it, as in verify: integrate alone
-    # peaks at 223 MiB, construct at 199 and reconstruct at 181
-    "roundtrip": Scenario(257, [
+    # process: measured 199 MiB, against 223 MiB while field files were read
+    # with json.load, 378 MiB while integrate held the whole (nu, nv, 4, 5)
+    # frame and wrote the OBJ 65536 rows at a time, and 1370 MiB while the
+    # connection was assembled whole-grid.  construct sets it: construct
+    # alone peaks at 199 MiB, reconstruct at 180 and integrate at 175 (223
+    # while its json.load of the coefficient file set it)
+    "roundtrip": Scenario(229, [
         CONSTRUCT_TORUS,
         ["integrate", "--coeffs", "coeffs.json", "--case", "R", "--out", "mesh.json",
          "--export-obj", "mesh.obj"],
         ["reconstruct", "--mesh", "mesh.json", "--case", "R", "--out", "rec.json"],
     ], files={"torus.json": TORUS}),
-    # measured 223 MiB; reading the coefficient file sets it: the read alone
-    # peaks at 205 MiB (its bytes and the decoded str are held at once) and
-    # CoefficientSet.load at 222 MiB, so streaming the residuals would not
-    # lower it.  A defect from whole-grid S and T would add over 400 MB; its
-    # closed form over the whole grid as one slab measured 271 MiB, so
-    # tier-1's test_defect_peak_memory guards the slabs
-    "verify": Scenario(277, [
+    # measured 199 MiB, against 223 MiB while json.load's read of the
+    # coefficient file (its text and every base64 str held at once) set it;
+    # the streamed read holds the fields and one chunk, so what sets it now
+    # is gcr_residuals' working set above the fields.  A defect from whole-grid S and T would add
+    # over 400 MB; its closed form over the whole grid as one slab measured
+    # 271 MiB, so tier-1's test_defect_peak_memory guards the slabs
+    "verify": Scenario(229, [
         ["verify", "--coeffs", "coeffs.json", "--case", "R", "--out", "verify.json"],
     ], [CONSTRUCT_TORUS], {"torus.json": TORUS}),
     # the angle system of an NS potential: measured 207 MiB, against 223 MiB
@@ -93,9 +94,10 @@ SCENARIOS = {
          "--grid", "0.1:0.1:0.0009765625:0.0009765625:1024:1024", "--out", "t.json"],
     ]),
     # the light family on NT, its variant read off the data: measured
-    # 223 MiB, against 239 MiB while the classification stacked the rows'
+    # 167 MiB, against 223 MiB while json.load's read of the coefficient file
+    # set it and 239 MiB while the classification stacked the rows'
     # components to pick one pair per point
-    "detect": Scenario(257, [
+    "detect": Scenario(192, [
         ["detect", "--coeffs", "coeffs.json", "--case", "NT", "--out", "detect.json"],
     ], [["construct", "--params", "light.json", "--out", "coeffs.json"]],
         {"light.json": LIGHT}, _light_verdict),

@@ -18,11 +18,17 @@ lambda gradient of the frame connection (``_diff_along4``).
 time) or of columns with a stencil halo, so a whole-grid pass can hold one
 slab's temporaries at a time and still give, bit for bit, the whole-grid
 values.
+
+A field file (``save_fields``, ``load_fields``) is one JSON document.  Any
+JSON layout of it is read; the layout ``save_fields`` writes is streamed, a
+1 MiB chunk at a time, each field's base64 decoded straight into its array,
+so that read holds its fields plus one chunk and its decoded bytes.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -376,17 +382,41 @@ def field_map(fn, *fields: FieldGrid) -> FieldGrid:
 
 TEXT, BASE64 = "text", "base64-f64le"
 
+# a field file is written, and in save_fields' layout read, this many bytes
+# at a time
+_CHUNK = 1 << 20
 
-def _encode(values: np.ndarray, kind: str) -> str:
-    """base64 of the little-endian doubles; a complex field's bytes are those
-    of <c16, so its doubles interleave [re, im, ...]."""
-    dtype = "<c16" if kind == "complex" else "<f8"
-    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
+# save_fields' layout, the one load_fields streams: _head, then per field
+# (from the second on after _SEP) its name as json.dumps writes it, _OPEN,
+# its base64 and _CLOSE, then _TAIL: json.dump's bytes for the document
+_FIELDS, _SEP, _OPEN, _CLOSE, _TAIL = b'"fields": {', b", ", b': "', b'"', b"}}\n"
+
+
+def _head(grid: dict, kind: str) -> bytes:
+    """A field file's bytes up to its first field, for its grid's JSON form."""
+    head = json.dumps({**grid, "kind": kind, "encoding": BASE64})
+    return head[:-1].encode() + _SEP + _FIELDS
+
+
+def _doubles(spec: GridSpec, kind: str) -> int:
+    """How many doubles a field holds: a complex one's interleave [re, im, ...]."""
+    return spec.nu * spec.nv * (2 if kind == "complex" else 1)
+
+
+def _field(spec: GridSpec, doubles: np.ndarray, kind: str, what: str) -> FieldGrid:
+    """The field of a grid's doubles, a complex one's [re, im, ...] (viewed as
+    complex, so the sign of every zero is kept); what names it and its file
+    if one is not finite."""
+    values = (doubles.view(np.complex128) if kind == "complex" else doubles).reshape(spec.shape)
+    try:
+        return FieldGrid(spec, values)
+    except ValueError as exc:  # values of the grid's shape: only a non-finite one
+        raise ValueError(f"{exc}, in {what}") from None
 
 
 def _decode(what: str, data, spec: GridSpec, kind: str, encoding: str) -> np.ndarray:
-    """The values of one field; what names it and its file in an error."""
-    n = spec.nu * spec.nv * (2 if kind == "complex" else 1)
+    """The doubles of one field; what names it and its file in an error."""
+    n = _doubles(spec, kind)
     if encoding == BASE64:
         if not isinstance(data, str):
             raise ValueError(f"{what} must be a base64 string")
@@ -396,22 +426,21 @@ def _decode(what: str, data, spec: GridSpec, kind: str, encoding: str) -> np.nda
             raise ValueError(f"{what} is not valid base64") from None
         if len(raw) != 8 * n:
             raise ValueError(f"{what} holds {len(raw)} bytes, not the {8 * n} of {n} doubles")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # writable, native order
-    else:
-        if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
-            raise ValueError(f"{what} must be a flat list of numbers")
-        if len(data) != n:
-            raise ValueError(f"{what} holds {len(data)} numbers, not {n}")
-        arr = np.asarray(data, dtype=np.float64)
-    # viewing [re, im, ...] as complex keeps the sign of every zero
-    return (arr.view(np.complex128) if kind == "complex" else arr).reshape(spec.shape)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)  # writable, native order
+    if not (isinstance(data, list) and set(map(type, data)) <= {int, float}):
+        raise ValueError(f"{what} must be a flat list of numbers")
+    if len(data) != n:
+        raise ValueError(f"{what} holds {len(data)} numbers, not {n}")
+    return np.asarray(data, dtype=np.float64)
 
 
 def save_fields(path, fields: dict[str, FieldGrid]) -> None:
     """Write named fields sharing one grid to a JSON field file.
 
     Each field is one base64 string of its little-endian doubles, so
-    values round-trip bit-exactly.
+    values round-trip bit-exactly; a complex field's bytes are those of
+    <c16, so its doubles interleave [re, im, ...].  The base64 is written
+    _CHUNK bytes at a time.
     """
     if not fields:
         raise ValueError("nothing to save")
@@ -420,18 +449,140 @@ def save_fields(path, fields: dict[str, FieldGrid]) -> None:
         raise GridShapeError("all fields in one file must share a grid")
     spec = next(iter(specs))
     kind = "complex" if any(f.kind == "complex" for f in fields.values()) else "real"
-    head = json.dumps({**spec.to_json(), "kind": kind, "encoding": BASE64})
-    # json.dump's bytes for the whole document, one field at a time
-    with open(path, "w") as fh:
-        fh.write(head[:-1] + ', "fields": {')
+    dtype = "<c16" if kind == "complex" else "<f8"
+    step = _CHUNK // 4 * 3  # bytes whose base64 is one chunk
+    with open(path, "wb") as fh:
+        fh.write(_head(spec.to_json(), kind))
         for n, (name, f) in enumerate(sorted(fields.items())):
-            fh.write(f'{", " if n else ""}{json.dumps(name)}: "{_encode(f.values, kind)}"')
-        fh.write("}}\n")
+            fh.write((_SEP if n else b"") + json.dumps(name).encode() + _OPEN)
+            raw = memoryview(np.ascontiguousarray(f.values, dtype=dtype)).cast("B")
+            for at in range(0, len(raw), step):
+                fh.write(binascii.b2a_base64(raw[at:at + step], newline=False))
+            fh.write(_CLOSE)
+        fh.write(_TAIL)
+
+
+class _Chunks:
+    """A binary file read _CHUNK bytes at a time into one buffer, whose bytes
+    pos:end are read and not yet consumed."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = bytearray(_CHUNK)
+        self.view = memoryview(self.buf)
+        self.pos = self.end = 0
+
+    def more(self) -> bool:
+        """Move the unconsumed bytes to the front and read on after them;
+        False at the end of the file or with the buffer full."""
+        kept = self.end - self.pos
+        self.buf[:kept] = self.view[self.pos:self.end].tobytes()
+        self.pos, self.end = 0, kept
+        got = self.fh.readinto(self.view[kept:])
+        self.end += got
+        return got > 0
+
+    def find(self, token: bytes, skip: int = 0) -> int:
+        """Where in buf token next begins, skip bytes or more past pos; -1 if
+        the file ends or the buffer fills first."""
+        while (at := self.buf.find(token, self.pos + skip, self.end)) < 0:
+            if not self.more():
+                return -1
+        return at
+
+    def take(self, token: bytes) -> bool:
+        """Consume token if the unconsumed bytes begin with it."""
+        while self.end - self.pos < len(token):
+            if not self.more():
+                return False
+        if not self.buf.startswith(token, self.pos):
+            return False
+        self.pos += len(token)
+        return True
+
+    def decode_into(self, out: memoryview, pad: int) -> bool:
+        """Consume the base64 of len(out) bytes, its last pad characters "="
+        and all others of its alphabet, decoding it into out a chunk at a
+        time; False for anything else.
+
+        Each piece decoded is a whole number of 4-character groups, so
+        padding can only end the data (RFC 4648, section 4), and a piece
+        with a character outside the alphabet, or an "=" that does not end
+        the data, decodes to fewer than its 3 bytes per group.
+        """
+        left, done = 4 * -(-len(out) // 3), 0
+        while left:
+            if self.end - self.pos < 4:
+                if not self.more():
+                    return False
+                continue
+            step = min(self.end - self.pos, left) // 4 * 4
+            piece = self.view[self.pos:self.pos + step]
+            tail = pad if step == left else 0
+            raw = binascii.a2b_base64(piece)
+            if len(raw) != step // 4 * 3 - tail or piece[step - tail:] != b"=" * tail:
+                return False
+            out[done:done + len(raw)] = raw
+            done, left, self.pos = done + len(raw), left - step, self.pos + step
+        return True
+
+
+def _stream_fields(path) -> dict[str, FieldGrid] | None:
+    """The fields of a file in save_fields' layout, each field's base64
+    decoded a chunk at a time straight into its array; None for any other
+    document and for a bad one, for json to read it.  A file that cannot be
+    opened or read raises as json's read would."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            src = _Chunks(fh)
+            at = src.find(_FIELDS)
+            if at < 0:
+                return None
+            head = src.view[:at + len(_FIELDS)].tobytes()
+            doc = json.loads(head.decode("ascii") + "}}")
+            spec, kind = GridSpec.from_json(doc), doc.get("kind")
+            # the grid's entries as json.dumps writes them (0 or 0.0), in order
+            grid = {key: doc.get(key) for key in spec.to_json()}
+            if kind not in ("real", "complex") or _head(grid, kind) != head:
+                return None
+            src.pos = len(head)
+            n = _doubles(spec, kind)
+            fields = {}
+            while True:
+                at = src.find(_CLOSE + _OPEN, 1)  # the name's closing quote
+                if at < 0:
+                    return None
+                quoted = src.view[src.pos:at + 1].tobytes()
+                name = json.loads(quoted.decode("ascii"))
+                # json.dumps' own bytes for a string, and the names sorted
+                if (json.dumps(name).encode() != quoted
+                        or fields and not name > next(reversed(fields))):
+                    return None
+                src.pos = at + 1 + len(_OPEN)
+                arr = np.empty(n, dtype="<f8")
+                if not (src.decode_into(memoryview(arr).cast("B"), -8 * n % 3)
+                        and src.take(_CLOSE)):
+                    return None
+                fields[name] = _field(spec, arr.astype(np.float64, copy=False), kind,
+                                      f"field {name!r} of {path}")
+                if src.take(_TAIL):
+                    return None if src.pos < src.end or src.more() else fields
+                if not src.take(_SEP):
+                    return None
+    except (ValueError, RecursionError):  # json reads it again and raises its own error
+        return None
 
 
 def load_fields(path) -> dict[str, FieldGrid]:
     """Read a field file in either encoding: base64 strings, or (an absent
-    or "text" encoding) flat lists of numbers."""
+    or "text" encoding) flat lists of numbers.
+
+    A file in save_fields' layout is streamed, holding its fields and one
+    chunk; any other JSON document is read whole with json.load.
+    """
+    fields = _stream_fields(path)
+    if fields is not None:
+        return fields
     with open(path) as fh:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("fields"), dict)):
@@ -446,9 +597,6 @@ def load_fields(path) -> dict[str, FieldGrid]:
                          f"got {json.dumps(encoding)}")
     fields = {}
     for name, data in doc["fields"].items():
-        values = _decode(f"field {name!r} of {path}", data, spec, kind, encoding)
-        try:
-            fields[name] = FieldGrid(spec, values)
-        except ValueError as exc:  # values of the grid's shape: only a non-finite one
-            raise ValueError(f"{exc}, in field {name!r} of {path}") from None
+        what = f"field {name!r} of {path}"
+        fields[name] = _field(spec, _decode(what, data, spec, kind, encoding), kind, what)
     return fields

@@ -1,9 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, load_fields
+from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, grid, load_fields
 from normalflat.frames import _SUBNODE_WEIGHTS, _matmul, _substeps
 
 
@@ -60,6 +61,26 @@ def text_document(path) -> dict:
     doc["fields"] = {name: f.values.astype(dtype).view(float).ravel().tolist()
                      for name, f in load_fields(path).items()}
     return doc
+
+
+def _read_outcome(path):
+    """load_fields' fields on path, each as (name, grid, dtype, bytes) in
+    order, or the (type, message) of the exception it raises."""
+    try:
+        fields = load_fields(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(name, f.spec, f.values.dtype, f.values.tobytes()) for name, f in fields.items()]
+
+
+def assert_read_as_json(path, streamed: bool) -> None:
+    """load_fields reads path as json.load does: the same fields bit for bit,
+    or the same exception and message; streamed says whether it streams the
+    file rather than reading it with json."""
+    got = _read_outcome(path)
+    with mock.patch.object(grid, "_stream_fields", lambda path: None):
+        assert got == _read_outcome(path)
+    assert (grid._stream_fields(path) is not None) == streamed
 
 
 # --------------------------------------------------------------------------

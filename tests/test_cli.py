@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_coefficients, text_document
+from conftest import assert_read_as_json, random_coefficients, text_document
 from normalflat import CaseSpec, CoefficientSet, FieldGrid, GridSpec, cli, save_fields
 from normalflat.cli import CASE_FLAGS, main
 from normalflat.families import NotldPotentials, build_notld_family
@@ -681,7 +681,11 @@ def test_document_readers_never_raise(fuzz_inputs, target, value, grid, cut, tai
             doc["fields"]["lambda"] = lam[:len(lam) - cut] + tail
         else:
             doc[target] = value
-        (d / "coeffs.json").write_text(json.dumps(doc))
+        # the base64 documents in save_fields' layout, which is streamed
+        # while json reads the unchanged one: the same fields or the same error
+        (d / "coeffs.json").write_text(json.dumps(doc) + ("\n" if src is encoded else ""))
+        if src is encoded:
+            assert_read_as_json(d / "coeffs.json", streamed=doc == encoded)
         argv = ["verify", "--coeffs", str(d / "coeffs.json"), "--case", "R"]
     else:
         doc = {**descriptor, "grid": dict(descriptor["grid"])}

@@ -4,6 +4,7 @@ import json
 import pkgutil
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normalflat
-from conftest import text_document
-from normalflat import FieldGrid, GridSpec, diff_u, diff_v, field_map, load_fields, save_fields
+from conftest import assert_read_as_json, text_document
+from normalflat import (FieldGrid, GridSpec, diff_u, diff_v, field_map, grid, load_fields,
+                        save_fields)
 from normalflat.grid import (GridShapeError, _diff2_along, _diff_along, curl, grad, hessian,
                              wedge)
 
@@ -190,6 +192,7 @@ def test_field_file_bytes_pinned_to_json_dump(tmp_path):
         path = tmp_path / f"{kind}.json"
         save_fields(path, fields)
         assert path.read_bytes() == _dump(_document(kind, fields, encode)).encode(), kind
+        assert_read_as_json(path, streamed=True)
         back = load_fields(path)
         for name, f in fields.items():  # bitwise, so the sign of every zero is kept
             values = back[name].values
@@ -244,13 +247,17 @@ def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
     path.write_text(json.dumps({**doc, "nu": 33.0}))  # integral, though written as a float
     assert np.array_equal(load_fields(path)["f"].values, f.values)
     for nv in (32.7, "33", None, True):
-        path.write_text(json.dumps({**doc, "nv": nv}))
-        with pytest.raises(ValueError, match="grid size 'nv' must be an integral number"):
-            load_fields(path)
+        for end in ("", "\n"):  # json.dump's bytes, and save_fields' with its newline
+            path.write_text(json.dumps({**doc, "nv": nv}) + end)
+            assert_read_as_json(path, streamed=False)
+            with pytest.raises(ValueError, match="grid size 'nv' must be an integral number"):
+                load_fields(path)
     for bad in ([doc], {**doc, "fields": list(doc["fields"].values())}):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match="is not a field file"):
-            load_fields(path)
+        for end in ("", "\n"):
+            path.write_text(json.dumps(bad) + end)
+            assert_read_as_json(path, streamed=False)
+            with pytest.raises(ValueError, match="is not a field file"):
+                load_fields(path)
     data = doc["fields"]["f"]
     for bad, message in (({**doc, "kind": "foo"}, "field kind must be 'real' or 'complex'"),
                          ({**doc, "kind": None}, "field kind"),
@@ -258,9 +265,11 @@ def test_field_file_grid_size_must_be_integral(tmp_path, unit_spec):
                          ({**doc, "fields": {"f": {"0": 1}}}, "flat list of numbers"),
                          ({**doc, "fields": {"f": data[:-1] + ["1"]}}, "flat list of numbers"),
                          ({**doc, "fields": {"f": data[:-1] + [True]}}, "flat list of numbers")):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=message):
-            load_fields(path)
+        for end in ("", "\n"):
+            path.write_text(json.dumps(bad) + end)
+            assert_read_as_json(path, streamed=False)
+            with pytest.raises(ValueError, match=message):
+                load_fields(path)
 
 
 def test_field_file_base64_payload_checks(tmp_path, unit_spec):
@@ -282,14 +291,154 @@ def test_field_file_base64_payload_checks(tmp_path, unit_spec):
                          ({**doc, "kind": "complex"}, f"not the {16 * n} of {2 * n} doubles"),
                          ({**text, "fields": {"f": [1.0] * (n - 1)}},
                           f"{field} holds {n - 1} numbers, not {n}")):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match=message):
-            load_fields(path)
+        for end in ("", "\n"):  # json.dump's bytes, and save_fields' with its newline
+            path.write_text(json.dumps(bad) + end)
+            assert_read_as_json(path, streamed=False)
+            with pytest.raises(ValueError, match=message):
+                load_fields(path)
     # a payload that decodes to a non-finite double is refused like a text one
-    path.write_text(json.dumps({**doc, "fields": {"f": base64.b64encode(
-        struct.pack("<%dd" % n, *[float("nan")] * n)).decode()}}))
-    with pytest.raises(ValueError, match="field values must be finite"):
-        load_fields(path)
+    for end in ("", "\n"):
+        path.write_text(json.dumps({**doc, "fields": {"f": base64.b64encode(
+            struct.pack("<%dd" % n, *[float("nan")] * n)).decode()}}) + end)
+        assert_read_as_json(path, streamed=False)
+        with pytest.raises(ValueError, match=f"field values must be finite: {n} of {n} values "
+                           f"are NaN or infinite, the first at \\(0, 0\\), in {field}$"):
+            load_fields(path)
+
+
+def _writer_file(tmp_path, name, fields):
+    """save_fields' bytes for fields, and its document as json reads it."""
+    path = tmp_path / name
+    save_fields(path, fields)
+    return path.read_bytes(), json.loads(path.read_bytes())
+
+
+def _variants(tmp_path):
+    """(case, bytes, streamed): save_fields' files, the same documents in other
+    JSON layouts and corrupted ones."""
+    real, cplx = _special_fields()
+    spec6 = GridSpec(0.0, 0.0, 0.25, 0.5, 6, 6)  # 288 bytes: base64 with no padding
+    six = {"s": FieldGrid(spec6, np.arange(36.0).reshape(6, 6) - 7.5)}
+    out = []
+    for kind, fields in (("real", real), ("complex", cplx), ("pad0", six)):
+        good, doc = _writer_file(tmp_path, f"{kind}.json", fields)
+        first = sorted(fields)[0]
+        body = doc["fields"][first].encode()
+        at = good.index(body)
+
+        def body_as(new, good=good, at=at, body=body):
+            return good[:at] + new + good[at + len(body):]
+
+        head = {k: v for k, v in doc.items() if k != "fields"}
+        du = good.index(b",", good.index(b'"du": '))  # a trailing 0 keeps its value
+        out += [
+            (f"{kind}: save_fields' file", good, True),
+            (f"{kind}: indented", json.dumps(doc, indent=1).encode(), False),
+            (f"{kind}: compact", json.dumps(doc, separators=(",", ":")).encode() + b"\n", False),
+            (f"{kind}: no newline", good[:-1], False),
+            (f"{kind}: trailing whitespace", good + b" \r\n\t", False),
+            (f"{kind}: CRLF", good[:-1] + b"\r\n", False),
+            (f"{kind}: header key order",
+             json.dumps({"kind": doc["kind"], **doc}).encode() + b"\n", False),
+            (f"{kind}: fields unsorted", json.dumps(
+                {**head, "fields": dict(reversed(doc["fields"].items()))}).encode() + b"\n",
+             len(fields) == 1),
+            (f"{kind}: escaped name", good.replace(
+                json.dumps(first).encode() + b": ",
+                b'"' + "".join(f"\\u{ord(c):04x}" for c in first).encode() + b'": ', 1), False),
+            (f"{kind}: duplicate field", good[:-3] + b", " + json.dumps(first).encode()
+             + b': "' + doc["fields"][sorted(fields)[-1]].encode() + b'"' + good[-3:], False),
+            (f"{kind}: duplicate header key", good.replace(b'"nu": ', b'"nu": 9, "nu": ', 1),
+             False),
+            (f"{kind}: a grid step spelled otherwise", good[:du] + b"0" + good[du:], False),
+            (f"{kind}: text encoding", json.dumps(
+                {**text_document(tmp_path / f"{kind}.json"), "encoding": "text"}).encode() + b"\n",
+             False),
+            (f"{kind}: = inside the body", body_as(body[:9] + b"=" + body[10:]), False),
+            (f"{kind}: == ending a group inside the body", body_as(body[:6] + b"==" + body[8:]),
+             False),
+            (f"{kind}: a character outside the alphabet", body_as(body[:9] + b"-" + body[10:]),
+             False),
+            (f"{kind}: an escape in the body", body_as(body[:9] + b"\\/" + body[10:]), False),
+            (f"{kind}: a group short", body_as(body[4:]), False),
+            (f"{kind}: a group long", body_as(b"AAAA" + body), False),
+            (f"{kind}: its padding or last character dropped", body_as(
+                body.rstrip(b"=") if body.endswith(b"=") else body[:-1]), False),
+            (f"{kind}: trailing data", good + b"x", False),
+            (f"{kind}: a second document", good + good, False),
+            (f"{kind}: nothing after the fields", good[:-2] + b"\n", False),
+            (f"{kind}: no fields", good[:good.index(b'"fields": {') + 11] + b"}}\n", False),
+            (f"{kind}: a NaN", body_as(base64.b64encode(
+                struct.pack("<d", float("nan")) + base64.b64decode(body)[8:])), False),
+            (f"{kind}: UTF-8 name", good.replace(
+                json.dumps(first).encode() + b": ",
+                json.dumps(first + "é", ensure_ascii=False).encode() + b": ", 1), False),
+        ]
+        out += [(f"{kind}: cut to {k} bytes", good[:k], False)
+                for k in (0, 1, 40, at - 2, at, at + 5, len(good) - 4, len(good) - 2)]
+    nonascii = {"éè\n": FieldGrid(spec6, np.ones((6, 6)))}
+    out.append(("escaped non-ASCII name", _writer_file(tmp_path, "n.json", nonascii)[0], True))
+    # a grid given in integers is written "u0": 0, and read back as 0.0
+    ints = {"f": FieldGrid(GridSpec(0, 0, 1, 2, 5, 5), np.ones((5, 5)))}
+    out.append(("integral grid entries", _writer_file(tmp_path, "i.json", ints)[0], True))
+    return out
+
+
+def test_field_file_reader_matches_json(tmp_path):
+    # every document reads as json.load's path reads it, bit for bit or with
+    # its exception and message; only save_fields' own bytes stream
+    for case, data, streamed in _variants(tmp_path):
+        path = tmp_path / "case.json"
+        path.write_bytes(data)
+        assert_read_as_json(path, streamed), case
+
+
+@pytest.mark.parametrize("chunk", [16, 120, 124, 130, 256, 1000])
+def test_field_file_stream_spans_chunks(tmp_path, monkeypatch, chunk):
+    # chunks smaller than a body; one smaller than the head reads through json
+    real, cplx = _special_fields()
+    files = {kind: _writer_file(tmp_path, f"{kind}.json", fields)
+             for kind, fields in (("real", real), ("complex", cplx))}
+    monkeypatch.setattr(grid, "_CHUNK", chunk)
+    for kind, fields in (("real", real), ("complex", cplx)):
+        good, doc = files[kind]
+        path = tmp_path / "case.json"
+        save_fields(path, fields)  # the writer's chunks give the same bytes
+        assert path.read_bytes() == good
+        head = good.index(b"{", 1)  # where the fields begin
+        assert_read_as_json(path, streamed=head < chunk)
+        # "==" ending each group of the body in turn: every chunk boundary
+        # gets one, which a per-chunk b64decode(validate=True) on Python 3.10
+        # would let through; the whole string is invalid base64
+        body = doc["fields"]["b"].encode()
+        at = good.index(body)
+        for k in range(4, len(body) - 4, 4):
+            path.write_bytes(good[:at] + body[:k - 2] + b"==" + body[k:] + good[at + len(body):])
+            assert_read_as_json(path, streamed=False), (kind, k)
+            with pytest.raises(ValueError, match="field 'b' of .* is not valid base64"):
+                load_fields(path)
+
+
+def test_field_file_read_holds_its_fields_and_one_chunk(tmp_path):
+    # a 256^2 nine-field file (6.3 MB): the read's peak is its fields (4.7 MB)
+    # plus at most 2 MiB; json.load held the text and every base64 str, 12.6 MB
+    spec = GridSpec(0.0, 0.0, 0.01, 0.01, 256, 256)
+    rng = np.random.default_rng(3)
+    names = ["lambda", "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "mu1", "mu2"]
+    fields = {name: FieldGrid(spec, rng.standard_normal(spec.shape)) for name in names}
+    path = tmp_path / "coeffs.json"
+    save_fields(path, fields)
+    del fields
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = load_fields(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(f.values.nbytes for f in back.values())
+    assert held == 9 * 256 * 256 * 8
+    assert peak <= held + 2 * 2**20, (peak, held)
 
 
 # ---------------------------------------------------------------------------
